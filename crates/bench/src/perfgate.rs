@@ -339,8 +339,18 @@ pub fn compare_islands(baseline: &str, current: &str) -> Result<Vec<IslandRegres
 /// reads both reports, dispatches on the `"bench"` header
 /// (`moea_kernels` vs `scenarios` vs `islands`), and renders a
 /// human-readable verdict. `Ok` = gate passed (report text), `Err` =
-/// regressions or unreadable input (the caller exits non-zero).
+/// regressions or unreadable input (the caller exits non-zero). A
+/// baseline and current that resolve to the same file are an error: such
+/// a gate compares a report with itself and can never trip.
 pub fn gate_files(baseline: &Path, current: &Path) -> Result<String, String> {
+    if let (Ok(b), Ok(c)) = (baseline.canonicalize(), current.canonicalize()) {
+        if b == c {
+            return Err(format!(
+                "baseline and current are the same file ({}); compare against a committed baseline\n",
+                b.display()
+            ));
+        }
+    }
     let base = std::fs::read_to_string(baseline)
         .map_err(|e| format!("reading baseline {}: {e}", baseline.display()))?;
     let cur = std::fs::read_to_string(current)
@@ -475,7 +485,7 @@ mod tests {
             })
             .collect();
         format!(
-            "{{\n  \"bench\": \"scenarios\",\n  \"cells\": [\n{}\n  ]\n}}\n",
+            "{{\n  \"bench\": \"scenarios\",\n  \"nproc\": 2,\n  \"cells\": [\n{}\n  ]\n}}\n",
             body.join(",\n")
         )
     }
@@ -591,15 +601,42 @@ mod tests {
             path
         };
         let kernels = write("k.json", &report(&[(100, 2, [50, 60, 70, 80, 90, 40])]));
+        let kernels_again = write("k2.json", &report(&[(100, 2, [50, 60, 70, 80, 90, 40])]));
         let scenarios = write("s.json", &scenario_report(&[("transient", 100)]));
-        assert!(gate_files(&kernels, &kernels).is_ok());
-        assert!(gate_files(&scenarios, &scenarios).is_ok());
+        let scenarios_again = write("s1.json", &scenario_report(&[("transient", 100)]));
+        assert!(gate_files(&kernels, &kernels_again).is_ok());
+        assert!(gate_files(&scenarios, &scenarios_again).is_ok());
         let slow = write("s2.json", &scenario_report(&[("transient", 9_000)]));
         let fail = gate_files(&scenarios, &slow).unwrap_err();
         assert!(fail.contains("scenario=transient"), "{fail}");
         // Mismatched report kinds cannot pass: the scenario parser finds
         // no cells in a kernel report.
         assert!(gate_files(&scenarios, &kernels).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn committed_baselines_parse() {
+        let scenarios = include_str!("../../../BENCH_scenarios.baseline.json");
+        assert!(scenarios.contains("\"nproc\": "));
+        assert_eq!(
+            parse_scenario_cells(scenarios, "baseline").unwrap().len(),
+            4
+        );
+        let islands = include_str!("../../../BENCH_islands.baseline.json");
+        assert_eq!(parse_island_cells(islands, "baseline").unwrap().len(), 6);
+    }
+
+    #[test]
+    fn gate_files_rejects_a_baseline_that_is_the_current_report() {
+        let dir = std::env::temp_dir().join(format!("perfgate-same-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("islands.json");
+        std::fs::write(&path, island_report(&[("fcCLR", 1, true, 40_000)])).unwrap();
+        // The same file by two spellings still resolves to one file.
+        let dotted = dir.join(".").join("islands.json");
+        let err = gate_files(&path, &dotted).unwrap_err();
+        assert!(err.contains("same file"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

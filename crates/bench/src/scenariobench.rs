@@ -7,7 +7,9 @@
 //! the report records the catalog and candidate-space sizes, the
 //! wall-clock cost of the task-level chain analyses (the Markov solves
 //! of that scenario's chain templates — the timing the perf gate
-//! watches), the objective-set arity, and both fronts' digests.
+//! watches), the objective-set arity, and both fronts' digests. The
+//! header records the host's core count (`nproc`): the chain analyses
+//! run on every core, so their timing scales with it.
 //!
 //! Cross-scenario invariants, greppable by CI:
 //!
@@ -160,8 +162,9 @@ pub fn scenarios(scale: RunScale) -> String {
         .iter()
         .map(|c| format!("    {}", json_cell(c)))
         .collect();
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let json = format!(
-        "{{\n  \"bench\": \"scenarios\",\n  \"application_tasks\": {TASKS},\n  \"population\": {},\n  \"generations\": {},\n  \"mission_hours\": {MISSION_HOURS},\n  \"cells\": [\n{}\n  ],\n  \"transient_matches_default\": {transient_matches_default},\n  \"scenario_fronts_distinct\": {scenario_fronts_distinct},\n  \"lifetime_adds_mttf_objective\": {lifetime_adds_mttf_objective},\n  \"agnostic_baseline_complete\": {agnostic_baseline_complete}\n}}\n",
+        "{{\n  \"bench\": \"scenarios\",\n  \"nproc\": {nproc},\n  \"application_tasks\": {TASKS},\n  \"population\": {},\n  \"generations\": {},\n  \"mission_hours\": {MISSION_HOURS},\n  \"cells\": [\n{}\n  ],\n  \"transient_matches_default\": {transient_matches_default},\n  \"scenario_fronts_distinct\": {scenario_fronts_distinct},\n  \"lifetime_adds_mttf_objective\": {lifetime_adds_mttf_objective},\n  \"agnostic_baseline_complete\": {agnostic_baseline_complete}\n}}\n",
         budget.population,
         budget.generations,
         body.join(",\n"),
