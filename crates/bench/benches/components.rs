@@ -8,7 +8,7 @@ use clre::apps;
 use clre::encoding::{ChoiceMode, Codec};
 use clre::methodology::{ClrEarly, StageBudget};
 use clre::tdse::{build_library, TdseConfig};
-use clre_markov::clr::{analyze, ClrChainParams};
+use clre_markov::clr::{analyze_spec, ClrChainParams, ClrChainSpec};
 use clre_moea::hypervolume::hypervolume;
 use clre_sched::QosEvaluator;
 use clre_sim::TaskSimulator;
@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn markov_bench(c: &mut Criterion) {
-    let params = ClrChainParams {
+    let spec = ClrChainSpec::transient(ClrChainParams {
         m_hw: 0.7,
         m_impl_ssw: 0.05,
         cov_det: 0.95,
@@ -28,9 +28,9 @@ fn markov_bench(c: &mut Criterion) {
         t_chk: 8.0e-6,
         p_chk_err: 1.0e-4,
         ..ClrChainParams::unprotected(300.0e-6, 300.0)
-    };
+    });
     c.bench_function("markov_analyze_4_intervals", |b| {
-        b.iter(|| analyze(std::hint::black_box(&params)).expect("analyzable"))
+        b.iter(|| analyze_spec(std::hint::black_box(&spec)).expect("analyzable"))
     });
 }
 

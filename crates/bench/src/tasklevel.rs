@@ -199,10 +199,9 @@ pub fn library_sizes(objs: &ObjectiveSet) -> Vec<usize> {
 /// the adverse lifetime effect the paper cites as motivation for joint
 /// optimization.
 pub fn chkpt() -> String {
-    use clre::tdse::evaluate_candidate;
+    use clre::tdse::{evaluate_candidate, TdseConfig};
     use clre_model::reliability::{AswMethod, ClrConfig, HwMethod, SswMethod};
     use clre_model::{PeId, TaskId};
-    use clre_profile::ProfileModel;
     use clre_sched::{Mapping, QosEvaluator};
 
     let platform = apps::sobel_platform();
@@ -213,7 +212,7 @@ pub fn chkpt() -> String {
     let pe_type = platform.pe_type(proc).expect("valid type");
     let mode = &pe_type.dvfs_modes()[2]; // undervolted: high fault rate
     let imp = &graph.task_types()[0].impls()[0];
-    let profile = ProfileModel::default();
+    let config = TdseConfig::default();
     let evaluator = QosEvaluator::new(&platform);
 
     let mut table = Table::new(vec![
@@ -230,8 +229,7 @@ pub fn chkpt() -> String {
             SswMethod::Checkpoint { intervals }
         };
         let clr = ClrConfig::new(HwMethod::None, ssw, AswMethod::None);
-        let metrics =
-            evaluate_candidate(imp, pe_type, mode, &clr, &profile, None).expect("analyzable");
+        let metrics = evaluate_candidate(imp, pe_type, mode, &clr, &config).expect("analyzable");
         let mapping = Mapping::new(vec![PeId::new(0)], vec![metrics], vec![TaskId::new(0)]);
         let qos = evaluator.evaluate(&graph, &mapping).expect("valid mapping");
         table.row(vec![

@@ -57,6 +57,7 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::Duration;
 
+use clre::cache::Fnv;
 use clre::resilience::{FallibleProblem, FaultInjector, InjectedFault};
 use clre::DseError;
 use clre_moea::{Evaluation, Problem};
@@ -65,20 +66,6 @@ use rand::RngCore;
 pub use clre::resilience::BackoffPolicy;
 pub use clre_exec::DeathPlan;
 pub use clre_markov::clr::SolverFaultPlan;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over an iterator of bytes — the one hash the whole chaos
-/// harness derives its decisions from.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = FNV_OFFSET;
-    for b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// A salted, seeded evaluation-fault plan: per-kind parts-per-million
 /// rates drawn independently per genome key.
@@ -151,14 +138,11 @@ impl FaultPlan {
 
     /// The per-kind decision draw: FNV-1a over `seed ‖ kind ‖ key`.
     fn fires(&self, kind: u64, key: &str, ppm: u32) -> bool {
-        let h = fnv1a(
-            self.seed
-                .to_le_bytes()
-                .into_iter()
-                .chain(kind.to_le_bytes())
-                .chain(key.bytes()),
-        );
-        h % 1_000_000 < u64::from(ppm)
+        let mut fnv = Fnv::new();
+        fnv.write_u64(self.seed);
+        fnv.write_u64(kind);
+        fnv.write_bytes(key.as_bytes());
+        fnv.finish() % 1_000_000 < u64::from(ppm)
     }
 
     /// The fault (if any) this plan injects for the evaluation of `key`,
@@ -235,7 +219,7 @@ impl<P> InjectingProblem<P> {
         self.seen
             .lock()
             .expect("sighting set poisoned")
-            .insert(fnv1a(key.bytes()))
+            .insert(Fnv::hash_bytes(key.as_bytes()))
     }
 }
 
@@ -323,12 +307,11 @@ pub fn corrupt_file(path: &Path, seed: u64, salt: u64) -> io::Result<Corruption>
     if bytes.is_empty() {
         return Ok(Corruption::Truncate { len: 0 });
     }
-    let h = fnv1a(
-        seed.to_le_bytes()
-            .into_iter()
-            .chain(salt.to_le_bytes())
-            .chain((bytes.len() as u64).to_le_bytes()),
-    );
+    let mut fnv = Fnv::new();
+    fnv.write_u64(seed);
+    fnv.write_u64(salt);
+    fnv.write_u64(bytes.len() as u64);
+    let h = fnv.finish();
     let position = usize::try_from((h >> 1) % bytes.len() as u64).expect("position fits usize");
     let corruption = if h & 1 == 0 {
         let bit = u8::try_from((h >> 33) % 8).expect("bit index fits u8");

@@ -1,14 +1,14 @@
 //! Content-addressed evaluation cache: two-level memoization for the
 //! exact, deterministic computations that dominate DSE cost.
 //!
-//! * **Level 1 — task analysis.** [`analyze_robust`] solves two absorbing
+//! * **Level 1 — task analysis.** [`analyze_robust_spec`] solves two absorbing
 //!   Markov chains (LU factorizations) per `(implementation × DVFS × CLR)`
 //!   point. The same points recur across campaign stages (`agnostic`
 //!   rebuilds four single-layer libraries), across sweep cells, and across
 //!   `ClrEarly` instances. The analysis cache keys on
-//!   [`ClrChainParams::digest`] — FNV-1a over the IEEE-754 bit patterns of
+//!   [`ClrChainSpec::digest`] — FNV-1a over the IEEE-754 bit patterns of
 //!   every field, exact bits, no quantization — and stores the full
-//!   parameter set so a digest collision is detected by comparison and
+//!   chain spec so a digest collision is detected by comparison and
 //!   degrades to a recomputation, never to a wrong answer.
 //! * **Level 2 — genome fitness.** Every GA generation re-decodes and
 //!   re-schedules genomes that recur across generations and seeded stages.
@@ -40,17 +40,17 @@
 //!
 //! ```
 //! use clre::cache::EvalCache;
-//! use clre_markov::clr::ClrChainParams;
+//! use clre_markov::clr::{analyze_robust_spec, ClrChainParams, ClrChainSpec};
 //!
 //! let cache = EvalCache::new();
-//! let params = ClrChainParams::unprotected(300.0e-6, 100.0);
-//! assert!(cache.analysis(&params).is_none()); // cold
-//! let analysis = clre_markov::clr::analyze_robust(&params).unwrap();
-//! cache.insert_analysis(&params, analysis);
-//! assert_eq!(cache.analysis(&params), Some(analysis)); // exact replay
+//! let spec = ClrChainSpec::transient(ClrChainParams::unprotected(300.0e-6, 100.0));
+//! assert!(cache.analysis_spec(&spec).is_none()); // cold
+//! let analysis = analyze_robust_spec(&spec).unwrap();
+//! cache.insert_analysis_spec(&spec, analysis);
+//! assert_eq!(cache.analysis_spec(&spec), Some(analysis)); // exact replay
 //! ```
 //!
-//! [`analyze_robust`]: clre_markov::clr::analyze_robust
+//! [`analyze_robust_spec`]: clre_markov::clr::analyze_robust_spec
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -74,57 +74,7 @@ pub const CACHE_HEADER: &str = "clrearly-cache v1";
 /// index is a cheap mask of the key digest.
 const SHARDS: usize = 16;
 
-/// Incremental FNV-1a (64-bit) hasher over machine words.
-///
-/// The cache's content digests — [`ClrChainParams::digest`], the genome
-/// key, the problem digest — are all FNV-1a over little-endian byte
-/// streams, built through this helper so every layer folds words the same
-/// way.
-#[derive(Debug, Clone)]
-pub struct Fnv(u64);
-
-impl Fnv {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// A hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv(Self::OFFSET)
-    }
-
-    /// Folds one 64-bit word (as little-endian bytes).
-    pub fn write_u64(&mut self, word: u64) {
-        for byte in word.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// Folds an `f64` by its IEEE-754 bit pattern (exact bits: `-0.0`
-    /// and `0.0` hash differently, as do distinct NaN payloads).
-    pub fn write_f64(&mut self, value: f64) {
-        self.write_u64(value.to_bits());
-    }
-
-    /// Folds raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// The digest so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub use clre_num::digest::Fnv;
 
 /// Monotonic hit/miss/insert counts of one cache level (or the sum of
 /// both, via [`EvalCache::counts`]).
@@ -294,19 +244,13 @@ impl EvalCache {
         (digest as usize) & (SHARDS - 1)
     }
 
-    /// Looks up a task analysis by exact parameter bits (transient
-    /// mechanism).
-    ///
-    /// Returns `None` on a true miss *and* on a digest collision (the
-    /// stored parameters differ bit-wise) — a collision recomputes rather
-    /// than ever replaying the wrong analysis.
-    pub fn analysis(&self, params: &ClrChainParams) -> Option<RobustAnalysis> {
-        self.analysis_spec(&ClrChainSpec::transient(*params))
-    }
-
     /// Looks up a task analysis by exact chain-spec bits (parameters plus
     /// fault mechanism). Transient specs share keys with the historic
     /// parameter-based entries, so pre-mechanism sidecars keep hitting.
+    ///
+    /// Returns `None` on a true miss *and* on a digest collision (the
+    /// stored spec differs bit-wise) — a collision recomputes rather than
+    /// ever replaying the wrong analysis.
     pub fn analysis_spec(&self, spec: &ClrChainSpec) -> Option<RobustAnalysis> {
         let digest = spec.digest();
         let mut shard = self.analysis[Self::shard(digest)]
@@ -328,16 +272,6 @@ impl EvalCache {
     /// Inserts a task analysis (insert-once: the first writer wins) and
     /// returns the stored value — callers use the return value so every
     /// worker proceeds with identical bits.
-    pub fn insert_analysis(
-        &self,
-        params: &ClrChainParams,
-        analysis: RobustAnalysis,
-    ) -> RobustAnalysis {
-        self.insert_analysis_spec(&ClrChainSpec::transient(*params), analysis)
-    }
-
-    /// Inserts a mechanism-aware task analysis (insert-once) and returns
-    /// the stored value.
     pub fn insert_analysis_spec(
         &self,
         spec: &ClrChainSpec,
@@ -657,9 +591,8 @@ fn fitness_digest(problem: u64, genome: &Genome) -> u64 {
 /// every byte before it. A bit flip anywhere in the record — not just a
 /// torn tail — is then caught by [`verify_line`] on reload.
 fn seal_line(mut line: String) -> String {
-    let mut fnv = Fnv::new();
-    fnv.write_bytes(line.as_bytes());
-    let _ = write!(line, " i={:016x}", fnv.finish());
+    let digest = Fnv::hash_bytes(line.as_bytes());
+    let _ = write!(line, " i={digest:016x}");
     line
 }
 
@@ -678,9 +611,7 @@ fn verify_line(line: &str) -> Option<&str> {
         return None;
     }
     let digest = u64::from_str_radix(token, 16).ok()?;
-    let mut fnv = Fnv::new();
-    fnv.write_bytes(body.as_bytes());
-    (fnv.finish() == digest).then_some(body)
+    (Fnv::hash_bytes(body.as_bytes()) == digest).then_some(body)
 }
 
 fn f64_hex(v: f64) -> String {
@@ -922,6 +853,10 @@ mod tests {
         p
     }
 
+    fn spec(seed: f64) -> ClrChainSpec {
+        ClrChainSpec::transient(params(seed))
+    }
+
     fn analysis(seed: f64) -> RobustAnalysis {
         RobustAnalysis {
             reliability: TaskReliability {
@@ -966,11 +901,11 @@ mod tests {
     #[test]
     fn analysis_roundtrip_and_counters() {
         let cache = EvalCache::new();
-        let p = params(1.0);
-        assert_eq!(cache.analysis(&p), None);
-        let stored = cache.insert_analysis(&p, analysis(1.0));
+        let p = spec(1.0);
+        assert_eq!(cache.analysis_spec(&p), None);
+        let stored = cache.insert_analysis_spec(&p, analysis(1.0));
         assert_eq!(stored, analysis(1.0));
-        assert_eq!(cache.analysis(&p), Some(analysis(1.0)));
+        assert_eq!(cache.analysis_spec(&p), Some(analysis(1.0)));
         let counts = cache.analysis_counts();
         assert_eq!((counts.hits, counts.misses, counts.inserts), (1, 1, 1));
         assert_eq!(cache.analysis_len(), 1);
@@ -979,10 +914,10 @@ mod tests {
     #[test]
     fn insert_once_keeps_the_first_value() {
         let cache = EvalCache::new();
-        let p = params(1.0);
-        cache.insert_analysis(&p, analysis(1.0));
+        let p = spec(1.0);
+        cache.insert_analysis_spec(&p, analysis(1.0));
         // A second writer adopts the stored value, not its own.
-        let stored = cache.insert_analysis(&p, analysis(9.0));
+        let stored = cache.insert_analysis_spec(&p, analysis(9.0));
         assert_eq!(stored, analysis(1.0));
         assert_eq!(cache.analysis_counts().inserts, 1);
 
@@ -1010,12 +945,12 @@ mod tests {
         let cache = EvalCache::new();
         cache.bind_sidecar(&path).unwrap();
         assert!(cache.is_bound());
-        cache.insert_analysis(&params(1.0), analysis(1.0));
+        cache.insert_analysis_spec(&spec(1.0), analysis(1.0));
         cache.insert_fitness(7, &genome(1), fitness_value(1.0));
 
         let warm = EvalCache::new();
         warm.bind_sidecar(&path).unwrap();
-        assert_eq!(warm.analysis(&params(1.0)), Some(analysis(1.0)));
+        assert_eq!(warm.analysis_spec(&spec(1.0)), Some(analysis(1.0)));
         assert_eq!(warm.fitness(7, &genome(1)), Some(fitness_value(1.0)));
         assert_eq!(warm.counts().inserts, 0, "loads are not inserts");
         let text = fs::read_to_string(&path).unwrap();
@@ -1034,7 +969,7 @@ mod tests {
 
         let cache = EvalCache::new();
         cache.bind_sidecar(&path).unwrap();
-        assert_eq!(cache.analysis(&params(1.0)), Some(analysis(1.0)));
+        assert_eq!(cache.analysis_spec(&spec(1.0)), Some(analysis(1.0)));
         assert_eq!(cache.fitness(7, &genome(1)), None, "torn tail skipped");
     }
 
@@ -1055,7 +990,7 @@ mod tests {
         let cache = EvalCache::new();
         cache.bind_sidecar(&path).unwrap();
         assert!(!cache.is_bound(), "cold cache, no appends");
-        cache.insert_analysis(&params(1.0), analysis(1.0));
+        cache.insert_analysis_spec(&spec(1.0), analysis(1.0));
         let text = fs::read_to_string(&path).unwrap();
         assert_eq!(text, "clrearly-sweep v1\ncell t/a 1 0 0\n");
     }
@@ -1108,7 +1043,7 @@ mod tests {
 
         let cache = EvalCache::new();
         cache.bind_sidecar(&path).unwrap();
-        assert_eq!(cache.analysis(&params(1.0)), Some(analysis(1.0)));
+        assert_eq!(cache.analysis_spec(&spec(1.0)), Some(analysis(1.0)));
         assert_eq!(cache.fitness(7, &genome(1)), None, "tampered line dropped");
         assert_eq!(cache.sidecar_skipped(), 1);
         fs::remove_file(&path).unwrap();
@@ -1135,8 +1070,6 @@ mod tests {
         cache.insert_analysis_spec(&perm, analysis(2.0));
         assert_eq!(cache.analysis_spec(&transient), Some(analysis(1.0)));
         assert_eq!(cache.analysis_spec(&perm), Some(analysis(2.0)));
-        // The params-based API is the transient spec API.
-        assert_eq!(cache.analysis(&p), Some(analysis(1.0)));
         assert_eq!(cache.analysis_len(), 2);
     }
 
@@ -1148,7 +1081,7 @@ mod tests {
         cache.bind_sidecar(&path).unwrap();
         let perm = ClrChainSpec::permanent_aging(params(1.0), 25.0);
         cache.insert_analysis_spec(&perm, analysis(2.0));
-        cache.insert_analysis(&params(2.0), analysis(3.0));
+        cache.insert_analysis_spec(&spec(2.0), analysis(3.0));
 
         let text = fs::read_to_string(&path).unwrap();
         assert!(text.contains("\nanalysis2 1 "), "tagged record: {text}");
@@ -1157,7 +1090,7 @@ mod tests {
         let warm = EvalCache::new();
         warm.bind_sidecar(&path).unwrap();
         assert_eq!(warm.analysis_spec(&perm), Some(analysis(2.0)));
-        assert_eq!(warm.analysis(&params(2.0)), Some(analysis(3.0)));
+        assert_eq!(warm.analysis_spec(&spec(2.0)), Some(analysis(3.0)));
 
         // An analysis2 line with an unknown mechanism tag is foreign:
         // skipped and counted, never guessed at.
@@ -1182,7 +1115,7 @@ mod tests {
         cache.set_entry_ceiling(SHARDS); // one slot per shard
         assert_eq!(cache.entry_ceiling(), SHARDS);
         for i in 0..200 {
-            cache.insert_analysis(&params(1.0 + i as f64), analysis(1.0));
+            cache.insert_analysis_spec(&spec(1.0 + i as f64), analysis(1.0));
         }
         assert!(
             cache.analysis_len() <= SHARDS,
@@ -1203,9 +1136,9 @@ mod tests {
 
         // Eviction never corrupts answers: a re-inserted key replays its
         // stored value exactly.
-        let p = params(500.0);
-        cache.insert_analysis(&p, analysis(5.0));
-        assert_eq!(cache.analysis(&p), Some(analysis(5.0)));
+        let p = spec(500.0);
+        cache.insert_analysis_spec(&p, analysis(5.0));
+        assert_eq!(cache.analysis_spec(&p), Some(analysis(5.0)));
     }
 
     #[test]
@@ -1219,7 +1152,7 @@ mod tests {
         assert_eq!(cache.entry_ceiling(), 1);
 
         for i in 0..64 {
-            cache.insert_analysis(&params(1.0 + f64::from(i)), analysis(1.0));
+            cache.insert_analysis_spec(&spec(1.0 + f64::from(i)), analysis(1.0));
         }
         let analysis_counts = cache.analysis_counts();
         assert_eq!(analysis_counts.inserts, 64);
@@ -1254,9 +1187,9 @@ mod tests {
 
         // LRU at cap one means the newest key in a shard survives, and
         // the survivor replays its stored value bit-exactly.
-        let last = params(200.0);
-        cache.insert_analysis(&last, analysis(3.0));
-        assert_eq!(cache.analysis(&last), Some(analysis(3.0)));
+        let last = spec(200.0);
+        cache.insert_analysis_spec(&last, analysis(3.0));
+        assert_eq!(cache.analysis_spec(&last), Some(analysis(3.0)));
     }
 
     #[test]
@@ -1264,25 +1197,25 @@ mod tests {
         let cache = EvalCache::new();
         // Unbounded while warming, then capped: recently-touched entries
         // must survive a later squeeze.
-        let hot = params(1.0);
+        let hot = spec(1.0);
         for i in 0..40 {
-            cache.insert_analysis(&params(1.0 + i as f64), analysis(1.0));
+            cache.insert_analysis_spec(&spec(1.0 + i as f64), analysis(1.0));
         }
-        assert_eq!(cache.analysis(&hot), Some(analysis(1.0))); // refresh
+        assert_eq!(cache.analysis_spec(&hot), Some(analysis(1.0))); // refresh
         cache.set_entry_ceiling(SHARDS);
         // Inserts into the hot entry's shard trigger evictions there; the
         // hot entry was just touched so colder keys go first.
         for i in 100..140 {
-            cache.insert_analysis(&params(1.0 + i as f64), analysis(1.0));
+            cache.insert_analysis_spec(&spec(1.0 + i as f64), analysis(1.0));
         }
-        let still_hot = cache.analysis(&hot).is_some();
+        let still_hot = cache.analysis_spec(&hot).is_some();
         let total = cache.analysis_len();
         assert!(total <= SHARDS + 40, "squeeze converges: {total}");
         // The hot entry survives unless its own shard overflowed past it;
         // with one slot per shard the newest insert wins, so just assert
         // the lookup stays coherent either way.
         if still_hot {
-            assert_eq!(cache.analysis(&hot), Some(analysis(1.0)));
+            assert_eq!(cache.analysis_spec(&hot), Some(analysis(1.0)));
         }
     }
 

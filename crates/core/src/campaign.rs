@@ -26,8 +26,7 @@
 //!
 //! # Examples
 //!
-//! The proposed methodology as a plan (identical trajectory and front
-//! to the deprecated `run_proposed` wrapper):
+//! The proposed methodology as a plan:
 //!
 //! ```no_run
 //! use clre::{CampaignPlan, ClrEarly, StageBudget};
@@ -559,20 +558,6 @@ impl<'a> ClrEarly<'a> {
         Ok(conclude_plain(plan, results))
     }
 
-    /// Deprecated name of [`ClrEarly::run`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ClrEarly::run`].
-    #[deprecated(note = "renamed to `ClrEarly::run`")]
-    pub fn run_campaign(
-        &self,
-        plan: &CampaignPlan,
-        budget: &StageBudget,
-    ) -> Result<FrontResult, DseError> {
-        self.run(plan, budget)
-    }
-
     /// Runs a campaign plan under a [`RunSupervisor`]: evaluation
     /// failures are isolated and quarantined, and every stage
     /// checkpoints at the supervisor's cadence — the checkpoint records
@@ -605,21 +590,6 @@ impl<'a> ClrEarly<'a> {
             None,
             Vec::new(),
         )
-    }
-
-    /// Deprecated name of [`ClrEarly::run_supervised`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ClrEarly::run_supervised`].
-    #[deprecated(note = "renamed to `ClrEarly::run_supervised`")]
-    pub fn run_campaign_supervised(
-        &self,
-        plan: &CampaignPlan,
-        budget: &StageBudget,
-        supervisor: &RunSupervisor,
-    ) -> Result<RunOutcome, DseError> {
-        self.run_supervised(plan, budget, supervisor)
     }
 
     /// Resumes an interrupted supervised campaign from the supervisor's
@@ -704,21 +674,6 @@ impl<'a> ClrEarly<'a> {
             Some(state),
             quarantine_seed,
         )
-    }
-
-    /// Deprecated name of [`ClrEarly::resume`].
-    ///
-    /// # Errors
-    ///
-    /// As [`ClrEarly::resume`].
-    #[deprecated(note = "renamed to `ClrEarly::resume`")]
-    pub fn resume_campaign(
-        &self,
-        plan: &CampaignPlan,
-        budget: &StageBudget,
-        supervisor: &RunSupervisor,
-    ) -> Result<RunOutcome, DseError> {
-        self.resume(plan, budget, supervisor)
     }
 
     /// The shared supervised loop over a plan's stages, starting at

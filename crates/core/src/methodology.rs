@@ -17,9 +17,6 @@
 //!   other-layer-agnostic baseline of Fig. 7: independent optimizations
 //!   with a single degree of freedom each (DVFS / HWRel / SSWRel /
 //!   ASWRel), merged and Pareto-filtered.
-//!
-//! The historic `run_fc`/`run_pf`/`run_proposed`-style wrappers remain
-//! as `#[deprecated]` shims over the same plans.
 
 use std::sync::Arc;
 
@@ -383,129 +380,6 @@ impl<'a> ClrEarly<'a> {
         self.platform
     }
 
-    /// Runs the problem-agnostic fcCLR baseline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec construction failures.
-    #[deprecated(note = "use `ClrEarly::run` with `CampaignPlan::fc()`")]
-    pub fn run_fc(&self, budget: &StageBudget) -> Result<FrontResult, DseError> {
-        self.run(&CampaignPlan::fc(), budget)
-    }
-
-    /// Runs the task-level-Pareto-filtered pfCLR method.
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec construction failures.
-    #[deprecated(note = "use `ClrEarly::run` with `CampaignPlan::pf()`")]
-    pub fn run_pf(&self, budget: &StageBudget) -> Result<FrontResult, DseError> {
-        self.run(&CampaignPlan::pf(), budget)
-    }
-
-    /// Runs the proposed two-stage methodology exactly as Section VI-C
-    /// describes it: a full pfCLR optimization (identical to
-    /// [`ClrEarly::run_pf`], same seed and trajectory) followed by an
-    /// *additional* fcCLR optimization seeded with the pfCLR front; the
-    /// reported front is the Pareto merge of both stages.
-    ///
-    /// Because the first stage reproduces `run_pf` and the merge keeps
-    /// its non-dominated points, the proposed result never falls below
-    /// the standalone pfCLR result — the paper's "equal or marginally
-    /// improved" behaviour in Table VII. It spends roughly twice the
-    /// evaluations of a standalone run, as does the paper's flow.
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec construction failures.
-    #[deprecated(note = "use `ClrEarly::run` with `CampaignPlan::proposed()`")]
-    pub fn run_proposed(&self, budget: &StageBudget) -> Result<FrontResult, DseError> {
-        self.run(&CampaignPlan::proposed(), budget)
-    }
-
-    /// Runs fcCLR under a [`RunSupervisor`]: evaluation failures are
-    /// isolated and quarantined, and the GA state is checkpointed so the
-    /// run can be resumed by [`ClrEarly::resume_supervised`] after a
-    /// crash — deterministically, to the identical final front.
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec construction and checkpoint I/O failures.
-    #[deprecated(note = "use `ClrEarly::run_supervised` with `CampaignPlan::fc()`")]
-    pub fn run_fc_supervised(
-        &self,
-        budget: &StageBudget,
-        supervisor: &RunSupervisor,
-    ) -> Result<RunOutcome, DseError> {
-        self.run_supervised(&CampaignPlan::fc(), budget, supervisor)
-    }
-
-    /// Runs pfCLR under a [`RunSupervisor`]; see
-    /// [`ClrEarly::run_fc_supervised`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec construction and checkpoint I/O failures.
-    #[deprecated(note = "use `ClrEarly::run_supervised` with `CampaignPlan::pf()`")]
-    pub fn run_pf_supervised(
-        &self,
-        budget: &StageBudget,
-        supervisor: &RunSupervisor,
-    ) -> Result<RunOutcome, DseError> {
-        self.run_supervised(&CampaignPlan::pf(), budget, supervisor)
-    }
-
-    /// Runs the proposed two-stage methodology under a [`RunSupervisor`].
-    /// Both stages checkpoint to the same file; the checkpoint records
-    /// which stage it belongs to, and stage 1 checkpoints additionally
-    /// carry the pf-stage front so a resume can reconstitute the final
-    /// merge without re-running stage 0.
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec construction and checkpoint I/O failures.
-    #[deprecated(note = "use `ClrEarly::run_supervised` with `CampaignPlan::proposed()`")]
-    pub fn run_proposed_supervised(
-        &self,
-        budget: &StageBudget,
-        supervisor: &RunSupervisor,
-    ) -> Result<RunOutcome, DseError> {
-        self.run_supervised(&CampaignPlan::proposed(), budget, supervisor)
-    }
-
-    /// Runs the layer-agnostic baseline campaign under a
-    /// [`RunSupervisor`]: all four single-layer stages checkpoint to the
-    /// same file, so a crash in any stage resumes there with the earlier
-    /// layers' fronts reconstituted from the checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec construction and checkpoint I/O failures.
-    #[deprecated(note = "use `ClrEarly::run_supervised` with `CampaignPlan::agnostic()`")]
-    pub fn run_agnostic_supervised(
-        &self,
-        budget: &StageBudget,
-        supervisor: &RunSupervisor,
-    ) -> Result<RunOutcome, DseError> {
-        self.run_supervised(&CampaignPlan::agnostic(), budget, supervisor)
-    }
-
-    /// Runs the SPEA2-backed pfCLR ablation under a [`RunSupervisor`] —
-    /// checkpoint/resume works identically to the NSGA-II runs via the
-    /// shared `EvolutionState` path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec construction and checkpoint I/O failures.
-    #[deprecated(note = "use `ClrEarly::run_supervised` with `CampaignPlan::pf_spea2()`")]
-    pub fn run_pf_spea2_supervised(
-        &self,
-        budget: &StageBudget,
-        supervisor: &RunSupervisor,
-    ) -> Result<RunOutcome, DseError> {
-        self.run_supervised(&CampaignPlan::pf_spea2(), budget, supervisor)
-    }
-
     /// Resumes an interrupted supervised run from the supervisor's
     /// checkpoint file and drives it to completion (unless the
     /// supervisor's crash-injection seam interrupts it again).
@@ -528,7 +402,7 @@ impl<'a> ClrEarly<'a> {
     ) -> Result<RunOutcome, DseError> {
         // Fallback-tolerant load: the method name must be recoverable even
         // when the primary checkpoint is corrupt. The skipped-file count is
-        // discarded here — `resume_campaign` re-loads through the same
+        // discarded here — `ClrEarly::resume` re-loads through the same
         // chain and records it in the run's health.
         let (cp, _) = Checkpoint::load_with_fallback(
             supervisor.checkpoint_path(),
@@ -543,82 +417,6 @@ impl<'a> ClrEarly<'a> {
             }
         };
         self.resume(&plan, budget, supervisor)
-    }
-
-    /// Runs a single-degree-of-freedom baseline for one layer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates task-level DSE and codec failures.
-    #[deprecated(note = "use `ClrEarly::run` with `CampaignPlan::single_layer(layer)`")]
-    pub fn run_single_layer(
-        &self,
-        layer: Layer,
-        budget: &StageBudget,
-    ) -> Result<FrontResult, DseError> {
-        self.run(&CampaignPlan::single_layer(layer), budget)
-    }
-
-    /// Runs pfCLR under the SPEA2 backend instead of NSGA-II — the
-    /// `ablation_moea` study of DESIGN.md §5 (the paper prototypes on
-    /// both DEAP and PYGMO, i.e. multiple MOEA implementations).
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec construction failures.
-    #[deprecated(note = "use `ClrEarly::run` with `CampaignPlan::pf_spea2()`")]
-    pub fn run_pf_spea2(&self, budget: &StageBudget) -> Result<FrontResult, DseError> {
-        self.run(&CampaignPlan::pf_spea2(), budget)
-    }
-
-    /// Runs pfCLR with a non-default tournament size — the
-    /// `ablation_tournament` study of DESIGN.md §5.
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec construction failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tournament_size == 0`.
-    #[deprecated(note = "use `ClrEarly::run` with `CampaignPlan::pf_with_tournament(k)`")]
-    pub fn run_pf_with_tournament(
-        &self,
-        budget: &StageBudget,
-        tournament_size: usize,
-    ) -> Result<FrontResult, DseError> {
-        self.run(&CampaignPlan::pf_with_tournament(tournament_size), budget)
-    }
-
-    /// Runs the pruning ablation of DESIGN.md §5: a pfCLR-shaped search
-    /// whose per-group choice lists are *random* subsets of the full
-    /// space, each the same size as the true task-level Pareto front.
-    ///
-    /// # Errors
-    ///
-    /// Propagates codec construction failures.
-    #[deprecated(note = "use `ClrEarly::run` with `CampaignPlan::random_subset(seed)`")]
-    pub fn run_random_subset(
-        &self,
-        budget: &StageBudget,
-        subset_seed: u64,
-    ) -> Result<FrontResult, DseError> {
-        self.run(&CampaignPlan::random_subset(subset_seed), budget)
-    }
-
-    /// Runs the other-layer-agnostic baseline: all four single-layer
-    /// optimizations, merged and Pareto-filtered.
-    ///
-    /// The comparison is budget-fair: each layer receives a quarter of
-    /// `budget.generations`, so the merged baseline spends approximately
-    /// the same number of fitness evaluations as one CLR run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates single-layer failures.
-    #[deprecated(note = "use `ClrEarly::run` with `CampaignPlan::agnostic()`")]
-    pub fn run_agnostic(&self, budget: &StageBudget) -> Result<FrontResult, DseError> {
-        self.run(&CampaignPlan::agnostic(), budget)
     }
 }
 

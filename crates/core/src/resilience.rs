@@ -46,6 +46,7 @@ use clre_model::{PeId, TaskId};
 use clre_moea::{Evaluation, EvoSnapshot, Individual, Problem};
 use rand::RngCore;
 
+use crate::cache::Fnv;
 use crate::encoding::{Gene, Genome};
 use crate::methodology::FrontResult;
 use crate::problem::SystemProblem;
@@ -375,12 +376,12 @@ impl BackoffPolicy {
         if raw == 0 {
             return 0;
         }
-        let mut buf = [0u8; 24];
-        buf[..8].copy_from_slice(&self.seed.to_le_bytes());
-        buf[8..16].copy_from_slice(&key.to_le_bytes());
-        buf[16..].copy_from_slice(&u64::try_from(attempt).unwrap_or(u64::MAX).to_le_bytes());
+        let mut fnv = Fnv::new();
+        fnv.write_u64(self.seed);
+        fnv.write_u64(key);
+        fnv.write_u64(u64::try_from(attempt).unwrap_or(u64::MAX));
         let span = raw - raw / 2;
-        raw / 2 + fnv1a64(&buf) % (span + 1)
+        raw / 2 + fnv.finish() % (span + 1)
     }
 }
 
@@ -588,7 +589,7 @@ impl<P: FallibleProblem> Problem for ResilientProblem<P> {
             if attempt > 0 {
                 self.health_mut().retries += 1;
                 if let (Some(policy), Some(key)) = (self.backoff, chaos_key.as_deref()) {
-                    let delay = policy.delay_ms(fnv1a64(key.as_bytes()), attempt - 1);
+                    let delay = policy.delay_ms(Fnv::hash_bytes(key.as_bytes()), attempt - 1);
                     if delay > 0 {
                         self.health_mut().backoff_ms += delay;
                         std::thread::sleep(Duration::from_millis(delay));
@@ -1238,17 +1239,6 @@ fn atomic_write(path: &Path, text: &str) -> Result<(), DseError> {
     fs::rename(&tmp, path).map_err(|e| bad(format!("installing {}: {e}", path.display())))
 }
 
-/// 64-bit FNV-1a digest, used to pin a delta checkpoint to the exact
-/// keyframe bytes it was encoded against.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The delta keyframe location for the checkpoint at `path`:
 /// `<path>.key`, with any numeric rotation suffix (`<path>.3`) stripped
 /// first so rotated delta slots resolve to the same keyframe as the live
@@ -1470,7 +1460,7 @@ impl Checkpoint {
             let base_text = fs::read_to_string(&key)
                 .map_err(|e| bad(format!("reading keyframe {}: {e}", key.display())))?;
             let base = Checkpoint::decode(&base_text)?;
-            apply_delta(base, fnv1a64(base_text.as_bytes()), &text)
+            apply_delta(base, Fnv::hash_bytes(base_text.as_bytes()), &text)
         } else {
             Checkpoint::decode(&text)
         }
@@ -1573,7 +1563,7 @@ fn encode_delta(base: &Checkpoint, base_digest: u64, cp: &Checkpoint) -> String 
 /// every byte written so far, so any later flip or truncation is caught
 /// by [`verify_integrity`] before the body is parsed.
 fn append_integrity_trailer(out: &mut String) {
-    let digest = fnv1a64(out.as_bytes());
+    let digest = Fnv::hash_bytes(out.as_bytes());
     let _ = writeln!(out, "integrity {digest:016x}");
 }
 
@@ -1598,7 +1588,7 @@ fn verify_integrity(text: &str) -> Result<(), DseError> {
         .filter(|hex| hex.len() == 16)
         .and_then(|hex| u64::from_str_radix(hex, 16).ok())
         .ok_or_else(|| bad("malformed integrity trailer"))?;
-    let actual = fnv1a64(&text.as_bytes()[..prefix_len]);
+    let actual = Fnv::hash_bytes(&text.as_bytes()[..prefix_len]);
     if actual != digest {
         return Err(bad(format!(
             "integrity digest mismatch (recorded {digest:016x}, computed {actual:016x})"
@@ -1721,7 +1711,7 @@ impl CheckpointWriter {
             cp.save_rotated(path, keep)?;
             let text = cp.encode();
             atomic_write(&keyframe_path(path), &text)?;
-            self.base = Some((cp.clone(), fnv1a64(text.as_bytes())));
+            self.base = Some((cp.clone(), Fnv::hash_bytes(text.as_bytes())));
             self.since_keyframe = 1;
         } else {
             let (base, digest) = self.base.as_ref().expect("keyframe base");

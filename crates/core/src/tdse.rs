@@ -93,7 +93,7 @@ pub struct TdseConfig {
     /// whose content digest the plan selects have their primary LU solve
     /// (and optionally the scaled retry) fail with an injected singular
     /// pivot, exercising the recovery ladder of
-    /// [`clre_markov::clr::analyze_robust`]. Injected analyses bypass the
+    /// [`analyze_robust_spec`]. Injected analyses bypass the
     /// cache so fault-free runs sharing the same sidecar never replay a
     /// degraded verdict.
     pub solver_faults: Option<SolverFaultPlan>,
@@ -172,19 +172,6 @@ impl TdseConfig {
         Ok(self)
     }
 
-    /// Panicking predecessor of [`TdseConfig::with_clr_catalog`], kept as
-    /// a migration shim.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `catalog` is empty.
-    #[deprecated(note = "use `with_clr_catalog`, which returns `Result` instead of panicking")]
-    #[must_use]
-    pub fn with_clr_catalog_or_panic(self, catalog: Vec<ClrConfig>) -> Self {
-        self.with_clr_catalog(catalog)
-            .expect("CLR catalog must be non-empty")
-    }
-
     /// Attaches a shared evaluation cache (builder style): every
     /// [`analyze_robust_spec`] call made while building libraries under this
     /// config first consults the cache's task-analysis level.
@@ -247,7 +234,7 @@ impl TdseConfig {
 
 /// Health counters from one task-level DSE sweep — how many candidate
 /// analyses ran and how many had to fall back to the degraded closed-form
-/// solver (see [`clre_markov::clr::analyze_robust`]).
+/// solver (see [`analyze_robust_spec`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TdseHealth {
     /// Total candidate evaluations performed.
@@ -269,7 +256,10 @@ impl TdseHealth {
     }
 }
 
-/// Estimates the Table II metrics of one fully configured candidate.
+/// Estimates the Table II metrics of one fully configured candidate under
+/// `config` — the per-candidate step of the library sweep, reading the
+/// same config fields: the profile, the implicit-masking override, the
+/// reliability model, the analysis cache and the solver-fault plan.
 ///
 /// Steps:
 /// 1. characterize `(cycles, capacitance)` at the DVFS mode,
@@ -278,26 +268,26 @@ impl TdseHealth {
 ///    TMR triples power, so it also heats and ages the PE faster,
 /// 4. derate the raw SEU rate by the PE type's architectural masking
 ///    factor (`1 − AVF`),
-/// 5. run the timing and functional Markov chains.
+/// 5. run the timing and functional Markov chains, probing the cache
+///    first; a hit replays the uncached verdict bit-for-bit.
 ///
 /// # Errors
 ///
 /// Propagates [`DseError::Markov`] for degenerate chain parameters.
+/// Failed analyses are never cached.
 ///
 /// # Examples
 ///
 /// ```
-/// use clre::tdse::evaluate_candidate;
+/// use clre::tdse::{evaluate_candidate, TdseConfig};
 /// use clre_model::{reliability::ClrConfig, BaseImpl, DvfsMode, PeType, PeTypeId};
-/// use clre_profile::ProfileModel;
 ///
 /// # fn main() -> Result<(), clre::DseError> {
 /// let pe = PeType::processor("p", 2.0, 0.3)
 ///     .with_dvfs_mode(DvfsMode::new("n", 1.2, 900.0e6));
 /// let imp = BaseImpl::new("i", PeTypeId::new(0), 3.0e5, 1.0e-9);
 /// let mode = &pe.dvfs_modes()[0];
-/// let m = evaluate_candidate(&imp, &pe, mode, &ClrConfig::unprotected(),
-///                            &ProfileModel::default(), None)?;
+/// let m = evaluate_candidate(&imp, &pe, mode, &ClrConfig::unprotected(), &TdseConfig::new())?;
 /// assert!(m.error_prob > 0.0 && m.error_prob < 0.1);
 /// # Ok(())
 /// # }
@@ -307,84 +297,21 @@ pub fn evaluate_candidate(
     pe_type: &PeType,
     mode: &DvfsMode,
     clr: &ClrConfig,
-    profile: &ProfileModel,
-    implicit_masking_override: Option<f64>,
+    config: &TdseConfig,
 ) -> Result<TaskMetrics, DseError> {
-    evaluate_candidate_chaos(
-        imp,
-        pe_type,
-        mode,
-        clr,
-        profile,
-        implicit_masking_override,
-        None,
-        None,
-        ReliabilityModel::Transient,
-    )
-    .map(|(metrics, _robust)| metrics)
-}
-
-/// [`evaluate_candidate`] with an optional task-analysis cache in front
-/// of the Markov solve, an optional deterministic [`SolverFaultPlan`] and
-/// an explicit [`ReliabilityModel`], exposing the full [`RobustAnalysis`]
-/// verdict — whether the scaled-pivoting retry ran and whether the
-/// analysis had to degrade to the closed-form fallback.
-///
-/// On a cache hit the stored verdict, including its `degraded`/`retried`
-/// flags, replays the uncached computation bit-for-bit; the closed-form
-/// power/thermal/aging estimates are cheap and always recomputed.
-/// Analyses the plan selects (by spec digest) run through
-/// [`analyze_robust_chaos_spec`] and bypass the cache in both directions:
-/// an injected verdict is never stored, and a clean cached verdict never
-/// masks the injection. Unselected analyses take the normal cached path,
-/// so a zero-rate plan is bit-identical to no plan.
-///
-/// # Errors
-///
-/// As for [`evaluate_candidate`]. Failed analyses are never cached.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_candidate_chaos(
-    imp: &BaseImpl,
-    pe_type: &PeType,
-    mode: &DvfsMode,
-    clr: &ClrConfig,
-    profile: &ProfileModel,
-    implicit_masking_override: Option<f64>,
-    cache: Option<&EvalCache>,
-    solver_faults: Option<&SolverFaultPlan>,
-    model: ReliabilityModel,
-) -> Result<(TaskMetrics, RobustAnalysis), DseError> {
-    let point = ProtectedPoint::new(imp, pe_type, mode, clr, profile);
-    let spec = point.spec(implicit_masking_override, model);
-    let analyzer = Analyzer {
-        cache,
-        solver_faults,
-    };
-    let robust = analyzer.analyze(&spec)?;
-    Ok((point.metrics(&robust), robust))
-}
-
-/// The Markov-chain parameters of a fully configured candidate — the
-/// exact inputs [`evaluate_candidate`] analyzes, exposed so that the
-/// Monte-Carlo validator (`clre-sim`) can inject faults against the same
-/// semantics (C-INTERMEDIATE).
-pub fn chain_params(
-    imp: &BaseImpl,
-    pe_type: &PeType,
-    mode: &DvfsMode,
-    clr: &ClrConfig,
-    profile: &ProfileModel,
-    implicit_masking_override: Option<f64>,
-) -> ClrChainParams {
-    ProtectedPoint::new(imp, pe_type, mode, clr, profile).params(implicit_masking_override)
+    let point = ProtectedPoint::new(imp, pe_type, mode, clr, &config.profile);
+    let robust = Analyzer::new(config).analyze(&point.spec(config))?;
+    Ok(point.metrics(&robust))
 }
 
 /// The mechanism-aware chain specification of a fully configured
-/// candidate: [`chain_params`] plus the fault mechanism derived from
-/// `model`. Under [`ReliabilityModel::Transient`] the spec's digest
-/// equals the raw parameter digest, so caches, sidecar files and
-/// solver-fault plans behave exactly as before the mechanism axis
-/// existed. Under [`ReliabilityModel::PermanentAging`] the PE type's
+/// candidate — the exact input [`evaluate_candidate`] analyzes, exposed
+/// so that the Monte-Carlo validator (`clre-sim`) can inject faults
+/// against the same semantics: the flattened chain parameters plus the
+/// fault mechanism derived from `model`. Under
+/// [`ReliabilityModel::Transient`] the spec's digest equals the raw
+/// parameter digest, so caches, sidecar files and solver-fault plans
+/// behave exactly as before the mechanism axis existed. Under [`ReliabilityModel::PermanentAging`] the PE type's
 /// Weibull hazard at mission time — with scale `η` at the candidate's
 /// protected power, the same `η` [`evaluate_candidate`] reports — is
 /// folded in as a competing permanent-fault rate.
@@ -397,7 +324,8 @@ pub fn chain_spec(
     implicit_masking_override: Option<f64>,
     model: ReliabilityModel,
 ) -> ClrChainSpec {
-    ProtectedPoint::new(imp, pe_type, mode, clr, profile).spec(implicit_masking_override, model)
+    ProtectedPoint::new(imp, pe_type, mode, clr, profile)
+        .spec_with(implicit_masking_override, model)
 }
 
 /// A fully configured candidate at its operating point under its CLR
@@ -462,7 +390,12 @@ impl<'a> ProtectedPoint<'a> {
         }
     }
 
-    fn spec(
+    /// The chain spec under `config`'s masking override and model.
+    fn spec(&self, config: &TdseConfig) -> ClrChainSpec {
+        self.spec_with(config.implicit_masking_override, config.reliability_model)
+    }
+
+    fn spec_with(
         &self,
         implicit_masking_override: Option<f64>,
         model: ReliabilityModel,
@@ -480,8 +413,8 @@ impl<'a> ProtectedPoint<'a> {
     }
 
     /// The Table II metrics given the candidate's chain analysis — the
-    /// one metrics formula behind [`evaluate_candidate_chaos`] and the
-    /// library sweep.
+    /// one metrics formula behind [`evaluate_candidate`] and the library
+    /// sweep.
     fn metrics(&self, robust: &RobustAnalysis) -> TaskMetrics {
         let r = robust.reliability;
         TaskMetrics {
@@ -504,7 +437,15 @@ struct Analyzer<'a> {
     solver_faults: Option<&'a SolverFaultPlan>,
 }
 
-impl Analyzer<'_> {
+impl<'a> Analyzer<'a> {
+    /// The analyzer for `config`'s cache and solver-fault plan.
+    fn new(config: &'a TdseConfig) -> Self {
+        Analyzer {
+            cache: config.cache.as_deref(),
+            solver_faults: config.solver_faults.as_ref(),
+        }
+    }
+
     /// The fault plan, if it selects `spec`'s primary solve.
     fn injected(&self, spec: &ClrChainSpec) -> Option<&SolverFaultPlan> {
         self.solver_faults
@@ -631,7 +572,8 @@ pub(crate) fn sweep_type(
         };
         let modes: &[DvfsMode] = match config.dvfs_policy {
             DvfsPolicy::All => pe_type.dvfs_modes(),
-            DvfsPolicy::NominalOnly => &pe_type.dvfs_modes()[..1],
+            // A PE type without modes contributes nothing, as under `All`.
+            DvfsPolicy::NominalOnly => pe_type.dvfs_modes().get(..1).unwrap_or(&[]),
         };
         for (mode_idx, mode) in modes.iter().enumerate() {
             // Configuration-memory mitigation styles (scrubbing,
@@ -647,18 +589,12 @@ pub(crate) fn sweep_type(
         }
     }
 
-    let analyzer = Analyzer {
-        cache: config.cache.as_deref(),
-        solver_faults: config.solver_faults.as_ref(),
-    };
-    let spec_of = |point: &ProtectedPoint| {
-        point.spec(config.implicit_masking_override, config.reliability_model)
-    };
+    let analyzer = Analyzer::new(config);
     // Probe serially up to the first miss, which is solved inline: a fully
     // warm sweep is answered here and hands nothing to the pool.
     let mut analyses = Vec::new();
     for (.., point) in &keys {
-        let spec = spec_of(point);
+        let spec = point.spec(config);
         match analyzer.probe(&spec) {
             Some(hit) => analyses.push(Ok(hit)),
             None => {
@@ -675,7 +611,7 @@ pub(crate) fn sweep_type(
         [] => Vec::new(),
         _ => {
             pool()
-                .evaluate_batch(rest, |(.., point)| analyzer.analyze(&spec_of(point)))
+                .evaluate_batch(rest, |(.., point)| analyzer.analyze(&point.spec(config)))
                 .0
         }
     };
@@ -1136,21 +1072,59 @@ mod tests {
     }
 
     #[test]
+    fn nominal_only_skips_a_pe_type_without_modes() {
+        // The builder only requires modes on instantiated PE types, so an
+        // implementation may target a type with none; both policies must
+        // skip it instead of slicing past the end of its mode list.
+        let p = Platform::builder()
+            .pe_type(
+                PeType::processor("p", 2.0, 0.3).with_dvfs_mode(DvfsMode::new("n", 1.2, 9.0e8)),
+            )
+            .pe_type(PeType::processor("modeless", 2.0, 0.3))
+            .pes_of_type("p", 1)
+            .unwrap()
+            .build()
+            .unwrap();
+        let ty = TaskType::new("t")
+            .with_impl(BaseImpl::new(
+                "on-p",
+                clre_model::PeTypeId::new(0),
+                1e5,
+                1e-9,
+            ))
+            .with_impl(BaseImpl::new(
+                "on-modeless",
+                clre_model::PeTypeId::new(1),
+                1e5,
+                1e-9,
+            ));
+        let g = TaskGraph::builder("g", 1.0)
+            .task_type(ty)
+            .task("a", "t")
+            .unwrap()
+            .build()
+            .unwrap();
+        for policy in [DvfsPolicy::All, DvfsPolicy::NominalOnly] {
+            let cfg = TdseConfig::default().with_dvfs_policy(policy);
+            let cands = candidates_for_type(&g, &p, TaskTypeId::new(0), &cfg).unwrap();
+            assert_eq!(cands.len(), 80, "{policy:?}: one mode × 80 configurations");
+        }
+    }
+
+    #[test]
     fn protection_trades_error_for_time() {
         let p = paper_platform();
         let pe = p.pe_type(clre_model::PeTypeId::new(0)).unwrap();
         let imp = BaseImpl::new("i", clre_model::PeTypeId::new(0), 3.0e5, 1.0e-9);
         let mode = &pe.dvfs_modes()[0];
-        let profile = ProfileModel::default();
-        let bare =
-            evaluate_candidate(&imp, pe, mode, &ClrConfig::unprotected(), &profile, None).unwrap();
+        let config = TdseConfig::default();
+        let bare = evaluate_candidate(&imp, pe, mode, &ClrConfig::unprotected(), &config).unwrap();
         let tmr = evaluate_candidate(
             &imp,
             pe,
             mode,
             &ClrConfig::new(HwMethod::Tmr, SswMethod::None, AswMethod::None),
-            &profile,
-            None,
+            &config,
         )
         .unwrap();
         assert!(tmr.error_prob < 0.1 * bare.error_prob);
@@ -1168,8 +1142,7 @@ mod tests {
                 SswMethod::Checkpoint { intervals: 3 },
                 AswMethod::None,
             ),
-            &profile,
-            None,
+            &config,
         )
         .unwrap();
         assert!(chk.error_prob < bare.error_prob);
@@ -1181,7 +1154,7 @@ mod tests {
     fn architectural_masking_lowers_error() {
         let p = paper_platform();
         let imp = BaseImpl::new("i", clre_model::PeTypeId::new(0), 3.0e5, 1.0e-9);
-        let profile = ProfileModel::default();
+        let config = TdseConfig::default();
         let lo = p.pe_type_by_name("proc-lomask").unwrap();
         let hi = p.pe_type_by_name("proc-himask").unwrap();
         let m_lo = evaluate_candidate(
@@ -1189,8 +1162,7 @@ mod tests {
             p.pe_type(lo).unwrap(),
             &p.pe_type(lo).unwrap().dvfs_modes()[0],
             &ClrConfig::unprotected(),
-            &profile,
-            None,
+            &config,
         )
         .unwrap();
         let m_hi = evaluate_candidate(
@@ -1198,8 +1170,7 @@ mod tests {
             p.pe_type(hi).unwrap(),
             &p.pe_type(hi).unwrap().dvfs_modes()[0],
             &ClrConfig::unprotected(),
-            &profile,
-            None,
+            &config,
         )
         .unwrap();
         assert!(m_hi.error_prob < m_lo.error_prob);
@@ -1300,11 +1271,11 @@ mod tests {
         let pe = p.pe_type(clre_model::PeTypeId::new(0)).unwrap();
         let imp = BaseImpl::new("i", clre_model::PeTypeId::new(0), 3.0e5, 1.0e-9);
         let mode = &pe.dvfs_modes()[0];
-        let profile = accelerated_aging_profile();
         let eval = |clr: &ClrConfig, model| {
-            evaluate_candidate_chaos(&imp, pe, mode, clr, &profile, None, None, None, model)
-                .unwrap()
-                .0
+            let config = TdseConfig::default()
+                .with_profile(accelerated_aging_profile())
+                .with_reliability_model(model);
+            evaluate_candidate(&imp, pe, mode, clr, &config).unwrap()
         };
         let aging = ReliabilityModel::PermanentAging {
             mission_time: 100.0,

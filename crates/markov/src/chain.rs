@@ -143,18 +143,10 @@ impl MarkovChain {
         self.fundamental_matrix_via(false)
     }
 
-    /// [`MarkovChain::fundamental_matrix`] computed with *scaled* partial
-    /// pivoting — the more robust (and slightly costlier) factorization
-    /// used as the retry path when the plain solver fails or returns
-    /// non-finite values on badly row-scaled `I − Q` blocks.
-    ///
-    /// # Errors
-    ///
-    /// As for [`MarkovChain::fundamental_matrix`].
-    pub fn fundamental_matrix_scaled(&self) -> Result<Matrix, MarkovError> {
-        self.fundamental_matrix_via(true)
-    }
-
+    /// `N` from plain LU or, with `scaled`, from scaled partial pivoting —
+    /// the more robust (and slightly costlier) factorization used as the
+    /// retry path when the plain solver fails or returns non-finite values
+    /// on badly row-scaled `I − Q` blocks.
     fn fundamental_matrix_via(&self, scaled: bool) -> Result<Matrix, MarkovError> {
         let q = self.q_matrix();
         let n = Matrix::identity(q.rows()).sub(&q)?;
@@ -177,18 +169,13 @@ impl MarkovChain {
         self.expected_time_via(start, false)
     }
 
-    /// [`MarkovChain::expected_time_to_absorption`] solved with scaled
-    /// partial pivoting (see
-    /// [`MarkovChain::fundamental_matrix_scaled`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`MarkovChain::expected_time_to_absorption`].
-    pub fn expected_time_to_absorption_scaled(&self, start: StateId) -> Result<f64, MarkovError> {
-        self.expected_time_via(start, true)
-    }
-
-    fn expected_time_via(&self, start: StateId, scaled: bool) -> Result<f64, MarkovError> {
+    /// [`MarkovChain::expected_time_to_absorption`], optionally solved with
+    /// scaled partial pivoting (see [`MarkovChain::fundamental_matrix_via`]).
+    pub(crate) fn expected_time_via(
+        &self,
+        start: StateId,
+        scaled: bool,
+    ) -> Result<f64, MarkovError> {
         let row = self.transient_row(start)?;
         // Solve (I − Q)ᵀ is unnecessary: solve (I − Q)·t = r directly and
         // pick the entry for `start` — one LU solve instead of an inverse.
@@ -301,21 +288,9 @@ impl MarkovChain {
         self.absorption_probabilities_via(start, false)
     }
 
-    /// [`MarkovChain::absorption_probabilities`] computed through the
-    /// scaled-pivoting fundamental matrix (see
-    /// [`MarkovChain::fundamental_matrix_scaled`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`MarkovChain::absorption_probabilities`].
-    pub fn absorption_probabilities_scaled(
-        &self,
-        start: StateId,
-    ) -> Result<BTreeMap<StateId, f64>, MarkovError> {
-        self.absorption_probabilities_via(start, true)
-    }
-
-    fn absorption_probabilities_via(
+    /// [`MarkovChain::absorption_probabilities`], optionally through the
+    /// scaled-pivoting fundamental matrix.
+    pub(crate) fn absorption_probabilities_via(
         &self,
         start: StateId,
         scaled: bool,

@@ -21,32 +21,8 @@
 use crate::clr::{ClrChainSpec, FaultMechanism};
 use crate::{ClrChainParams, MarkovError, TaskReliability};
 
-/// Exact single-interval solution.
-///
-/// # Errors
-///
-/// Returns [`MarkovError::InvalidResidence`] (reusing the chain's
-/// validation) if `params.intervals != 1` — multi-interval configurations
-/// have no simple closed form and must use [`crate::clr::analyze`].
-///
-/// # Examples
-///
-/// ```
-/// use clre_markov::{closed_form, clr, ClrChainParams};
-///
-/// # fn main() -> Result<(), clre_markov::MarkovError> {
-/// let p = ClrChainParams {
-///     cov_det: 0.9, m_tol: 0.97, t_det: 10e-6, t_tol: 5e-6,
-///     ..ClrChainParams::unprotected(300e-6, 200.0)
-/// };
-/// let exact = closed_form::analyze(&p)?;
-/// let markov = clr::analyze(&p)?;
-/// assert!((exact.error_prob - markov.error_prob).abs() < 1e-12);
-/// assert!((exact.avg_exec_time - markov.avg_exec_time).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn analyze(params: &ClrChainParams) -> Result<TaskReliability, MarkovError> {
+/// The transient single-interval solution behind [`analyze_spec`].
+fn analyze(params: &ClrChainParams) -> Result<TaskReliability, MarkovError> {
     if params.intervals != 1 {
         return Err(MarkovError::InvalidResidence {
             state: 0,
@@ -74,20 +50,42 @@ pub fn analyze(params: &ClrChainParams) -> Result<TaskReliability, MarkovError> 
 
 /// Exact single-interval solution for a mechanism-aware [`ClrChainSpec`].
 ///
-/// For [`FaultMechanism::Transient`] this evaluates exactly the same float
-/// expressions as [`analyze`], so results are bit-identical. For
-/// [`FaultMechanism::PermanentAging`] the competing-risk split is applied:
-/// with total rate `λ = λ_t + λ_p`, a fault occurs with `1 − exp(−λT)` and
-/// is transient with probability `λ_t/λ`. Transient faults traverse the
-/// usual HWRel → SSW → ASW masking ladder; permanent faults are either
-/// masked spatially by the hardware layer (`m_HW`, e.g. TMR voting) or
-/// absorb into `Error` directly — software checkpointing and ASW coding
-/// cannot repair a dead resource.
+/// For [`FaultMechanism::Transient`] this is the geometric series above.
+/// For [`FaultMechanism::PermanentAging`] the competing-risk split is
+/// applied: with total rate `λ = λ_t + λ_p`, a fault occurs with
+/// `1 − exp(−λT)` and is transient with probability `λ_t/λ`. Transient
+/// faults traverse the usual HWRel → SSW → ASW masking ladder; permanent
+/// faults are either masked spatially by the hardware layer (`m_HW`, e.g.
+/// TMR voting) or absorb into `Error` directly — software checkpointing
+/// and ASW coding cannot repair a dead resource. A zero permanent rate
+/// takes the transient path, so its result is bit-identical to the
+/// transient spec's.
 ///
 /// # Errors
 ///
-/// As for [`analyze`]; also rejects invalid mechanism rates via
-/// [`ClrChainSpec::validate`].
+/// Returns [`MarkovError::InvalidResidence`] (reusing the chain's
+/// validation) if `spec.params.intervals != 1` — multi-interval
+/// configurations have no simple closed form and must use
+/// [`crate::clr::analyze_spec`]. Also rejects invalid parameters or
+/// mechanism rates via [`ClrChainSpec::validate`].
+///
+/// # Examples
+///
+/// ```
+/// use clre_markov::{closed_form, clr, ClrChainParams, ClrChainSpec};
+///
+/// # fn main() -> Result<(), clre_markov::MarkovError> {
+/// let spec = ClrChainSpec::transient(ClrChainParams {
+///     cov_det: 0.9, m_tol: 0.97, t_det: 10e-6, t_tol: 5e-6,
+///     ..ClrChainParams::unprotected(300e-6, 200.0)
+/// });
+/// let exact = closed_form::analyze_spec(&spec)?;
+/// let markov = clr::analyze_spec(&spec)?;
+/// assert!((exact.error_prob - markov.error_prob).abs() < 1e-12);
+/// assert!((exact.avg_exec_time - markov.avg_exec_time).abs() < 1e-12);
+/// # Ok(())
+/// # }
+/// ```
 pub fn analyze_spec(spec: &ClrChainSpec) -> Result<TaskReliability, MarkovError> {
     spec.validate()?;
     let params = &spec.params;
@@ -111,7 +109,7 @@ pub fn analyze_spec(spec: &ClrChainSpec) -> Result<TaskReliability, MarkovError>
             };
             let p_transient = p_event * transient_frac;
             let p_permanent = p_event * (1.0 - transient_frac);
-            // Transient arm: identical masking ladder to `analyze`.
+            // Transient arm: the same masking ladder as `analyze`.
             let p_escaped = p_transient * (1.0 - params.m_hw) * (1.0 - params.m_impl_ssw);
             let p_tol = p_escaped * params.cov_det;
             let q_retry = p_tol * params.m_tol;
@@ -173,7 +171,7 @@ mod tests {
     fn agrees_with_markov_solver() {
         for p in cases() {
             let a = analyze(&p).unwrap();
-            let b = clr::analyze(&p).unwrap();
+            let b = clr::analyze_spec(&ClrChainSpec::transient(p)).unwrap();
             assert!(
                 (a.error_prob - b.error_prob).abs() < 1e-12,
                 "error prob mismatch for {p:?}: {} vs {}",
@@ -243,7 +241,10 @@ mod tests {
             ..ClrChainParams::unprotected(1.0, 1e12)
         };
         assert_eq!(analyze(&p).unwrap_err(), MarkovError::NotAbsorbing);
-        assert_eq!(clr::analyze(&p).unwrap_err(), MarkovError::NotAbsorbing);
+        assert_eq!(
+            clr::analyze_spec(&ClrChainSpec::transient(p)).unwrap_err(),
+            MarkovError::NotAbsorbing
+        );
         // At a survivable rate the series converges: perfect tolerance
         // means zero escapes and a finite (if inflated) execution time.
         let ok = ClrChainParams {

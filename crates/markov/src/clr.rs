@@ -37,17 +37,20 @@
 //! recovery ladder above and a `PermRel_i` state modeling a permanent
 //! resource failure — maskable only by spatial hardware redundancy, never
 //! by roll-back, detection, or software voting. A [`ClrChainSpec`] pairs
-//! the flattened parameters with their mechanism; the historic
-//! `ClrChainParams`-based entry points are thin transient wrappers.
+//! the flattened parameters with their mechanism and is the one input
+//! every chain builder and analysis entry point takes;
+//! [`ClrChainSpec::transient`] wraps bare parameters.
 
 use crate::{MarkovChain, MarkovError, StateId};
+use clre_num::digest::Fnv;
 use serde::{Deserialize, Serialize};
 
 /// Flattened parameters describing a task under one CLR configuration.
 ///
 /// Produced by the task-level DSE layer from an implementation's operating
-/// point and the per-layer method parameters; consumed by
-/// [`timing_chain`], [`functional_chain`] and [`analyze`]. All times are in
+/// point and the per-layer method parameters; wrapped in a
+/// [`ClrChainSpec`] and consumed by [`timing_chain_spec`],
+/// [`functional_chain_spec`] and [`analyze_spec`]. All times are in
 /// seconds, all probabilities in `[0, 1]`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClrChainParams {
@@ -114,9 +117,14 @@ impl ClrChainParams {
     /// task-analysis cache, where bit-exactness is what guarantees cached
     /// analyses replay the uncached computation verbatim.
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let words = [
+        let mut fnv = Fnv::new();
+        self.fold_into(&mut fnv);
+        fnv.finish()
+    }
+
+    /// Folds every field, in declaration order, into `fnv`.
+    fn fold_into(&self, fnv: &mut Fnv) {
+        for word in [
             self.exec_time.to_bits(),
             self.seu_rate.to_bits(),
             self.m_hw.to_bits(),
@@ -129,15 +137,9 @@ impl ClrChainParams {
             self.t_tol.to_bits(),
             self.t_chk.to_bits(),
             self.p_chk_err.to_bits(),
-        ];
-        let mut hash = FNV_OFFSET;
-        for word in words {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
+        ] {
+            fnv.write_u64(word);
         }
-        hash
     }
 
     fn validate(&self) -> Result<(), MarkovError> {
@@ -293,28 +295,21 @@ impl ClrChainSpec {
     /// mechanism words are folded in with the same FNV-1a stream, so no
     /// two mechanisms can collide on the same parameters.
     pub fn digest(&self) -> u64 {
-        match self.mechanism {
-            FaultMechanism::Transient => self.params.digest(),
-            mechanism => {
-                const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-                let (tag, payload) = mechanism.encode_words();
-                let mut hash = self.params.digest();
-                for word in [tag, payload] {
-                    for byte in word.to_le_bytes() {
-                        hash ^= u64::from(byte);
-                        hash = hash.wrapping_mul(FNV_PRIME);
-                    }
-                }
-                hash
-            }
+        let mut fnv = Fnv::new();
+        self.params.fold_into(&mut fnv);
+        if !self.mechanism.is_transient() {
+            let (tag, payload) = self.mechanism.encode_words();
+            fnv.write_u64(tag);
+            fnv.write_u64(payload);
         }
+        fnv.finish()
     }
 
     /// Domain validation of parameters and mechanism.
     ///
     /// # Errors
     ///
-    /// As [`analyze`] for parameter violations; an invalid (negative or
+    /// As [`analyze_spec`] for parameter violations; an invalid (negative or
     /// non-finite) permanent rate is an [`MarkovError::InvalidProbability`].
     pub fn validate(&self) -> Result<(), MarkovError> {
         self.params.validate()?;
@@ -510,7 +505,8 @@ pub fn timing_chain_spec(spec: &ClrChainSpec) -> Result<(MarkovChain, StateId), 
 }
 
 /// Builds the functional-reliability chain (Fig. 3(b)) for a
-/// mechanism-aware spec and returns it with its start state.
+/// mechanism-aware spec and returns it with its start state. Absorbing
+/// state 0 is `NoError`, state 1 is `Error`.
 ///
 /// # Errors
 ///
@@ -519,88 +515,43 @@ pub fn functional_chain_spec(spec: &ClrChainSpec) -> Result<(MarkovChain, StateI
     build_chain_spec(spec, true, None)
 }
 
-/// Builds the transient timing-reliability chain (Fig. 3(a)) and returns
-/// it with its start state.
-///
-/// # Errors
-///
-/// Returns [`MarkovError`] for out-of-domain parameters.
-pub fn timing_chain(params: &ClrChainParams) -> Result<(MarkovChain, StateId), MarkovError> {
-    timing_chain_spec(&ClrChainSpec::transient(*params))
-}
-
-/// Builds the transient functional-reliability chain (Fig. 3(b)) and
-/// returns it with its start state. Absorbing state 0 is `NoError`, state
-/// 1 is `Error`.
-///
-/// # Errors
-///
-/// Returns [`MarkovError`] for out-of-domain parameters.
-pub fn functional_chain(params: &ClrChainParams) -> Result<(MarkovChain, StateId), MarkovError> {
-    functional_chain_spec(&ClrChainSpec::transient(*params))
-}
-
-/// Like [`analyze`] but with *unequal* inter-checkpoint intervals — one
-/// of the modeling capabilities the paper attributes to the Markov-chain
-/// approach. `weights[i]` is the relative share of the useful execution
-/// time spent in interval `i`; the weights are normalized internally.
+/// Like [`analyze_spec`] but with *unequal* inter-checkpoint intervals —
+/// one of the modeling capabilities the paper attributes to the
+/// Markov-chain approach. `weights[i]` is the relative share of the useful
+/// execution time spent in interval `i`; the weights are normalized
+/// internally.
 ///
 /// # Errors
 ///
 /// [`MarkovError::InvalidResidence`] if `weights.len() != intervals` or
-/// any weight is non-positive; otherwise as for [`analyze`].
+/// any weight is non-positive; otherwise as for [`analyze_spec`].
 ///
 /// # Examples
 ///
 /// ```
-/// use clre_markov::clr::{analyze, analyze_with_intervals, ClrChainParams};
+/// use clre_markov::clr::{analyze_spec, analyze_with_intervals_spec, ClrChainParams, ClrChainSpec};
 ///
 /// # fn main() -> Result<(), clre_markov::MarkovError> {
-/// let p = ClrChainParams {
+/// let spec = ClrChainSpec::transient(ClrChainParams {
 ///     cov_det: 0.95, m_tol: 0.98, intervals: 3,
 ///     t_det: 5e-6, t_tol: 5e-6, t_chk: 8e-6,
 ///     ..ClrChainParams::unprotected(300e-6, 2000.0)
-/// };
+/// });
 /// // Uniform weights reproduce the equal-interval analysis exactly.
-/// let uniform = analyze_with_intervals(&p, &[1.0, 1.0, 1.0])?;
-/// let equal = analyze(&p)?;
+/// let uniform = analyze_with_intervals_spec(&spec, &[1.0, 1.0, 1.0])?;
+/// let equal = analyze_spec(&spec)?;
 /// assert!((uniform.avg_exec_time - equal.avg_exec_time).abs() < 1e-15);
 /// // A skewed split changes the expected time.
-/// let skewed = analyze_with_intervals(&p, &[0.6, 0.3, 0.1])?;
+/// let skewed = analyze_with_intervals_spec(&spec, &[0.6, 0.3, 0.1])?;
 /// assert!(skewed.avg_exec_time != equal.avg_exec_time);
 /// # Ok(())
 /// # }
 /// ```
-pub fn analyze_with_intervals(
-    params: &ClrChainParams,
-    weights: &[f64],
-) -> Result<TaskReliability, MarkovError> {
-    analyze_with_intervals_spec(&ClrChainSpec::transient(*params), weights)
-}
-
-/// [`analyze_with_intervals`] for a mechanism-aware spec.
-///
-/// # Errors
-///
-/// As [`analyze_with_intervals`].
 pub fn analyze_with_intervals_spec(
     spec: &ClrChainSpec,
     weights: &[f64],
 ) -> Result<TaskReliability, MarkovError> {
-    let (timing, t_start) = build_chain_spec(spec, false, Some(weights))?;
-    let avg_exec_time = timing.expected_time_to_absorption(t_start)?;
-    let (func, f_start) = build_chain_spec(spec, true, Some(weights))?;
-    let probs = func.absorption_probabilities(f_start)?;
-    let error = func
-        .absorbing_states()
-        .into_iter()
-        .find(|&s| func.state_name(s) == "Error")
-        .expect("functional chain has an Error state");
-    Ok(TaskReliability {
-        min_exec_time: spec.params.min_exec_time(),
-        avg_exec_time,
-        error_prob: clre_num::util::clamp_prob(probs[&error]),
-    })
+    analyze_via_spec(spec, Some(weights), false)
 }
 
 /// Outcome of a robust analysis: the metrics plus flags recording
@@ -618,10 +569,10 @@ pub struct RobustAnalysis {
     pub retried: bool,
 }
 
-/// Like [`analyze`], but numeric failures of the matrix solver are
-/// *retried* once with row-scaled partial-pivot LU ([`analyze_scaled`])
-/// and only then degrade to the loop-free [`crate::closed_form`]
-/// approximation instead of aborting the caller.
+/// Like [`analyze_spec`], but numeric failures of the matrix solver are
+/// *retried* once with row-scaled partial-pivot LU and only then degrade
+/// to the loop-free [`crate::closed_form`] approximation, solved under the
+/// spec's mechanism, instead of aborting the caller.
 ///
 /// The fallback collapses the configuration to a single inter-checkpoint
 /// interval, solves it exactly, then re-adds the deterministic per-interval
@@ -639,48 +590,15 @@ pub struct RobustAnalysis {
 /// *numeric* trouble, not invalid inputs. [`MarkovError::NotAbsorbing`]
 /// is returned only when the closed form agrees the configuration loops
 /// forever.
-pub fn analyze_robust(params: &ClrChainParams) -> Result<RobustAnalysis, MarkovError> {
-    analyze_robust_spec(&ClrChainSpec::transient(*params))
-}
-
-/// [`analyze_robust`] for a mechanism-aware spec: the same
-/// retry-then-degrade ladder over the spec's chain templates, with the
-/// closed-form fallback solved under the same mechanism.
-///
-/// # Errors
-///
-/// As [`analyze_robust`].
 pub fn analyze_robust_spec(spec: &ClrChainSpec) -> Result<RobustAnalysis, MarkovError> {
     analyze_robust_with_spec(spec, analyze_spec, analyze_scaled_spec)
 }
 
-/// [`analyze_robust`] with injectable primary and retry solvers — the
-/// seam used by fault-injection tests to prove the retry and fallback
-/// engage on [`MarkovError::Numeric`] / non-finite results without
-/// aborting.
-///
-/// # Errors
-///
-/// As for [`analyze_robust`].
-pub fn analyze_robust_with(
-    params: &ClrChainParams,
-    primary: impl Fn(&ClrChainParams) -> Result<TaskReliability, MarkovError>,
-    retry: impl Fn(&ClrChainParams) -> Result<TaskReliability, MarkovError>,
-) -> Result<RobustAnalysis, MarkovError> {
-    analyze_robust_with_spec(
-        &ClrChainSpec::transient(*params),
-        |s| primary(&s.params),
-        |s| retry(&s.params),
-    )
-}
-
 /// [`analyze_robust_spec`] with injectable primary and retry solvers —
-/// the mechanism-aware form of the fault-injection seam.
-///
-/// # Errors
-///
-/// As for [`analyze_robust`].
-pub fn analyze_robust_with_spec(
+/// the seam [`analyze_robust_chaos_spec`] and the fault-injection tests use
+/// to drive the retry and fallback with [`MarkovError::Numeric`] /
+/// non-finite results.
+fn analyze_robust_with_spec(
     spec: &ClrChainSpec,
     primary: impl Fn(&ClrChainSpec) -> Result<TaskReliability, MarkovError>,
     retry: impl Fn(&ClrChainSpec) -> Result<TaskReliability, MarkovError>,
@@ -748,16 +666,11 @@ impl SolverFaultPlan {
 
     /// FNV-1a over `seed ‖ digest ‖ stage`, reduced to a ppm draw.
     fn fires(&self, digest: u64, stage: u64, ppm: u32) -> bool {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
+        let mut fnv = Fnv::new();
         for word in [self.seed, digest, stage] {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
+            fnv.write_u64(word);
         }
-        hash % 1_000_000 < u64::from(ppm)
+        fnv.finish() % 1_000_000 < u64::from(ppm)
     }
 
     /// Whether the primary solve of the analysis keyed by `digest` fails.
@@ -771,28 +684,17 @@ impl SolverFaultPlan {
     }
 }
 
-/// [`analyze_robust`] under an injected [`SolverFaultPlan`]: scheduled
-/// LU singularities replace the primary (and optionally the retry)
-/// solver's answer with [`MarkovError::Numeric`], exercising the full
-/// retry → closed-form recovery ladder on otherwise-healthy parameters.
+/// [`analyze_robust_spec`] under an injected [`SolverFaultPlan`]:
+/// scheduled LU singularities replace the primary (and optionally the
+/// retry) solver's answer with [`MarkovError::Numeric`], exercising the
+/// full retry → closed-form recovery ladder on otherwise-healthy
+/// parameters. Fault decisions key on [`ClrChainSpec::digest`], which
+/// equals the parameter digest for transient specs (so pre-mechanism
+/// chaos schedules replay identically).
 ///
 /// # Errors
 ///
-/// As for [`analyze_robust`].
-pub fn analyze_robust_chaos(
-    params: &ClrChainParams,
-    plan: &SolverFaultPlan,
-) -> Result<RobustAnalysis, MarkovError> {
-    analyze_robust_chaos_spec(&ClrChainSpec::transient(*params), plan)
-}
-
-/// [`analyze_robust_chaos`] for a mechanism-aware spec; fault decisions
-/// key on [`ClrChainSpec::digest`], which equals the parameter digest for
-/// transient specs (so pre-mechanism chaos schedules replay identically).
-///
-/// # Errors
-///
-/// As for [`analyze_robust`].
+/// As for [`analyze_robust_spec`].
 pub fn analyze_robust_chaos_spec(
     spec: &ClrChainSpec,
     plan: &SolverFaultPlan,
@@ -847,11 +749,12 @@ fn closed_form_fallback(spec: &ClrChainSpec) -> Result<TaskReliability, MarkovEr
     })
 }
 
-/// Runs both chains and extracts the task-level reliability metrics.
+/// Runs both chains of a mechanism-aware [`ClrChainSpec`] and extracts
+/// the task-level reliability metrics.
 ///
 /// # Errors
 ///
-/// Returns [`MarkovError`] for out-of-domain parameters, or
+/// Returns [`MarkovError`] for out-of-domain parameters or mechanism, or
 /// [`MarkovError::NotAbsorbing`] for degenerate configurations that can
 /// loop forever (requires `m_Tol = 1` *and* `p_ne = 0`, which the built-in
 /// method catalogs cannot produce).
@@ -859,71 +762,49 @@ fn closed_form_fallback(spec: &ClrChainSpec) -> Result<TaskReliability, MarkovEr
 /// # Examples
 ///
 /// See the [crate-level example](crate).
-pub fn analyze(params: &ClrChainParams) -> Result<TaskReliability, MarkovError> {
-    analyze_via_spec(&ClrChainSpec::transient(*params), false)
+pub fn analyze_spec(spec: &ClrChainSpec) -> Result<TaskReliability, MarkovError> {
+    analyze_via_spec(spec, None, false)
 }
 
-/// [`analyze`] solving both chains with row-scaled partial-pivot LU —
-/// the retry path [`analyze_robust`] attempts when the plain solver
+/// [`analyze_spec`] solving both chains with row-scaled partial-pivot LU —
+/// the retry path [`analyze_robust_spec`] attempts when the plain solver
 /// fails numerically. Slightly costlier per factorization but robust to
 /// badly row-scaled `I − Q` blocks.
-///
-/// # Errors
-///
-/// As for [`analyze`].
-pub fn analyze_scaled(params: &ClrChainParams) -> Result<TaskReliability, MarkovError> {
-    analyze_via_spec(&ClrChainSpec::transient(*params), true)
+fn analyze_scaled_spec(spec: &ClrChainSpec) -> Result<TaskReliability, MarkovError> {
+    analyze_via_spec(spec, None, true)
 }
 
-/// [`analyze`] for a mechanism-aware [`ClrChainSpec`]. For
-/// [`FaultMechanism::Transient`] this is bit-identical to
-/// `analyze(&spec.params)`.
-///
-/// # Errors
-///
-/// As for [`analyze`].
-pub fn analyze_spec(spec: &ClrChainSpec) -> Result<TaskReliability, MarkovError> {
-    analyze_via_spec(spec, false)
-}
-
-/// [`analyze_scaled`] for a mechanism-aware [`ClrChainSpec`].
-///
-/// # Errors
-///
-/// As for [`analyze`].
-pub fn analyze_scaled_spec(spec: &ClrChainSpec) -> Result<TaskReliability, MarkovError> {
-    analyze_via_spec(spec, true)
-}
-
-fn analyze_via_spec(spec: &ClrChainSpec, scaled: bool) -> Result<TaskReliability, MarkovError> {
-    let (timing, t_start) = timing_chain_spec(spec)?;
-    let avg_exec_time = if scaled {
-        timing.expected_time_to_absorption_scaled(t_start)?
-    } else {
-        timing.expected_time_to_absorption(t_start)?
-    };
-    let (func, f_start) = functional_chain_spec(spec)?;
-    let probs = if scaled {
-        func.absorption_probabilities_scaled(f_start)?
-    } else {
-        func.absorption_probabilities(f_start)?
-    };
+/// Builds both chains with the given interval weights (uniform when
+/// `None`), solves them with plain or scaled-pivoting LU, and reads off
+/// `AvgExT` and the `Error` absorption probability.
+fn analyze_via_spec(
+    spec: &ClrChainSpec,
+    weights: Option<&[f64]>,
+    scaled: bool,
+) -> Result<TaskReliability, MarkovError> {
+    let (timing, t_start) = build_chain_spec(spec, false, weights)?;
+    let avg_exec_time = timing.expected_time_via(t_start, scaled)?;
+    let (func, f_start) = build_chain_spec(spec, true, weights)?;
+    let probs = func.absorption_probabilities_via(f_start, scaled)?;
     let error = func
         .absorbing_states()
         .into_iter()
         .find(|&s| func.state_name(s) == "Error")
         .expect("functional chain has an Error state");
-    let error_prob = clre_num::util::clamp_prob(probs[&error]);
     Ok(TaskReliability {
         min_exec_time: spec.params.min_exec_time(),
         avg_exec_time,
-        error_prob,
+        error_prob: clre_num::util::clamp_prob(probs[&error]),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn analyze_transient(p: ClrChainParams) -> Result<TaskReliability, MarkovError> {
+        analyze_spec(&ClrChainSpec::transient(p))
+    }
 
     fn base() -> ClrChainParams {
         ClrChainParams {
@@ -960,10 +841,48 @@ mod tests {
         assert_ne!(p.digest(), q.digest(), "one ULP is a different key");
     }
 
+    /// The digests key the on-disk analysis-cache sidecar and every chaos
+    /// fault schedule, so their exact values are a persistence format: a
+    /// change to the hash, the field order or the mechanism words must
+    /// fail here, not silently orphan existing sidecars.
+    #[test]
+    fn persistent_digests_are_pinned() {
+        let bare = ClrChainParams::unprotected(300.0e-6, 100.0);
+        let prot = ClrChainParams {
+            intervals: 3,
+            t_chk: 12.0e-6,
+            p_chk_err: 1.0e-4,
+            ..protected()
+        };
+        assert_eq!(bare.digest(), 0x1994_9f0e_d66c_067c);
+        assert_eq!(prot.digest(), 0x63f4_faa7_b821_6c9b);
+        assert_eq!(
+            ClrChainSpec::transient(prot).digest(),
+            0x63f4_faa7_b821_6c9b
+        );
+        let perm = ClrChainSpec::permanent_aging(prot, 40.0).digest();
+        assert_eq!(perm, 0xa0d8_c5f6_3a11_c6be);
+        assert_eq!(
+            ClrChainSpec::permanent_aging(bare, 0.0).digest(),
+            0x7aba_b4de_614a_5dbd,
+            "a zero permanent rate still folds the mechanism words"
+        );
+
+        let plan = SolverFaultPlan::new(42, 500_000, 500_000);
+        let digests = [bare.digest(), prot.digest(), perm, 0, 1, 2, 3, u64::MAX];
+        let primary: Vec<bool> = digests.iter().map(|&d| plan.primary_fails(d)).collect();
+        let retry: Vec<bool> = digests.iter().map(|&d| plan.retry_fails(d)).collect();
+        assert_eq!(
+            primary,
+            [false, true, true, true, true, false, false, false]
+        );
+        assert_eq!(retry, [true, false, false, false, false, false, true, true]);
+    }
+
     #[test]
     fn unprotected_matches_closed_form() {
         let p = ClrChainParams::unprotected(300.0e-6, 100.0);
-        let r = analyze(&p).unwrap();
+        let r = analyze_transient(p).unwrap();
         let p_err = 1.0 - (-100.0 * 300.0e-6f64).exp();
         assert!((r.error_prob - p_err).abs() < 1e-12);
         assert!((r.avg_exec_time - 300.0e-6).abs() < 1e-12);
@@ -973,9 +892,9 @@ mod tests {
     #[test]
     fn hw_masking_reduces_error_not_time() {
         let mut p = base();
-        let r0 = analyze(&p).unwrap();
+        let r0 = analyze_transient(p).unwrap();
         p.m_hw = 0.9;
-        let r1 = analyze(&p).unwrap();
+        let r1 = analyze_transient(p).unwrap();
         assert!(r1.error_prob < r0.error_prob);
         assert!((r1.error_prob / r0.error_prob - 0.1).abs() < 1e-9);
         assert!((r1.avg_exec_time - r0.avg_exec_time).abs() < 1e-15);
@@ -986,7 +905,7 @@ mod tests {
         let mut p = base();
         p.m_hw = 0.5;
         p.m_impl_ssw = 0.2;
-        let r = analyze(&p).unwrap();
+        let r = analyze_transient(p).unwrap();
         let raw = 1.0 - (-100.0 * 300.0e-6f64).exp();
         assert!((r.error_prob - raw * 0.5 * 0.8).abs() < 1e-12);
     }
@@ -995,7 +914,7 @@ mod tests {
     fn asw_masks_undetected_errors() {
         let mut p = base();
         p.m_asw = 0.93;
-        let r = analyze(&p).unwrap();
+        let r = analyze_transient(p).unwrap();
         let raw = 1.0 - (-100.0 * 300.0e-6f64).exp();
         assert!((r.error_prob - raw * (1.0 - 0.93)).abs() < 1e-12);
     }
@@ -1007,8 +926,8 @@ mod tests {
         p.m_tol = 0.97;
         p.t_det = 15.0e-6;
         p.t_tol = 6.0e-6;
-        let r = analyze(&p).unwrap();
-        let unprotected = analyze(&base()).unwrap();
+        let r = analyze_transient(p).unwrap();
+        let unprotected = analyze_transient(base()).unwrap();
         assert!(r.error_prob < 0.25 * unprotected.error_prob);
         assert!(r.avg_exec_time > unprotected.avg_exec_time);
         assert_eq!(r.min_exec_time, 300.0e-6 + 15.0e-6);
@@ -1026,9 +945,9 @@ mod tests {
         p.t_tol = 3.0e-6;
         p.t_chk = 2.0e-6;
         p.intervals = 1;
-        let r1 = analyze(&p).unwrap();
+        let r1 = analyze_transient(p).unwrap();
         p.intervals = 4;
-        let r4 = analyze(&p).unwrap();
+        let r4 = analyze_transient(p).unwrap();
         assert!(
             r4.avg_exec_time < r1.avg_exec_time,
             "k=4 {} should beat k=1 {}",
@@ -1048,9 +967,9 @@ mod tests {
         p.m_hw = 0.9;
         p.m_asw = 0.9;
         p.p_chk_err = 0.0;
-        let clean = analyze(&p).unwrap();
+        let clean = analyze_transient(p).unwrap();
         p.p_chk_err = 0.01;
-        let dirty = analyze(&p).unwrap();
+        let dirty = analyze_transient(p).unwrap();
         assert!(dirty.error_prob > clean.error_prob + 0.015);
     }
 
@@ -1063,7 +982,7 @@ mod tests {
         p.m_asw = 0.55;
         p.intervals = 3;
         p.p_chk_err = 1e-4;
-        let (c, s) = functional_chain(&p).unwrap();
+        let (c, s) = functional_chain_spec(&ClrChainSpec::transient(p)).unwrap();
         let probs = c.absorption_probabilities(s).unwrap();
         let total: f64 = probs.values().sum();
         assert!((total - 1.0).abs() < 1e-9);
@@ -1073,11 +992,11 @@ mod tests {
     fn chain_shapes() {
         let mut p = base();
         p.intervals = 3;
-        let (t, _) = timing_chain(&p).unwrap();
+        let (t, _) = timing_chain_spec(&ClrChainSpec::transient(p)).unwrap();
         // 3 blocks × 6 states + 2 checkpoints + End.
         assert_eq!(t.state_count(), 3 * 6 + 2 + 1);
         assert_eq!(t.absorbing_states().len(), 1);
-        let (f, _) = functional_chain(&p).unwrap();
+        let (f, _) = functional_chain_spec(&ClrChainSpec::transient(p)).unwrap();
         assert_eq!(f.state_count(), 3 * 6 + 2 + 2);
         assert_eq!(f.absorbing_states().len(), 2);
     }
@@ -1092,8 +1011,10 @@ mod tests {
         p.t_tol = 2.0e-6;
         p.t_chk = 3.0e-6;
         p.seu_rate = 1500.0;
-        let equal = analyze(&p).unwrap();
-        let uniform = analyze_with_intervals(&p, &[2.0, 2.0, 2.0, 2.0]).unwrap();
+        let equal = analyze_transient(p).unwrap();
+        let uniform =
+            analyze_with_intervals_spec(&ClrChainSpec::transient(p), &[2.0, 2.0, 2.0, 2.0])
+                .unwrap();
         assert!((equal.avg_exec_time - uniform.avg_exec_time).abs() < 1e-15);
         assert!((equal.error_prob - uniform.error_prob).abs() < 1e-15);
     }
@@ -1113,9 +1034,10 @@ mod tests {
         p.t_tol = 2.0e-6;
         p.t_chk = 3.0e-6;
         p.seu_rate = 3000.0;
-        let uniform = analyze_with_intervals(&p, &[1.0, 1.0]).unwrap();
-        let front = analyze_with_intervals(&p, &[0.8, 0.2]).unwrap();
-        let back = analyze_with_intervals(&p, &[0.2, 0.8]).unwrap();
+        let uniform =
+            analyze_with_intervals_spec(&ClrChainSpec::transient(p), &[1.0, 1.0]).unwrap();
+        let front = analyze_with_intervals_spec(&ClrChainSpec::transient(p), &[0.8, 0.2]).unwrap();
+        let back = analyze_with_intervals_spec(&ClrChainSpec::transient(p), &[0.2, 0.8]).unwrap();
         assert!(front.avg_exec_time > uniform.avg_exec_time);
         assert!(back.avg_exec_time > uniform.avg_exec_time);
         // Uniform intervals minimize expected re-execution for equal
@@ -1127,25 +1049,29 @@ mod tests {
     fn unequal_intervals_validate_weights() {
         let mut p = base();
         p.intervals = 3;
-        assert!(analyze_with_intervals(&p, &[1.0, 1.0]).is_err()); // wrong len
-        assert!(analyze_with_intervals(&p, &[1.0, -1.0, 1.0]).is_err());
-        assert!(analyze_with_intervals(&p, &[0.0, 0.0, 0.0]).is_err());
+        assert!(analyze_with_intervals_spec(&ClrChainSpec::transient(p), &[1.0, 1.0]).is_err()); // wrong len
+        assert!(
+            analyze_with_intervals_spec(&ClrChainSpec::transient(p), &[1.0, -1.0, 1.0]).is_err()
+        );
+        assert!(
+            analyze_with_intervals_spec(&ClrChainSpec::transient(p), &[0.0, 0.0, 0.0]).is_err()
+        );
     }
 
     #[test]
     fn rejects_out_of_domain_parameters() {
         let mut p = base();
         p.m_hw = 1.5;
-        assert!(analyze(&p).is_err());
+        assert!(analyze_transient(p).is_err());
         let mut p = base();
         p.exec_time = 0.0;
-        assert!(analyze(&p).is_err());
+        assert!(analyze_transient(p).is_err());
         let mut p = base();
         p.seu_rate = -1.0;
-        assert!(analyze(&p).is_err());
+        assert!(analyze_transient(p).is_err());
         let mut p = base();
         p.t_tol = f64::NAN;
-        assert!(analyze(&p).is_err());
+        assert!(analyze_transient(p).is_err());
     }
 
     #[test]
@@ -1153,10 +1079,10 @@ mod tests {
         let mut p = base();
         p.m_hw = 0.6;
         p.intervals = 2;
-        let r = analyze_robust(&p).unwrap();
+        let r = analyze_robust_spec(&ClrChainSpec::transient(p)).unwrap();
         assert!(!r.degraded);
         assert!(!r.retried);
-        assert_eq!(r.reliability, analyze(&p).unwrap());
+        assert_eq!(r.reliability, analyze_transient(p).unwrap());
     }
 
     #[test]
@@ -1165,16 +1091,16 @@ mod tests {
         p.cov_det = 0.9;
         p.m_tol = 0.97;
         p.t_det = 5.0e-6;
-        let fail = |_: &ClrChainParams| -> Result<TaskReliability, MarkovError> {
+        let fail = |_: &ClrChainSpec| -> Result<TaskReliability, MarkovError> {
             Err(MarkovError::Numeric(clre_num::NumError::Singular {
                 pivot: 0,
             }))
         };
-        let r = analyze_robust_with(&p, fail, fail).unwrap();
+        let r = analyze_robust_with_spec(&ClrChainSpec::transient(p), fail, fail).unwrap();
         assert!(r.degraded);
         assert!(r.retried);
         // Single interval: fallback is the exact closed form.
-        let exact = analyze(&p).unwrap();
+        let exact = analyze_transient(p).unwrap();
         assert!((r.reliability.avg_exec_time - exact.avg_exec_time).abs() < 1e-12);
         assert!((r.reliability.error_prob - exact.error_prob).abs() < 1e-12);
     }
@@ -1182,12 +1108,12 @@ mod tests {
     #[test]
     fn robust_degrades_on_nonfinite_metrics() {
         let p = base();
-        let poison = |q: &ClrChainParams| {
-            let mut m = analyze(q)?;
+        let poison = |q: &ClrChainSpec| {
+            let mut m = analyze_spec(q)?;
             m.avg_exec_time = f64::NAN;
             Ok(m)
         };
-        let r = analyze_robust_with(&p, poison, poison).unwrap();
+        let r = analyze_robust_with_spec(&ClrChainSpec::transient(p), poison, poison).unwrap();
         assert!(r.degraded);
         assert!(r.retried);
         assert!(r.reliability.avg_exec_time.is_finite());
@@ -1200,20 +1126,20 @@ mod tests {
         p.intervals = 3;
         p.cov_det = 0.9;
         p.t_chk = 2.0e-6;
-        let r = analyze_robust_with(
-            &p,
+        let r = analyze_robust_with_spec(
+            &ClrChainSpec::transient(p),
             |_| {
                 Err(MarkovError::Numeric(clre_num::NumError::Singular {
                     pivot: 1,
                 }))
             },
-            analyze_scaled,
+            analyze_scaled_spec,
         )
         .unwrap();
         assert!(!r.degraded, "successful retry must not be tagged degraded");
         assert!(r.retried);
         // The rescued answer is the exact solver's, not the closed form's.
-        let exact = analyze(&p).unwrap();
+        let exact = analyze_transient(p).unwrap();
         assert!((r.reliability.avg_exec_time - exact.avg_exec_time).abs() < 1e-12);
         assert!((r.reliability.error_prob - exact.error_prob).abs() < 1e-12);
     }
@@ -1228,8 +1154,8 @@ mod tests {
         p.t_det = 5.0e-6;
         p.t_chk = 3.0e-6;
         p.p_chk_err = 0.01;
-        let plain = analyze(&p).unwrap();
-        let scaled = analyze_scaled(&p).unwrap();
+        let plain = analyze_transient(p).unwrap();
+        let scaled = analyze_scaled_spec(&ClrChainSpec::transient(p)).unwrap();
         assert!((plain.avg_exec_time - scaled.avg_exec_time).abs() / plain.avg_exec_time < 1e-12);
         assert!((plain.error_prob - scaled.error_prob).abs() < 1e-12);
         assert_eq!(plain.min_exec_time, scaled.min_exec_time);
@@ -1243,11 +1169,11 @@ mod tests {
         p.cov_det = 0.9;
         p.t_det = 5.0e-6;
         p.t_chk = 3.0e-6;
-        let exact = analyze(&p).unwrap();
-        let fail = |_: &ClrChainParams| -> Result<TaskReliability, MarkovError> {
+        let exact = analyze_transient(p).unwrap();
+        let fail = |_: &ClrChainSpec| -> Result<TaskReliability, MarkovError> {
             Err(MarkovError::Numeric(clre_num::NumError::RaggedRows))
         };
-        let degraded = analyze_robust_with(&p, fail, fail).unwrap();
+        let degraded = analyze_robust_with_spec(&ClrChainSpec::transient(p), fail, fail).unwrap();
         assert!(degraded.degraded);
         assert!((degraded.reliability.avg_exec_time - exact.avg_exec_time).abs() < 1e-15);
         assert_eq!(degraded.reliability.error_prob, exact.error_prob);
@@ -1265,11 +1191,11 @@ mod tests {
         p.m_tol = 0.98;
         p.p_chk_err = 0.01;
         p.t_chk = 2.0e-6;
-        let exact = analyze(&p).unwrap();
-        let fail = |_: &ClrChainParams| -> Result<TaskReliability, MarkovError> {
+        let exact = analyze_transient(p).unwrap();
+        let fail = |_: &ClrChainSpec| -> Result<TaskReliability, MarkovError> {
             Err(MarkovError::NotAbsorbing)
         };
-        let degraded = analyze_robust_with(&p, fail, fail).unwrap();
+        let degraded = analyze_robust_with_spec(&ClrChainSpec::transient(p), fail, fail).unwrap();
         assert!(degraded.degraded);
         let rel = (degraded.reliability.error_prob - exact.error_prob).abs() / exact.error_prob;
         assert!(rel < 1e-2, "relative error {rel}");
@@ -1282,7 +1208,7 @@ mod tests {
     fn robust_propagates_domain_errors() {
         let mut p = base();
         p.m_hw = 1.5;
-        assert!(analyze_robust(&p).is_err());
+        assert!(analyze_robust_spec(&ClrChainSpec::transient(p)).is_err());
     }
 
     #[test]
@@ -1316,25 +1242,37 @@ mod tests {
     #[test]
     fn injected_solver_faults_walk_the_recovery_ladder() {
         let p = base();
-        let exact = analyze_robust(&p).unwrap();
+        let exact = analyze_robust_spec(&ClrChainSpec::transient(p)).unwrap();
         assert!(!exact.retried && !exact.degraded);
         // Primary always fails → the scaled retry answers, exactly.
-        let retry_only = analyze_robust_chaos(&p, &SolverFaultPlan::new(1, 1_000_000, 0)).unwrap();
+        let retry_only = analyze_robust_chaos_spec(
+            &ClrChainSpec::transient(p),
+            &SolverFaultPlan::new(1, 1_000_000, 0),
+        )
+        .unwrap();
         assert!(retry_only.retried && !retry_only.degraded);
         assert_eq!(
             retry_only.reliability.error_prob.to_bits(),
-            analyze_scaled(&p).unwrap().error_prob.to_bits(),
+            analyze_scaled_spec(&ClrChainSpec::transient(p))
+                .unwrap()
+                .error_prob
+                .to_bits(),
             "a successful retry is the scaled solver's exact answer"
         );
         // Both fail → degraded closed form, still close to exact.
-        let degraded =
-            analyze_robust_chaos(&p, &SolverFaultPlan::new(1, 1_000_000, 1_000_000)).unwrap();
+        let degraded = analyze_robust_chaos_spec(
+            &ClrChainSpec::transient(p),
+            &SolverFaultPlan::new(1, 1_000_000, 1_000_000),
+        )
+        .unwrap();
         assert!(degraded.retried && degraded.degraded);
         let rel = (degraded.reliability.avg_exec_time - exact.reliability.avg_exec_time).abs()
             / exact.reliability.avg_exec_time;
         assert!(rel < 1e-2, "fallback stays close: {rel}");
         // No plan firing → bit-identical to the fault-free analysis.
-        let calm = analyze_robust_chaos(&p, &SolverFaultPlan::new(1, 0, 0)).unwrap();
+        let calm =
+            analyze_robust_chaos_spec(&ClrChainSpec::transient(p), &SolverFaultPlan::new(1, 0, 0))
+                .unwrap();
         assert_eq!(calm, exact);
     }
 
@@ -1345,7 +1283,7 @@ mod tests {
         p.cov_det = 0.9;
         p.m_tol = 0.97;
         p.t_det = 10.0e-6;
-        let r = analyze(&p).unwrap();
+        let r = analyze_transient(p).unwrap();
         assert_eq!(r.error_prob, 0.0);
         assert!((r.avg_exec_time - r.min_exec_time).abs() < 1e-15);
     }
@@ -1366,7 +1304,7 @@ mod tests {
     #[test]
     fn zero_perm_rate_is_bit_identical_to_transient() {
         let p = protected();
-        let transient = analyze(&p).unwrap();
+        let transient = analyze_transient(p).unwrap();
         let zero_perm = analyze_spec(&ClrChainSpec::permanent_aging(p, 0.0)).unwrap();
         assert_eq!(
             transient.error_prob.to_bits(),
@@ -1378,7 +1316,7 @@ mod tests {
         );
         // The chain itself must also not grow a PermRel state at rate 0:
         // same state count → same solver trajectory.
-        let (plain, _) = functional_chain(&p).unwrap();
+        let (plain, _) = functional_chain_spec(&ClrChainSpec::transient(p)).unwrap();
         let (gated, _) = functional_chain_spec(&ClrChainSpec::permanent_aging(p, 0.0)).unwrap();
         assert_eq!(plain.state_count(), gated.state_count());
     }
@@ -1392,7 +1330,7 @@ mod tests {
             ..protected()
         };
         let spec = ClrChainSpec::permanent_aging(p, 40.0);
-        let (plain, _) = functional_chain(&p).unwrap();
+        let (plain, _) = functional_chain_spec(&ClrChainSpec::transient(p)).unwrap();
         let (perm, _) = functional_chain_spec(&spec).unwrap();
         assert_eq!(
             perm.state_count(),
@@ -1404,7 +1342,7 @@ mod tests {
     #[test]
     fn permanent_error_prob_is_monotone_in_perm_rate() {
         let p = protected();
-        let mut last = analyze(&p).unwrap().error_prob;
+        let mut last = analyze_transient(p).unwrap().error_prob;
         for rate in [1.0, 10.0, 100.0, 1000.0] {
             let r = analyze_spec(&ClrChainSpec::permanent_aging(p, rate)).unwrap();
             assert!(
@@ -1515,7 +1453,7 @@ mod tests {
         assert!(rel < 1e-2, "permanent fallback stays close: {rel}");
         // The fallback keeps the mechanism: it must sit above the
         // transient-only answer for the same parameters.
-        let transient = analyze_robust(&p).unwrap();
+        let transient = analyze_robust_spec(&ClrChainSpec::transient(p)).unwrap();
         assert!(
             degraded.reliability.error_prob > transient.reliability.error_prob,
             "degraded permanent analysis must not silently drop the mechanism"

@@ -14,8 +14,10 @@
 //! The generic machinery lives in [`MarkovChain`] (fundamental matrix
 //! `N = (I − Q)⁻¹`, expected absorption times `N·r`, absorption
 //! probabilities `N·R` — Kemeny & Snell); the CLR-specific construction
-//! lives in [`clr`]. A loop-free closed form for configurations without
-//! recovery loops is provided in [`closed_form`] for cross-validation.
+//! lives in [`clr`], whose entry points all take a [`ClrChainSpec`]: the
+//! flattened parameters plus the fault mechanism. A loop-free closed form
+//! for single-interval configurations is provided in [`closed_form`] for
+//! cross-validation.
 //!
 //! # Examples
 //!
@@ -23,7 +25,7 @@
 //! and checksums:
 //!
 //! ```
-//! use clre_markov::clr::{ClrChainParams, analyze};
+//! use clre_markov::clr::{analyze_spec, ClrChainParams, ClrChainSpec};
 //!
 //! # fn main() -> Result<(), clre_markov::MarkovError> {
 //! let params = ClrChainParams {
@@ -40,7 +42,7 @@
 //!     t_chk: 12.0e-6,
 //!     p_chk_err: 1.0e-4,
 //! };
-//! let r = analyze(&params)?;
+//! let r = analyze_spec(&ClrChainSpec::transient(params))?;
 //! assert!(r.avg_exec_time > r.min_exec_time);
 //! assert!(r.error_prob > 0.0 && r.error_prob < 0.06);
 //! # Ok(())

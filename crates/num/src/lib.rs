@@ -10,6 +10,8 @@
 //! * the Gamma function `Γ(x)` used by the Weibull lifetime model
 //!   ([`gamma`]).
 //!
+//! It also hosts the workspace's one content hash, FNV-1a ([`digest`]).
+//!
 //! Everything is implemented from scratch on `f64`; the matrices involved in
 //! CL(R)Early are tiny (a cross-layer reliability Markov chain has on the
 //! order of ten states), so a straightforward `O(n³)` LU is both adequate
@@ -35,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod digest;
 mod error;
 mod gamma_fn;
 mod lu;

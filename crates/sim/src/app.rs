@@ -158,6 +158,7 @@ impl<'a> AppSimulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clre_markov::clr::{analyze_spec, ClrChainSpec};
     use clre_model::platform::paper_platform;
     use clre_model::qos::TaskMetrics;
     use clre_model::{BaseImpl, PeId, PeTypeId, TaskType};
@@ -187,7 +188,7 @@ mod tests {
     }
 
     fn mapping_for(graph: &TaskGraph) -> Mapping {
-        let analytic = clre_markov::clr::analyze(&params()).unwrap();
+        let analytic = analyze_spec(&ClrChainSpec::transient(params())).unwrap();
         let metrics = TaskMetrics {
             min_exec_time: analytic.min_exec_time,
             avg_exec_time: analytic.avg_exec_time,
@@ -253,7 +254,7 @@ mod tests {
             .build()
             .unwrap();
         let p = paper_platform();
-        let analytic_task = clre_markov::clr::analyze(&params()).unwrap();
+        let analytic_task = analyze_spec(&ClrChainSpec::transient(params())).unwrap();
         let metrics = TaskMetrics {
             min_exec_time: analytic_task.min_exec_time,
             avg_exec_time: analytic_task.avg_exec_time,

@@ -23,7 +23,7 @@
 //! # Examples
 //!
 //! ```
-//! use clre_markov::clr::{analyze, ClrChainParams};
+//! use clre_markov::clr::{analyze_spec, ClrChainParams, ClrChainSpec};
 //! use clre_sim::TaskSimulator;
 //!
 //! # fn main() -> Result<(), clre_markov::MarkovError> {
@@ -31,7 +31,7 @@
 //!     cov_det: 0.9, m_tol: 0.97, t_det: 10.0e-6, t_tol: 5.0e-6,
 //!     ..ClrChainParams::unprotected(300.0e-6, 500.0)
 //! };
-//! let analytic = analyze(&params)?;
+//! let analytic = analyze_spec(&ClrChainSpec::transient(params))?;
 //! let empirical = TaskSimulator::new(params).run(20_000, 7);
 //! assert!((empirical.error_rate - analytic.error_prob).abs() < 0.01);
 //! assert!((empirical.mean_time / analytic.avg_exec_time - 1.0).abs() < 0.02);

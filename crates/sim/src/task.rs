@@ -23,7 +23,8 @@ pub struct SimResult {
 ///
 /// Walks exactly the per-interval semantics of the paper's Fig. 3 chains
 /// (see the [crate docs](crate)); statistics converge to the analytical
-/// predictions of [`clre_markov::clr::analyze`].
+/// predictions of [`clre_markov::clr::analyze_spec`] for the transient
+/// spec of the same parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskSimulator {
     params: ClrChainParams,
@@ -144,12 +145,12 @@ impl TaskSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clre_markov::clr::analyze;
+    use clre_markov::clr::{analyze_spec, ClrChainSpec};
 
     const RUNS: usize = 60_000;
 
     fn assert_agrees(params: ClrChainParams, label: &str) {
-        let analytic = analyze(&params).expect("analyzable");
+        let analytic = analyze_spec(&ClrChainSpec::transient(params)).expect("analyzable");
         let sim = TaskSimulator::new(params).run(RUNS, 42);
         // Binomial 4σ band for the error rate.
         let sigma = (analytic.error_prob * (1.0 - analytic.error_prob) / RUNS as f64)

@@ -9,7 +9,7 @@
 
 use clrearly::core::apps;
 use clrearly::core::encoding::{ChoiceMode, Codec};
-use clrearly::core::tdse::{build_library, chain_params, TdseConfig};
+use clrearly::core::tdse::{build_library, chain_spec, ReliabilityModel, TdseConfig};
 use clrearly::model::TaskTypeId;
 use clrearly::profile::ProfileModel;
 use clrearly::sched::{render_gantt, utilization, QosEvaluator};
@@ -66,10 +66,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mode = pe_type
             .dvfs_mode(cand.dvfs)
             .expect("candidate references a valid DVFS mode");
-        task_params.push((
-            gene.task,
-            chain_params(imp, pe_type, mode, &cand.clr, &profile, None),
-        ));
+        let model = ReliabilityModel::Transient;
+        let spec = chain_spec(imp, pe_type, mode, &cand.clr, &profile, None, model);
+        task_params.push((gene.task, spec.params));
     }
     task_params.sort_by_key(|(t, _)| t.index());
     let params: Vec<_> = task_params.into_iter().map(|(_, p)| p).collect();

@@ -17,7 +17,7 @@ use clrearly::core::resilience::{
 };
 use clrearly::core::CampaignPlan;
 use clrearly::core::EvalCache;
-use clrearly::markov::clr::{analyze_robust, ClrChainParams};
+use clrearly::markov::clr::{analyze_robust_spec, ClrChainParams, ClrChainSpec};
 use proptest::prelude::*;
 
 /// Rotation slots the fixture checkpoint keeps (primary + 2 rotations).
@@ -86,7 +86,7 @@ fn cache_fixture() -> &'static Vec<u8> {
         let cache = EvalCache::new();
         cache.bind_sidecar(&path).expect("bind fresh sidecar");
         for i in 0..6u32 {
-            let params = ClrChainParams {
+            let spec = ClrChainSpec::transient(ClrChainParams {
                 exec_time: 1.0e-4 * f64::from(i + 1),
                 seu_rate: 100.0,
                 m_hw: 0.3,
@@ -99,8 +99,8 @@ fn cache_fixture() -> &'static Vec<u8> {
                 t_tol: 2.0e-6,
                 t_chk: 0.0,
                 p_chk_err: 0.0,
-            };
-            cache.insert_analysis(&params, analyze_robust(&params).expect("analysis"));
+            });
+            cache.insert_analysis_spec(&spec, analyze_robust_spec(&spec).expect("analysis"));
         }
         let bytes = fs::read(&path).expect("warm sidecar");
         let _ = fs::remove_dir_all(&dir);

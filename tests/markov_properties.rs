@@ -3,8 +3,14 @@
 //! the physics must be monotone in every masking knob.
 
 use clrearly::markov::closed_form;
-use clrearly::markov::clr::{analyze, analyze_spec, ClrChainParams, ClrChainSpec};
+use clrearly::markov::clr::{analyze_spec, ClrChainParams, ClrChainSpec, TaskReliability};
+use clrearly::markov::MarkovError;
 use proptest::prelude::*;
+
+/// The transient-mechanism analysis of `p`.
+fn analyze_transient(p: ClrChainParams) -> Result<TaskReliability, MarkovError> {
+    analyze_spec(&ClrChainSpec::transient(p))
+}
 
 fn arb_params() -> impl Strategy<Value = ClrChainParams> {
     (
@@ -41,8 +47,9 @@ proptest! {
 
     #[test]
     fn matrix_solver_matches_closed_form(p in arb_params()) {
-        let exact = closed_form::analyze(&p).expect("single-interval closed form");
-        let markov = analyze(&p).expect("markov analysis");
+        let spec = ClrChainSpec::transient(p);
+        let exact = closed_form::analyze_spec(&spec).expect("single-interval closed form");
+        let markov = analyze_spec(&spec).expect("markov analysis");
         prop_assert!((exact.error_prob - markov.error_prob).abs() < 1e-9,
             "err: {} vs {}", exact.error_prob, markov.error_prob);
         let rel = ((exact.avg_exec_time - markov.avg_exec_time)
@@ -52,7 +59,7 @@ proptest! {
 
     #[test]
     fn error_prob_is_a_probability(p in arb_params()) {
-        let r = analyze(&p).expect("markov analysis");
+        let r = analyze_transient(p).expect("markov analysis");
         prop_assert!((0.0..=1.0).contains(&r.error_prob));
         prop_assert!(r.avg_exec_time >= r.min_exec_time - 1e-12);
         prop_assert!(r.avg_exec_time.is_finite());
@@ -60,28 +67,28 @@ proptest! {
 
     #[test]
     fn hw_masking_monotone(p in arb_params(), bump in 0.001..0.3f64) {
-        let base = analyze(&p).expect("base analysis");
+        let base = analyze_transient(p).expect("base analysis");
         let mut stronger = p;
         stronger.m_hw = (p.m_hw + bump).min(0.999);
-        let better = analyze(&stronger).expect("bumped analysis");
+        let better = analyze_transient(stronger).expect("bumped analysis");
         prop_assert!(better.error_prob <= base.error_prob + 1e-12);
     }
 
     #[test]
     fn asw_masking_monotone(p in arb_params(), bump in 0.001..0.3f64) {
-        let base = analyze(&p).expect("base analysis");
+        let base = analyze_transient(p).expect("base analysis");
         let mut stronger = p;
         stronger.m_asw = (p.m_asw + bump).min(0.999);
-        let better = analyze(&stronger).expect("bumped analysis");
+        let better = analyze_transient(stronger).expect("bumped analysis");
         prop_assert!(better.error_prob <= base.error_prob + 1e-12);
     }
 
     #[test]
     fn seu_rate_monotone_in_error(p in arb_params()) {
-        let base = analyze(&p).expect("base analysis");
+        let base = analyze_transient(p).expect("base analysis");
         let mut harsher = p;
         harsher.seu_rate = p.seu_rate * 2.0 + 10.0;
-        let worse = analyze(&harsher).expect("harsher analysis");
+        let worse = analyze_transient(harsher).expect("harsher analysis");
         prop_assert!(worse.error_prob >= base.error_prob - 1e-12);
     }
 
@@ -101,8 +108,8 @@ proptest! {
             ..base
         };
         let p4 = ClrChainParams { intervals: 4, ..p1 };
-        let r1 = analyze(&p1).expect("k=1");
-        let r4 = analyze(&p4).expect("k=4");
+        let r1 = analyze_transient(p1).expect("k=1");
+        let r4 = analyze_transient(p4).expect("k=4");
         // k=4 pays 3 extra checkpoints and 3 extra detection residences
         // fault-free (t_det is per inter-checkpoint interval), but each
         // detected error re-executes only a quarter of the work. The
@@ -120,7 +127,8 @@ proptest! {
         p in arb_params(), intervals in 1u32..5
     ) {
         let p = ClrChainParams { intervals, p_chk_err: 1e-4, t_chk: 0.02 * p.exec_time, ..p };
-        let (chain, start) = clrearly::markov::clr::functional_chain(&p).expect("chain");
+        let (chain, start) = clrearly::markov::clr::functional_chain_spec(&ClrChainSpec::transient(p))
+            .expect("chain");
         let probs = chain.absorption_probabilities(start).expect("absorbing");
         let total: f64 = probs.values().sum();
         prop_assert!((total - 1.0).abs() < 1e-9, "sum = {total}");
@@ -144,16 +152,13 @@ proptest! {
 
     #[test]
     fn zero_permanent_rate_is_bit_identical_to_transient(p in arb_params()) {
-        // The mechanism layer must not perturb the legacy pipeline: a
-        // permanent-aging spec with zero hazard and a plain transient
-        // spec both evaluate the exact transient float expressions.
-        let legacy = analyze(&p).expect("legacy analysis");
+        // The mechanism layer must not perturb the transient pipeline: a
+        // permanent-aging spec with zero hazard evaluates the exact
+        // transient float expressions.
         let zero = analyze_spec(&ClrChainSpec::permanent_aging(p, 0.0)).expect("zero-rate spec");
-        let transient = analyze_spec(&ClrChainSpec::transient(p)).expect("transient spec");
-        prop_assert_eq!(legacy.error_prob.to_bits(), zero.error_prob.to_bits());
-        prop_assert_eq!(legacy.avg_exec_time.to_bits(), zero.avg_exec_time.to_bits());
-        prop_assert_eq!(legacy.error_prob.to_bits(), transient.error_prob.to_bits());
-        prop_assert_eq!(legacy.avg_exec_time.to_bits(), transient.avg_exec_time.to_bits());
+        let transient = analyze_transient(p).expect("transient spec");
+        prop_assert_eq!(transient.error_prob.to_bits(), zero.error_prob.to_bits());
+        prop_assert_eq!(transient.avg_exec_time.to_bits(), zero.avg_exec_time.to_bits());
     }
 
     #[test]
@@ -168,7 +173,7 @@ proptest! {
             "aging must not improve reliability: {} vs {}",
             base.error_prob, worse.error_prob);
         // And the zero-hazard case is the transient floor.
-        prop_assert!(base.error_prob >= analyze(&p).expect("transient").error_prob - 1e-12);
+        prop_assert!(base.error_prob >= analyze_transient(p).expect("transient").error_prob - 1e-12);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! time must match the Markov-chain predictions used by the optimizer.
 
 use clrearly::core::apps;
-use clrearly::core::tdse::{chain_params, evaluate_candidate};
+use clrearly::core::tdse::{chain_spec, evaluate_candidate, ReliabilityModel, TdseConfig};
 use clrearly::model::reliability::{AswMethod, ClrConfig, HwMethod, SswMethod};
 use clrearly::model::PeTypeId;
 use clrearly::profile::{ProfileModel, SyntheticCharacterizer};
@@ -44,12 +44,13 @@ fn analytic_metrics_match_fault_injection() {
     let pe_type = platform.pe_type(PeTypeId::new(0)).expect("type exists");
     // Undervolted mode → high fault rate → the interesting regime.
     let mode = &pe_type.dvfs_modes()[2];
-    let profile = ProfileModel::default();
+    let config = TdseConfig::default();
+    let profile = &config.profile;
+    let transient = ReliabilityModel::Transient;
 
     for clr in configs_under_test() {
-        let analytic =
-            evaluate_candidate(&imp, pe_type, mode, &clr, &profile, None).expect("analyzable");
-        let params = chain_params(&imp, pe_type, mode, &clr, &profile, None);
+        let analytic = evaluate_candidate(&imp, pe_type, mode, &clr, &config).expect("analyzable");
+        let params = chain_spec(&imp, pe_type, mode, &clr, profile, None, transient).params;
         let empirical = TaskSimulator::new(params).run(RUNS, 0xC0FFEE);
 
         let sigma = (analytic.error_prob * (1.0 - analytic.error_prob) / RUNS as f64)
@@ -92,7 +93,16 @@ fn simulator_ranks_configs_like_the_analysis() {
     ];
     let mut last = f64::MAX;
     for clr in ladder {
-        let params = chain_params(&imp, pe_type, mode, &clr, &profile, None);
+        let params = chain_spec(
+            &imp,
+            pe_type,
+            mode,
+            &clr,
+            &profile,
+            None,
+            ReliabilityModel::Transient,
+        )
+        .params;
         let empirical = TaskSimulator::new(params).run(RUNS, 7);
         assert!(
             empirical.error_rate <= last + 2e-3,
