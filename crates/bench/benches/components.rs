@@ -8,7 +8,10 @@ use clre::apps;
 use clre::encoding::{ChoiceMode, Codec};
 use clre::methodology::{ClrEarly, StageBudget};
 use clre::tdse::{build_library, TdseConfig};
-use clre_markov::clr::{analyze_spec, ClrChainParams, ClrChainSpec};
+use clre_markov::clr::{
+    analyze_spec, functional_chain_spec, timing_chain_spec, ClrChainParams, ClrChainSpec,
+};
+use clre_markov::StateId;
 use clre_moea::hypervolume::hypervolume;
 use clre_sched::QosEvaluator;
 use clre_sim::TaskSimulator;
@@ -31,6 +34,23 @@ fn markov_bench(c: &mut Criterion) {
     });
     c.bench_function("markov_analyze_4_intervals", |b| {
         b.iter(|| analyze_spec(std::hint::black_box(&spec)).expect("analyzable"))
+    });
+    // The same two solves through general `MarkovChain`s: the dense
+    // oracle the structured solver behind `analyze_spec` is checked
+    // against bit for bit.
+    c.bench_function("markov_analyze_4_intervals_dense", |b| {
+        b.iter(|| {
+            let spec = std::hint::black_box(&spec);
+            let (timing, start) = timing_chain_spec(spec).expect("analyzable");
+            let avg = timing
+                .expected_time_to_absorption(start)
+                .expect("absorbing");
+            let (functional, start) = functional_chain_spec(spec).expect("analyzable");
+            let probs = functional
+                .absorption_probabilities(start)
+                .expect("absorbing");
+            (avg, probs[&StateId(functional.state_count() - 1)])
+        })
     });
 }
 

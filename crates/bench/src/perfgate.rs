@@ -12,7 +12,9 @@
 //! [`compare_scenarios`]: each reliability scenario's
 //! `chain_analysis_us` cell (the Markov solves of that scenario's chain
 //! templates) is held to the identical allowance, so a new or modified
-//! chain template cannot silently regress the task-level analysis cost.
+//! chain template cannot silently regress the task-level analysis cost,
+//! and its `proposed_digest` and `agnostic_digest` fronts must equal the
+//! baseline's exactly, so a faster solver cannot silently change them.
 //! [`gate_files`] dispatches on the report's `"bench"` header, so one
 //! `experiments perfgate --baseline --current` invocation serves both.
 //!
@@ -180,25 +182,37 @@ impl std::fmt::Display for ScenarioRegression {
     }
 }
 
-/// Extracts `"scenario": "<name>"` from one cell line.
-fn field_scenario(line: &str) -> Option<&str> {
-    let start = line.find("\"scenario\": \"")? + "\"scenario\": \"".len();
+/// Extracts `"key": "<text>"` from one cell line.
+fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let start = line.find(&format!("\"{key}\": \""))? + key.len() + 5;
     let rest = &line[start..];
     Some(&rest[..rest.find('"')?])
 }
 
+/// The front digests a scenario cell pins.
+const SCENARIO_DIGESTS: [&str; 2] = ["proposed_digest", "agnostic_digest"];
+
+/// One scenario cell: its name, chain-analysis microseconds and front
+/// digests.
+type ScenarioCell<'a> = (&'a str, u64, [&'a str; 2]);
+
 /// Parses every scenario cell line of a scenario-bench report. As
 /// [`parse_cells`], malformed or empty reports are hard errors.
-fn parse_scenario_cells(report: &str, label: &str) -> Result<Vec<(String, u64)>, String> {
+fn parse_scenario_cells<'a>(report: &'a str, label: &str) -> Result<Vec<ScenarioCell<'a>>, String> {
     let mut cells = Vec::new();
     for line in report.lines() {
-        let Some(name) = field_scenario(line) else {
+        let Some(name) = field_str(line, "scenario") else {
             continue;
         };
         let us = field_u64(line, "chain_analysis_us").ok_or_else(|| {
             format!("{label}: scenario {name:?} has no \"chain_analysis_us\" field")
         })?;
-        cells.push((name.to_owned(), us));
+        let mut digests = [""; 2];
+        for (digest, key) in digests.iter_mut().zip(SCENARIO_DIGESTS) {
+            *digest = field_str(line, key)
+                .ok_or_else(|| format!("{label}: scenario {name:?} has no {key:?} field"))?;
+        }
+        cells.push((name, us, digests));
     }
     if cells.is_empty() {
         return Err(format!("{label}: no scenario cells found"));
@@ -208,24 +222,32 @@ fn parse_scenario_cells(report: &str, label: &str) -> Result<Vec<(String, u64)>,
 
 /// Diffs a current scenario-bench report against a baseline report:
 /// each scenario's chain-analysis time must stay within the same
-/// allowance the kernel gate uses. A scenario present in only one
-/// report is an error — a dropped chain-template family must not pass
-/// by omission.
+/// allowance the kernel gate uses, and its front digests must equal the
+/// baseline's. A changed front, or a scenario present in only one report,
+/// is an error — a regressed answer or a dropped chain-template family
+/// must not pass as a timing result.
 pub fn compare_scenarios(baseline: &str, current: &str) -> Result<Vec<ScenarioRegression>, String> {
     let base_cells = parse_scenario_cells(baseline, "baseline")?;
     let cur_cells = parse_scenario_cells(current, "current")?;
     let mut regressions = Vec::new();
-    for (name, base_us) in &base_cells {
-        let (_, cur_us) = cur_cells
+    for &(name, base_us, base_digests) in &base_cells {
+        let &(_, cur_us, cur_digests) = cur_cells
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, ..)| *n == name)
             .ok_or_else(|| format!("current report lost scenario {name:?}"))?;
-        let limit_us = limit(*base_us);
-        if *cur_us > limit_us {
+        for ((key, base), cur) in SCENARIO_DIGESTS.iter().zip(base_digests).zip(cur_digests) {
+            if base != cur {
+                return Err(format!(
+                    "scenario {name:?} changed its front: {key} {base} -> {cur}"
+                ));
+            }
+        }
+        let limit_us = limit(base_us);
+        if cur_us > limit_us {
             regressions.push(ScenarioRegression {
-                scenario: name.clone(),
-                baseline_us: *base_us,
-                current_us: *cur_us,
+                scenario: name.to_owned(),
+                baseline_us: base_us,
+                current_us: cur_us,
                 limit_us,
             });
         }
@@ -262,19 +284,12 @@ impl std::fmt::Display for IslandRegression {
     }
 }
 
-/// Extracts `"plan": "<name>"` from one cell line.
-fn field_plan(line: &str) -> Option<&str> {
-    let start = line.find("\"plan\": \"")? + "\"plan\": \"".len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
 /// Parses every cell line of an islands report into
 /// `(plan, islands, digest_match, campaign_us)`.
 fn parse_island_cells(report: &str, label: &str) -> Result<Vec<(String, u64, bool, u64)>, String> {
     let mut cells = Vec::new();
     for line in report.lines() {
-        let Some(plan) = field_plan(line) else {
+        let Some(plan) = field_str(line, "plan") else {
             continue;
         };
         let islands = field_u64(line, "islands")
@@ -480,7 +495,8 @@ mod tests {
                 format!(
                     "    {{\"scenario\": \"{name}\", \"catalog\": 80, \"candidates\": 640, \
                      \"chain_analysis_us\": {us}, \"objectives\": 2, \
-                     \"proposed_digest\": \"00000000deadbeef\", \"proposed_points\": 5}}"
+                     \"proposed_digest\": \"00000000deadbeef\", \"proposed_points\": 5, \
+                     \"agnostic_digest\": \"00000000cafef00d\", \"agnostic_points\": 3}}"
                 )
             })
             .collect();
@@ -529,6 +545,40 @@ mod tests {
         assert!(compare_scenarios(&base, &torn)
             .unwrap_err()
             .contains("chain_analysis_us"));
+    }
+
+    #[test]
+    fn scenario_gate_fails_on_a_changed_front_digest() {
+        let base = scenario_report(&[("transient", 40_000), ("fpga", 90_000)]);
+        for (key, digest) in [
+            ("proposed_digest", "00000000deadbeef"),
+            ("agnostic_digest", "00000000cafef00d"),
+        ] {
+            // Tamper with the fpga cell only, and make it faster: a
+            // quicker wrong front must still fail.
+            let tampered = base
+                .lines()
+                .map(|line| {
+                    if line.contains("\"fpga\"") {
+                        line.replace(digest, "00000000feedface")
+                            .replace("\"chain_analysis_us\": 90000", "\"chain_analysis_us\": 1")
+                    } else {
+                        line.to_owned()
+                    }
+                })
+                .collect::<Vec<_>>()
+                .join("\n");
+            let err = compare_scenarios(&base, &tampered).unwrap_err();
+            assert!(err.contains("\"fpga\"") && err.contains(key), "{err}");
+            assert!(
+                err.contains(&format!("{digest} -> 00000000feedface")),
+                "{err}"
+            );
+        }
+        let torn = base.replace("\"agnostic_digest\"", "\"agnostic\"");
+        assert!(compare_scenarios(&base, &torn)
+            .unwrap_err()
+            .contains("agnostic_digest"));
     }
 
     fn island_report(cells: &[(&str, u64, bool, u64)]) -> String {

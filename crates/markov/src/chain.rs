@@ -384,7 +384,7 @@ pub struct MarkovChainBuilder {
 }
 
 /// Tolerance for validating that transient rows sum to 1.
-const ROW_SUM_EPS: f64 = 1e-9;
+pub(crate) const ROW_SUM_EPS: f64 = 1e-9;
 
 impl MarkovChainBuilder {
     /// Declares a transient state with the given residence time and

@@ -41,6 +41,8 @@
 //! every chain builder and analysis entry point takes;
 //! [`ClrChainSpec::transient`] wraps bare parameters.
 
+mod structured;
+
 use crate::{MarkovChain, MarkovError, StateId};
 use clre_num::digest::Fnv;
 use serde::{Deserialize, Serialize};
@@ -328,15 +330,17 @@ pub struct TaskReliability {
     pub error_prob: f64,
 }
 
-/// Normalized per-interval weights: either uniform (`None`) or the
-/// caller-supplied fractions of the useful execution time.
+/// Writes the normalized per-interval weights into `out`: either uniform
+/// (`None`) or the caller-supplied fractions of the useful execution time.
 fn interval_weights(
     params: &ClrChainParams,
     weights: Option<&[f64]>,
-) -> Result<Vec<f64>, MarkovError> {
+    out: &mut Vec<f64>,
+) -> Result<(), MarkovError> {
     let k = params.intervals.max(1) as usize;
+    out.clear();
     match weights {
-        None => Ok(vec![1.0 / k as f64; k]),
+        None => out.resize(k, 1.0 / k as f64),
         Some(w) => {
             if w.len() != k {
                 return Err(MarkovError::InvalidResidence {
@@ -352,9 +356,10 @@ fn interval_weights(
                     value: total,
                 });
             }
-            Ok(w.iter().map(|&x| x / total).collect())
+            out.extend(w.iter().map(|&x| x / total));
         }
     }
+    Ok(())
 }
 
 struct IntervalStates {
@@ -394,7 +399,8 @@ fn build_chain_spec(
     let params = &spec.params;
     let perm_rate = spec.mechanism.perm_rate();
     let k = params.intervals.max(1) as usize;
-    let weights = interval_weights(params, weights)?;
+    let (raw, mut weights) = (weights, Vec::new());
+    interval_weights(params, raw, &mut weights)?;
 
     let mut b = MarkovChain::builder();
     // Per-interval state blocks first, then checkpoints, then absorbers.
@@ -774,10 +780,26 @@ fn analyze_scaled_spec(spec: &ClrChainSpec) -> Result<TaskReliability, MarkovErr
     analyze_via_spec(spec, None, true)
 }
 
-/// Builds both chains with the given interval weights (uniform when
-/// `None`), solves them with plain or scaled-pivoting LU, and reads off
-/// `AvgExT` and the `Error` absorption probability.
+/// Solves both chains with the given interval weights (uniform when
+/// `None`) with plain or scaled-pivoting LU and reads off `AvgExT` and
+/// the `Error` absorption probability.
+///
+/// The [`structured`] solver does the work; its metrics are bit-identical
+/// to [`analyze_dense`]'s, which reruns whenever the structured path sees
+/// a non-finite intermediate value.
 fn analyze_via_spec(
+    spec: &ClrChainSpec,
+    weights: Option<&[f64]>,
+    scaled: bool,
+) -> Result<TaskReliability, MarkovError> {
+    structured::analyze(spec, weights, scaled)
+        .unwrap_or_else(|| analyze_dense(spec, weights, scaled))
+}
+
+/// [`analyze_via_spec`] through general [`MarkovChain`]s: builds both
+/// chains, solves the timing chain with one LU solve and reads `Error`
+/// off the fundamental matrix.
+fn analyze_dense(
     spec: &ClrChainSpec,
     weights: Option<&[f64]>,
     scaled: bool,
@@ -1457,6 +1479,90 @@ mod tests {
         assert!(
             degraded.reliability.error_prob > transient.reliability.error_prob,
             "degraded permanent analysis must not silently drop the mechanism"
+        );
+    }
+
+    fn bits(r: &TaskReliability) -> [u64; 3] {
+        [
+            r.min_exec_time.to_bits(),
+            r.avg_exec_time.to_bits(),
+            r.error_prob.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn structured_solver_matches_dense_bitwise() {
+        let weights: [&[f64]; 6] = [
+            &[1.0],
+            &[3.0, 1.0],
+            &[0.2, 0.5, 0.3],
+            &[1.0, 2.0, 3.0, 4.0],
+            &[5.0, 1.0, 1.0, 1.0, 0.5],
+            &[0.1, 0.9, 0.4, 0.4, 0.2, 0.7],
+        ];
+        for k in 1..=6u32 {
+            for perm_rate in [0.0, 40.0] {
+                for seu_rate in [0.0, 100.0, 3000.0] {
+                    let p = ClrChainParams {
+                        intervals: k,
+                        seu_rate,
+                        t_chk: 12.0e-6,
+                        p_chk_err: 1.0e-4,
+                        ..protected()
+                    };
+                    let spec = ClrChainSpec::permanent_aging(p, perm_rate);
+                    for w in [None, Some(weights[k as usize - 1])] {
+                        for scaled in [false, true] {
+                            let fast = structured::analyze(&spec, w, scaled)
+                                .expect("no dense fallback on healthy specs")
+                                .unwrap();
+                            let dense = analyze_dense(&spec, w, scaled).unwrap();
+                            assert_eq!(bits(&fast), bits(&dense), "k={k} {spec:?} {w:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn negative_zero_residence_takes_the_dense_path() {
+        let spec = ClrChainSpec::transient(ClrChainParams {
+            intervals: 3,
+            t_tol: -0.0,
+            t_chk: -0.0,
+            ..protected()
+        });
+        assert!(structured::analyze(&spec, None, false).is_none());
+        let r = analyze_spec(&spec).unwrap();
+        assert_eq!(bits(&r), bits(&analyze_dense(&spec, None, false).unwrap()));
+    }
+
+    #[test]
+    fn structured_solver_fails_like_dense() {
+        // m_Tol = 1 with certain faults never terminates: singular I − Q.
+        let looping = ClrChainSpec::transient(ClrChainParams {
+            cov_det: 1.0,
+            m_tol: 1.0,
+            seu_rate: 1.0e300,
+            ..base()
+        });
+        // An overflowing residence fails the builder's residence check.
+        let overflow = ClrChainSpec::transient(ClrChainParams {
+            t_det: f64::MAX,
+            ..ClrChainParams::unprotected(f64::MAX, 1.0)
+        });
+        for spec in [looping, overflow] {
+            for scaled in [false, true] {
+                assert_eq!(
+                    structured::analyze(&spec, None, scaled).expect("no fallback"),
+                    analyze_dense(&spec, None, scaled)
+                );
+            }
+        }
+        assert_eq!(
+            analyze_spec(&looping).unwrap_err(),
+            MarkovError::NotAbsorbing
         );
     }
 }
