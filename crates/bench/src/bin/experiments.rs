@@ -24,6 +24,7 @@
 //! are bit-identical across backends.
 
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 use clre::remote::BackendChoice;
 use clre_bench::exec_config::ExecConfig;
@@ -39,7 +40,7 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = RunScale::Paper;
     let mut workers = 0;
@@ -98,11 +99,11 @@ fn main() {
         match perfgate::gate_files(&baseline, &current) {
             Ok(report) => {
                 print!("{report}");
-                return;
+                return ExitCode::SUCCESS;
             }
             Err(report) => {
                 eprint!("{report}");
-                std::process::exit(1);
+                return ExitCode::FAILURE;
             }
         }
     }
@@ -113,7 +114,7 @@ fn main() {
     if let Some(path) = &ledger {
         if let Err(e) = sweep::configure(path, halt_after) {
             eprintln!("failed to open sweep ledger {}: {e}", path.display());
-            std::process::exit(1);
+            return ExitCode::FAILURE;
         }
         // A journaled sweep warm-starts its evaluations too: persist the
         // cache next to the ledger unless --cache chose a spot itself.
@@ -141,7 +142,7 @@ fn main() {
         Ok(config) => config,
         Err(e) => {
             eprintln!("experiments: backend: {e}");
-            std::process::exit(1);
+            return ExitCode::FAILURE;
         }
     };
     let out = match id {
@@ -180,7 +181,7 @@ fn main() {
         let telemetry = sink.lock().expect("trace sink poisoned");
         if let Err(e) = telemetry.write_trace(&path) {
             eprintln!("failed to write trace to {}: {e}", path.display());
-            std::process::exit(1);
+            return ExitCode::FAILURE;
         }
         eprintln!(
             "trace: {} records, {} evaluations -> {}",
@@ -191,6 +192,7 @@ fn main() {
     }
     if sweep::halted() {
         eprintln!("sweep halted: cell budget exhausted; rerun with the same --ledger to resume");
-        std::process::exit(3);
+        return ExitCode::from(3);
     }
+    ExitCode::SUCCESS
 }

@@ -36,6 +36,16 @@
 //! malformed line, which the loader skips; a corrupted or foreign file
 //! degrades to a cold cache without error.
 //!
+//! Journal lines are encoded only while a journal is bound: an unbound
+//! cache (every in-memory `ClrEarly`, every fresh tDSE build) checks one
+//! atomic flag per insert and never formats, seals or locks anything.
+//! A bound journal is buffered in memory and reaches the file when the
+//! buffer fills, before every campaign checkpoint is saved, when the
+//! server shuts down, and when the cache is dropped. A crash therefore
+//! loses at most the lines inserted since the last of those points — a
+//! warm-start hit each, never an answer, since a missing line is
+//! recomputed to the same bits.
+//!
 //! # Examples
 //!
 //! ```
@@ -55,9 +65,9 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use clre_markov::clr::{
@@ -175,7 +185,14 @@ pub struct EvalCache {
     fitness: Vec<FitnessShard>,
     analysis_stats: LevelStats,
     fitness_stats: LevelStats,
-    sidecar: Mutex<Option<fs::File>>,
+    /// The bound journal. `BufWriter` flushes on drop, so a cache that
+    /// goes out of scope leaves its whole journal on disk.
+    sidecar: Mutex<Option<BufWriter<fs::File>>>,
+    /// Whether `sidecar` holds a journal; read without the lock so an
+    /// unbound cache skips encoding entirely. Set (`Release`) only after
+    /// the journal is stored, so a reader that sees it (`Acquire`) finds
+    /// the journal in place.
+    bound: AtomicBool,
     sidecar_skipped: AtomicU64,
     /// Monotonic recency clock shared by both levels; bumped on every
     /// hit and insert, stamped into the touched slot.
@@ -201,6 +218,7 @@ impl EvalCache {
             analysis_stats: LevelStats::default(),
             fitness_stats: LevelStats::default(),
             sidecar: Mutex::new(None),
+            bound: AtomicBool::new(false),
             sidecar_skipped: AtomicU64::new(0),
             tick: AtomicU64::new(0),
             entry_ceiling: AtomicUsize::new(0),
@@ -315,7 +333,7 @@ impl EvalCache {
         }
         if fresh {
             self.analysis_stats.inserts.fetch_add(1, Ordering::Relaxed);
-            self.append_line(&encode_analysis_spec(spec, &stored));
+            self.append_line(|| encode_analysis_spec(spec, &stored));
         }
         stored
     }
@@ -386,7 +404,7 @@ impl EvalCache {
         }
         if fresh {
             self.fitness_stats.inserts.fetch_add(1, Ordering::Relaxed);
-            self.append_line(&encode_fitness(problem, genome, &stored));
+            self.append_line(|| encode_fitness(problem, genome, &stored));
         }
         stored
     }
@@ -476,16 +494,24 @@ impl EvalCache {
         if file.metadata()?.len() == 0 {
             writeln!(file, "{CACHE_HEADER}")?;
         }
-        *self.sidecar.lock().expect("cache sidecar poisoned") = Some(file);
+        // Replacing an earlier journal drops (and so flushes) it.
+        *self.sidecar.lock().expect("cache sidecar poisoned") = Some(BufWriter::new(file));
+        self.bound.store(true, Ordering::Release);
         Ok(())
     }
 
     /// Whether a sidecar journal is currently bound.
     pub fn is_bound(&self) -> bool {
-        self.sidecar
-            .lock()
-            .expect("cache sidecar poisoned")
-            .is_some()
+        self.bound.load(Ordering::Acquire)
+    }
+
+    /// Writes the bound journal's buffered lines through to its file. A
+    /// no-op when unbound; failures are swallowed like append failures.
+    pub(crate) fn flush_sidecar(&self) {
+        let mut guard = self.sidecar.lock().expect("cache sidecar poisoned");
+        if let Some(journal) = guard.as_mut() {
+            let _ = journal.flush();
+        }
     }
 
     /// Number of sidecar lines skipped while loading: torn tails,
@@ -530,13 +556,19 @@ impl EvalCache {
         }
     }
 
-    /// Appends one line to the bound sidecar; unbound caches skip the
-    /// write. Append failure is deliberately swallowed: the cache is an
+    /// Appends the line `encode` builds to the bound sidecar. Unbound
+    /// caches never call `encode`; bound ones call it outside the lock.
+    /// Append failure is deliberately swallowed: the cache is an
     /// accelerator, a full disk must not fail the evaluation itself.
-    fn append_line(&self, line: &str) {
+    fn append_line(&self, encode: impl FnOnce() -> String) {
+        if !self.is_bound() {
+            return;
+        }
+        let mut line = encode();
+        line.push('\n');
         let mut guard = self.sidecar.lock().expect("cache sidecar poisoned");
-        if let Some(file) = guard.as_mut() {
-            let _ = writeln!(file, "{line}");
+        if let Some(journal) = guard.as_mut() {
+            let _ = journal.write_all(line.as_bytes());
         }
     }
 }
@@ -947,6 +979,7 @@ mod tests {
         assert!(cache.is_bound());
         cache.insert_analysis_spec(&spec(1.0), analysis(1.0));
         cache.insert_fitness(7, &genome(1), fitness_value(1.0));
+        drop(cache); // flushes the buffered journal
 
         let warm = EvalCache::new();
         warm.bind_sidecar(&path).unwrap();
@@ -955,6 +988,30 @@ mod tests {
         assert_eq!(warm.counts().inserts, 0, "loads are not inserts");
         let text = fs::read_to_string(&path).unwrap();
         assert!(text.starts_with(CACHE_HEADER));
+    }
+
+    #[test]
+    fn unbound_inserts_never_encode() {
+        EvalCache::new().append_line(|| panic!("an unbound cache must not encode"));
+    }
+
+    #[test]
+    fn dropped_journal_holds_every_insert() {
+        let path = temp_path("drop-flush.cache");
+        let _ = fs::remove_file(&path);
+        let cache = EvalCache::new();
+        cache.bind_sidecar(&path).unwrap();
+        for i in 0..50u32 {
+            cache.insert_analysis_spec(&spec(1.0 + f64::from(i)), analysis(1.0));
+            cache.insert_fitness(7, &genome(i), fitness_value(1.0));
+        }
+        drop(cache);
+
+        let warm = EvalCache::new();
+        warm.bind_sidecar(&path).unwrap();
+        assert_eq!((warm.analysis_len(), warm.fitness_len()), (50, 50));
+        assert_eq!(warm.sidecar_skipped(), 0);
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1005,6 +1062,7 @@ mod tests {
         v.metrics.makespan = f64::from_bits(0x3FF0_0000_0000_0001); // 1 + ulp
         v.violation = 1.0e30;
         cache.insert_fitness(5, &genome(4), v);
+        drop(cache);
 
         let warm = EvalCache::new();
         warm.bind_sidecar(&path).unwrap();
@@ -1082,6 +1140,7 @@ mod tests {
         let perm = ClrChainSpec::permanent_aging(params(1.0), 25.0);
         cache.insert_analysis_spec(&perm, analysis(2.0));
         cache.insert_analysis_spec(&spec(2.0), analysis(3.0));
+        drop(cache);
 
         let text = fs::read_to_string(&path).unwrap();
         assert!(text.contains("\nanalysis2 1 "), "tagged record: {text}");

@@ -1214,6 +1214,11 @@ fn supervise<A, S: EvolutionState<A, Genome = Genome>>(
     // counters are totals, not per-worker data.
     let save =
         |writer: &mut CheckpointWriter, state: &S, health: RunHealth| -> Result<(), DseError> {
+            // Every journal line inserted so far reaches disk before the
+            // checkpoint that a resume would start from.
+            if let Some(cache) = cache {
+                cache.flush_sidecar();
+            }
             let cp = Checkpoint {
                 method: meta.method.to_owned(),
                 algorithm: meta.algorithm,

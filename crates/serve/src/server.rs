@@ -282,6 +282,14 @@ impl Server {
         for handle in threads {
             let _ = handle.join();
         }
+        // Connection handlers keep `Shared` alive past this point, so
+        // drop the cache table now: that flushes every buffered sidecar
+        // journal before the process can exit.
+        self.shared
+            .caches
+            .lock()
+            .expect("cache table poisoned")
+            .clear();
         // Every campaign has parked and finished its log; give the
         // streaming handlers a bounded window to forward the terminal
         // events before the process exits underneath them.

@@ -38,6 +38,11 @@ impl DropPlan {
     }
 }
 
+/// Generations of the park/resume campaign: enough that the campaign
+/// outlasts a shutdown round trip by orders of magnitude, so it is always
+/// still running when the stop flag lands.
+const PARK_GENERATIONS: usize = 4_000;
+
 fn accept(client: &mut ServeClient, request: &SubmitRequest) -> String {
     match client.submit(request).expect("submit") {
         Submission::Accepted { id } => id,
@@ -53,7 +58,10 @@ fn accept(client: &mut ServeClient, request: &SubmitRequest) -> String {
 #[test]
 fn shutdown_parks_and_restart_resumes_bit_identically() {
     let root = fresh_root("park-resume");
-    let request = tiny_request("alpha", CampaignPlan::fc(), 10);
+    // A budget that cannot finish first: after the two trace lines read
+    // below, thousands of generations (about a second) remain, against a
+    // shutdown round trip of a few milliseconds.
+    let request = tiny_request("alpha", CampaignPlan::fc(), PARK_GENERATIONS);
     let expected = local_digest(&request);
 
     let server = RunningServer::start(ServeConfig::new(&root).with_workers(2));

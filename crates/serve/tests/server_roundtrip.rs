@@ -119,6 +119,46 @@ fn concurrent_tenants_share_the_analysis_cache_without_result_drift() {
     server.stop();
 }
 
+/// Stopping the server writes every buffered cache journal through, even
+/// while a client connection (and so the server's shared state) is still
+/// open: a fresh cache bound to the platform sidecar holds exactly the
+/// entries the same campaign inserts in process.
+#[test]
+fn stopped_server_leaves_every_cache_entry_in_its_sidecar() {
+    let root = fresh_root("cache-flush");
+    let server = RunningServer::start(ServeConfig::new(&root).with_workers(2));
+    let request = tiny_request("alpha", CampaignPlan::fc(), 4);
+    let (_, terminal) = submit_and_drain(&server.addr, &request);
+    assert!(matches!(terminal, Event::Done(_)), "got {terminal:?}");
+    let mut idle = ServeClient::connect(&server.addr).expect("connect");
+    idle.ping().expect("pong");
+    server.stop();
+
+    let (platform, graph) = clre_serve::server::build_app(&request.app).unwrap();
+    let local = clre::EvalCache::shared();
+    let tdse = request
+        .scenario
+        .apply_to(clre::tdse::TdseConfig::default().with_eval_cache(std::sync::Arc::clone(&local)))
+        .unwrap();
+    clre::methodology::ClrEarly::with_tdse_config(&graph, &platform, tdse)
+        .unwrap()
+        .with_objectives(request.scenario.system_objectives())
+        .with_cache(std::sync::Arc::clone(&local))
+        .run(&request.plan, &request.budget)
+        .unwrap();
+
+    let warm = clre::EvalCache::new();
+    warm.bind_sidecar(&root.join("cache-paper.cache"))
+        .expect("sidecar binds");
+    assert_eq!(warm.sidecar_skipped(), 0);
+    assert_eq!(
+        (warm.analysis_len(), warm.fitness_len()),
+        (local.analysis_len(), local.fitness_len()),
+        "the sidecar lost buffered entries"
+    );
+    drop(idle);
+}
+
 /// Admission control rejects deterministically: a zero per-tenant quota
 /// reports `tenant-quota`, a zero global ceiling reports `server-busy`,
 /// and a malformed submit line never reaches admission.

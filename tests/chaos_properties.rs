@@ -102,9 +102,14 @@ fn cache_fixture() -> &'static Vec<u8> {
             });
             cache.insert_analysis_spec(&spec, analyze_robust_spec(&spec).expect("analysis"));
         }
+        drop(cache); // flushes the buffered journal
         let bytes = fs::read(&path).expect("warm sidecar");
         let _ = fs::remove_dir_all(&dir);
-        assert!(!bytes.is_empty(), "fixture sidecar must have records");
+        let records = String::from_utf8_lossy(&bytes)
+            .lines()
+            .filter(|line| line.starts_with("analysis "))
+            .count();
+        assert_eq!(records, 6, "fixture sidecar must hold every analysis");
         bytes
     })
 }

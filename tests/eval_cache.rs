@@ -150,6 +150,39 @@ fn warm_start_resume_reuses_the_persisted_sidecar() {
 }
 
 #[test]
+fn interrupted_run_journals_every_insert_before_its_checkpoint() {
+    let dir = scratch_dir("checkpoint-flush");
+    let ckpt = dir.join("run.ckpt");
+    let platform = apps::paper_platform();
+    let graph = apps::sobel(&platform, 42).unwrap();
+
+    // The cache (and so its buffered journal) stays alive past the
+    // interruption: only the checkpoint-time flush can have put the
+    // lines on disk.
+    let cache = EvalCache::shared();
+    let dse = ClrEarly::new(&graph, &platform)
+        .unwrap()
+        .with_cache(Arc::clone(&cache));
+    let sup = RunSupervisor::new(SupervisorConfig::new(ckpt.clone())).with_interrupt_at(0, 3);
+    let outcome = dse
+        .run_supervised(&CampaignPlan::fc(), &StageBudget::smoke_test(), &sup)
+        .unwrap();
+    assert!(matches!(outcome, RunOutcome::Interrupted { .. }));
+    assert!(cache.is_bound());
+
+    // The journal was bound before the first evaluation, so every insert
+    // is one record line after the header.
+    let text = std::fs::read_to_string(cache_sidecar_path(&ckpt)).unwrap();
+    let records = text.lines().count() - 1;
+    let inserts = cache.counts().inserts;
+    assert!(inserts > 0, "the interrupted run inserted nothing");
+    assert_eq!(records as u64, inserts, "journal lags its last checkpoint");
+    drop(dse);
+    drop(cache);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn torn_or_foreign_sidecar_degrades_to_cold_cache() {
     let dir = scratch_dir("torn");
     let sidecar = dir.join("cache.txt");
