@@ -194,7 +194,10 @@ fn parse_cell(line: &str) -> Option<(String, CellData)> {
     for _ in 0..points {
         let mut point = Vec::with_capacity(arity);
         for _ in 0..arity {
-            let bits = u64::from_str_radix(tokens.next()?, 16).ok()?;
+            // Exactly 16 hex digits: a line torn inside its last token
+            // must not parse as a shorter bit pattern.
+            let tok = tokens.next().filter(|tok| tok.len() == 16)?;
+            let bits = u64::from_str_radix(tok, 16).ok()?;
             point.push(f64::from_bits(bits));
         }
         objectives.push(point);
@@ -323,6 +326,36 @@ mod tests {
         let ledger = SweepLedger::open(&path).unwrap();
         assert_eq!(ledger.lookup("t/a"), Some(&sample(9.0)), "latest wins");
         assert_eq!(ledger.lookup("t/b"), None, "torn tail skipped");
+    }
+
+    #[test]
+    fn every_cut_of_a_line_is_rejected_or_exact() {
+        let line = encode_cell("t/a", &sample(1.0));
+        let whole = Some(("t/a".to_owned(), sample(1.0)));
+        for cut in 0..=line.len() {
+            let parsed = parse_cell(&line[..cut]);
+            assert!(
+                parsed.is_none() || parsed == whole,
+                "cut at {cut} parsed as {parsed:?}"
+            );
+        }
+        assert_eq!(parse_cell(&line), whole);
+    }
+
+    #[test]
+    fn torn_duplicate_never_replaces_a_good_cell() {
+        let path = temp_path("torn-duplicate.sweep");
+        let line = encode_cell("t/a", &sample(9.0));
+        for cut in 0..line.len() {
+            let mut text = format!("{LEDGER_HEADER}\n");
+            text.push_str(&encode_cell("t/a", &sample(1.0)));
+            text.push('\n');
+            text.push_str(&line[..cut]);
+            fs::write(&path, text).unwrap();
+            let ledger = SweepLedger::open(&path).unwrap();
+            assert_eq!(ledger.lookup("t/a"), Some(&sample(1.0)), "cut at {cut}");
+        }
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]

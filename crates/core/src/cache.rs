@@ -28,23 +28,28 @@
 //!
 //! # Persistence
 //!
-//! [`EvalCache::bind_sidecar`] attaches an append-only journal
-//! (header [`CACHE_HEADER`]) next to the campaign checkpoint: existing
-//! entries are loaded (warm start), and every subsequent first-insert
-//! appends one self-contained line. Like the sweep ledger, the file is
-//! torn-tail tolerant — a process killed mid-write leaves at most one
-//! malformed line, which the loader skips; a corrupted or foreign file
-//! degrades to a cold cache without error.
+//! Only Level 2 is persisted. [`EvalCache::bind_sidecar`] attaches an
+//! append-only journal (header [`CACHE_HEADER`]) next to the campaign
+//! checkpoint: existing fitness entries are loaded (warm start), and every
+//! subsequent fitness first-insert appends one self-contained line. Like
+//! the sweep ledger, the file is torn-tail tolerant — a process killed
+//! mid-write leaves at most one malformed line, which the loader skips; a
+//! corrupted or foreign file degrades to a cold cache without error.
+//!
+//! Level 1 lives in memory only. One chain analysis costs a few µs, and
+//! journalling it cost about as much again to write and nearly as much to
+//! reload, so a warm-started analysis saved at most 1–2 µs after paying
+//! about 3 µs to write. An older sidecar's `analysis`/`analysis2` lines
+//! no longer parse; they are counted in [`EvalCache::sidecar_skipped`].
 //!
 //! Journal lines are encoded only while a journal is bound: an unbound
-//! cache (every in-memory `ClrEarly`, every fresh tDSE build) checks one
-//! atomic flag per insert and never formats, seals or locks anything.
-//! A bound journal is buffered in memory and reaches the file when the
-//! buffer fills, before every campaign checkpoint is saved, when the
-//! server shuts down, and when the cache is dropped. A crash therefore
-//! loses at most the lines inserted since the last of those points — a
-//! warm-start hit each, never an answer, since a missing line is
-//! recomputed to the same bits.
+//! cache (every in-memory `ClrEarly`) checks one atomic flag per fitness
+//! insert and never formats, seals or locks anything. A bound journal is
+//! buffered in memory and reaches the file when the buffer fills, before
+//! every campaign checkpoint is saved, when the server shuts down, and
+//! when the cache is dropped. A crash therefore loses at most the lines
+//! inserted since the last of those points — a warm-start hit each, never
+//! an answer, since a missing line is recomputed to the same bits.
 //!
 //! # Examples
 //!
@@ -70,9 +75,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use clre_markov::clr::{
-    ClrChainParams, ClrChainSpec, FaultMechanism, RobustAnalysis, TaskReliability,
-};
+use clre_markov::clr::{ClrChainSpec, RobustAnalysis};
 use clre_model::qos::SystemMetrics;
 
 use crate::encoding::Genome;
@@ -263,8 +266,7 @@ impl EvalCache {
     }
 
     /// Looks up a task analysis by exact chain-spec bits (parameters plus
-    /// fault mechanism). Transient specs share keys with the historic
-    /// parameter-based entries, so pre-mechanism sidecars keep hitting.
+    /// fault mechanism).
     ///
     /// Returns `None` on a true miss *and* on a digest collision (the
     /// stored spec differs bit-wise) — a collision recomputes rather than
@@ -289,7 +291,8 @@ impl EvalCache {
 
     /// Inserts a task analysis (insert-once: the first writer wins) and
     /// returns the stored value — callers use the return value so every
-    /// worker proceeds with identical bits.
+    /// worker proceeds with identical bits. Analyses are never journalled
+    /// (see the [module docs](self#persistence)).
     pub fn insert_analysis_spec(
         &self,
         spec: &ClrChainSpec,
@@ -333,7 +336,6 @@ impl EvalCache {
         }
         if fresh {
             self.analysis_stats.inserts.fetch_add(1, Ordering::Relaxed);
-            self.append_line(|| encode_analysis_spec(spec, &stored));
         }
         stored
     }
@@ -449,8 +451,8 @@ impl EvalCache {
     }
 
     /// Binds this cache to an append-only sidecar journal: loads every
-    /// entry already journalled at `path` (warm start), then appends one
-    /// line per future first-insert.
+    /// fitness entry already journalled at `path` (warm start), then
+    /// appends one line per future fitness first-insert.
     ///
     /// Degrades rather than fails: a missing file is created; malformed
     /// lines — at most the torn tail of a killed run, or wholesale
@@ -515,7 +517,8 @@ impl EvalCache {
     }
 
     /// Number of sidecar lines skipped while loading: torn tails,
-    /// wholesale corruption, or integrity-digest mismatches. Each skip
+    /// wholesale corruption, integrity-digest mismatches, or records of a
+    /// kind this build does not persist. Each skip
     /// degrades exactly one entry to a recomputation, never to a wrong
     /// answer.
     pub fn sidecar_skipped(&self) -> u64 {
@@ -526,34 +529,17 @@ impl EvalCache {
     /// the line was loadable. Malformed or digest-mismatching lines are
     /// skipped (torn-tail tolerance).
     fn load_line(&self, line: &str) -> bool {
-        let Some(body) = verify_line(line) else {
+        let Some(entry) = verify_line(line).and_then(parse_fitness) else {
             return false;
         };
-        if let Some((spec, analysis)) = parse_analysis_any(body) {
-            let digest = spec.digest();
-            let tick = self.next_tick();
-            self.analysis[Self::shard(digest)]
-                .lock()
-                .expect("analysis cache poisoned")
-                .entry(digest)
-                .or_insert(AnalysisSlot {
-                    spec,
-                    analysis,
-                    tick,
-                });
-            true
-        } else if let Some(entry) = parse_fitness(body) {
-            let digest = fitness_digest(entry.problem, &entry.genome);
-            let tick = self.next_tick();
-            self.fitness[Self::shard(digest)]
-                .lock()
-                .expect("fitness cache poisoned")
-                .entry(digest)
-                .or_insert(FitnessSlot { entry, tick });
-            true
-        } else {
-            false
-        }
+        let digest = fitness_digest(entry.problem, &entry.genome);
+        let tick = self.next_tick();
+        self.fitness[Self::shard(digest)]
+            .lock()
+            .expect("fitness cache poisoned")
+            .entry(digest)
+            .or_insert(FitnessSlot { entry, tick });
+        true
     }
 
     /// Appends the line `encode` builds to the bound sidecar. Unbound
@@ -657,142 +643,6 @@ fn parse_f64_hex(tok: &str) -> Option<f64> {
     u64::from_str_radix(tok, 16).ok().map(f64::from_bits)
 }
 
-/// One mechanism-aware analysis line. Transient specs keep the historic
-/// `analysis …` record byte-for-byte (old and new builds share sidecars);
-/// other mechanisms are journalled as
-/// `analysis2 <tag hex> <payload hex> <legacy analysis body>` where
-/// `(tag, payload)` is [`FaultMechanism::encode_words`].
-fn encode_analysis_spec(spec: &ClrChainSpec, analysis: &RobustAnalysis) -> String {
-    if spec.mechanism.is_transient() {
-        return encode_analysis(&spec.params, analysis);
-    }
-    let (tag, payload) = spec.mechanism.encode_words();
-    let legacy = analysis_body(&spec.params, analysis);
-    seal_line(format!("analysis2 {tag:x} {payload:016x}{legacy}"))
-}
-
-/// One analysis line:
-/// `analysis <11 param hex> <intervals> <min> <avg> <err> <degraded> <retried> i=<digest>`
-/// with every `f64` as an IEEE-754 bit pattern (exact round-trip) and a
-/// trailing per-line integrity token.
-fn encode_analysis(params: &ClrChainParams, analysis: &RobustAnalysis) -> String {
-    seal_line(format!("analysis{}", analysis_body(params, analysis)))
-}
-
-/// The space-prefixed parameter/metrics body shared by `analysis` and
-/// `analysis2` records.
-fn analysis_body(params: &ClrChainParams, analysis: &RobustAnalysis) -> String {
-    let mut line = String::new();
-    for v in [
-        params.exec_time,
-        params.seu_rate,
-        params.m_hw,
-        params.m_impl_ssw,
-        params.cov_det,
-        params.m_tol,
-        params.m_asw,
-    ] {
-        let _ = write!(line, " {}", f64_hex(v));
-    }
-    let _ = write!(line, " {}", params.intervals);
-    for v in [params.t_det, params.t_tol, params.t_chk, params.p_chk_err] {
-        let _ = write!(line, " {}", f64_hex(v));
-    }
-    let _ = write!(
-        line,
-        " {} {} {} {} {}",
-        f64_hex(analysis.reliability.min_exec_time),
-        f64_hex(analysis.reliability.avg_exec_time),
-        f64_hex(analysis.reliability.error_prob),
-        u8::from(analysis.degraded),
-        u8::from(analysis.retried),
-    );
-    line
-}
-
-/// Parses either analysis record flavour into a mechanism-aware spec.
-fn parse_analysis_any(line: &str) -> Option<(ClrChainSpec, RobustAnalysis)> {
-    let mut tokens = line.split_whitespace();
-    let mechanism = match tokens.next()? {
-        // Historic record: implicitly transient.
-        "analysis" => FaultMechanism::Transient,
-        // Mechanism-tagged record; an unknown tag means a future format —
-        // skip the line (degrade to recomputation) rather than guess.
-        "analysis2" => {
-            let tag = u64::from_str_radix(tokens.next()?, 16).ok()?;
-            let payload_tok = tokens.next()?;
-            if payload_tok.len() != 16 {
-                return None;
-            }
-            let payload = u64::from_str_radix(payload_tok, 16).ok()?;
-            FaultMechanism::decode_words(tag, payload)?
-        }
-        _ => return None,
-    };
-    let (params, analysis) = parse_analysis_body(tokens)?;
-    Some((ClrChainSpec { params, mechanism }, analysis))
-}
-
-fn parse_analysis_body<'a>(
-    mut tokens: impl Iterator<Item = &'a str>,
-) -> Option<(ClrChainParams, RobustAnalysis)> {
-    let mut f = || parse_f64_hex(tokens.next()?);
-    let exec_time = f()?;
-    let seu_rate = f()?;
-    let m_hw = f()?;
-    let m_impl_ssw = f()?;
-    let cov_det = f()?;
-    let m_tol = f()?;
-    let m_asw = f()?;
-    let intervals: u32 = tokens.next()?.parse().ok()?;
-    let mut f = || parse_f64_hex(tokens.next()?);
-    let t_det = f()?;
-    let t_tol = f()?;
-    let t_chk = f()?;
-    let p_chk_err = f()?;
-    let min_exec_time = f()?;
-    let avg_exec_time = f()?;
-    let error_prob = f()?;
-    let degraded = match tokens.next()? {
-        "0" => false,
-        "1" => true,
-        _ => return None,
-    };
-    let retried = match tokens.next()? {
-        "0" => false,
-        "1" => true,
-        _ => return None,
-    };
-    if tokens.next().is_some() {
-        return None; // trailing garbage: treat the line as torn
-    }
-    Some((
-        ClrChainParams {
-            exec_time,
-            seu_rate,
-            m_hw,
-            m_impl_ssw,
-            cov_det,
-            m_tol,
-            m_asw,
-            intervals,
-            t_det,
-            t_tol,
-            t_chk,
-            p_chk_err,
-        },
-        RobustAnalysis {
-            reliability: TaskReliability {
-                min_exec_time,
-                avg_exec_time,
-                error_prob,
-            },
-            degraded,
-            retried,
-        },
-    ))
-}
-
 /// One fitness line:
 /// `fitness <problem hex> <n> <task:pe:choice>* <violation> <5 metric hex> i=<digest>`
 fn encode_fitness(problem: u64, genome: &Genome, value: &CachedFitness) -> String {
@@ -877,6 +727,7 @@ fn parse_fitness(line: &str) -> Option<FitnessEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clre_markov::clr::{ClrChainParams, TaskReliability};
     use clre_model::{PeId, TaskId};
 
     fn params(seed: f64) -> ClrChainParams {
@@ -971,23 +822,84 @@ mod tests {
     }
 
     #[test]
-    fn sidecar_roundtrips_both_levels() {
+    fn sidecar_roundtrips_fitness() {
         let path = temp_path("roundtrip.cache");
         let _ = fs::remove_file(&path);
         let cache = EvalCache::new();
         cache.bind_sidecar(&path).unwrap();
         assert!(cache.is_bound());
-        cache.insert_analysis_spec(&spec(1.0), analysis(1.0));
         cache.insert_fitness(7, &genome(1), fitness_value(1.0));
         drop(cache); // flushes the buffered journal
 
         let warm = EvalCache::new();
         warm.bind_sidecar(&path).unwrap();
-        assert_eq!(warm.analysis_spec(&spec(1.0)), Some(analysis(1.0)));
         assert_eq!(warm.fitness(7, &genome(1)), Some(fitness_value(1.0)));
         assert_eq!(warm.counts().inserts, 0, "loads are not inserts");
         let text = fs::read_to_string(&path).unwrap();
         assert!(text.starts_with(CACHE_HEADER));
+    }
+
+    #[test]
+    fn bound_analysis_inserts_write_no_line() {
+        let path = temp_path("analysis-memory-only.cache");
+        let _ = fs::remove_file(&path);
+        let cache = EvalCache::new();
+        cache.bind_sidecar(&path).unwrap();
+        cache.insert_analysis_spec(&spec(1.0), analysis(1.0));
+        let perm = ClrChainSpec::permanent_aging(params(1.0), 25.0);
+        cache.insert_analysis_spec(&perm, analysis(2.0));
+        assert_eq!(cache.analysis_len(), 2, "held in memory");
+        assert_eq!(cache.analysis_counts().inserts, 2);
+        drop(cache);
+
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            format!("{CACHE_HEADER}\n")
+        );
+        let warm = EvalCache::new();
+        warm.bind_sidecar(&path).unwrap();
+        assert_eq!(warm.analysis_len(), 0, "a warm start re-solves analyses");
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn old_analysis_lines_are_skipped_and_counted() {
+        let path = temp_path("old-analysis.cache");
+        // Records an older build journalled for the analysis level: a
+        // transient `analysis` line (sealed and unsealed) and a
+        // mechanism-tagged `analysis2` line.
+        let hex = |v: f64| format!("{:016x}", v.to_bits());
+        let mut body = String::new();
+        for _ in 0..7 {
+            body.push_str(&format!(" {}", hex(0.5)));
+        }
+        body.push_str(" 1");
+        for _ in 0..7 {
+            body.push_str(&format!(" {}", hex(0.25)));
+        }
+        body.push_str(" 0 0");
+        let old = [
+            seal_line(format!("analysis{body}")),
+            format!("analysis{body}"),
+            seal_line(format!("analysis2 1 {}{body}", hex(25.0))),
+        ];
+        let good = encode_fitness(7, &genome(1), &fitness_value(1.0));
+        fs::write(
+            &path,
+            format!(
+                "{CACHE_HEADER}\n{}\n{good}\n{}\n{}\n",
+                old[0], old[1], old[2]
+            ),
+        )
+        .unwrap();
+
+        let cache = EvalCache::new();
+        cache.bind_sidecar(&path).unwrap();
+        assert!(cache.is_bound());
+        assert_eq!(cache.fitness(7, &genome(1)), Some(fitness_value(1.0)));
+        assert_eq!((cache.analysis_len(), cache.fitness_len()), (0, 1));
+        assert_eq!(cache.sidecar_skipped(), 3);
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1002,14 +914,13 @@ mod tests {
         let cache = EvalCache::new();
         cache.bind_sidecar(&path).unwrap();
         for i in 0..50u32 {
-            cache.insert_analysis_spec(&spec(1.0 + f64::from(i)), analysis(1.0));
             cache.insert_fitness(7, &genome(i), fitness_value(1.0));
         }
         drop(cache);
 
         let warm = EvalCache::new();
         warm.bind_sidecar(&path).unwrap();
-        assert_eq!((warm.analysis_len(), warm.fitness_len()), (50, 50));
+        assert_eq!(warm.fitness_len(), 50);
         assert_eq!(warm.sidecar_skipped(), 0);
         fs::remove_file(&path).unwrap();
     }
@@ -1018,7 +929,7 @@ mod tests {
     fn torn_tail_degrades_to_partial_load() {
         let path = temp_path("torn.cache");
         let mut text = format!("{CACHE_HEADER}\n");
-        text.push_str(&encode_analysis(&params(1.0), &analysis(1.0)));
+        text.push_str(&encode_fitness(7, &genome(2), &fitness_value(2.0)));
         text.push('\n');
         let torn = encode_fitness(7, &genome(1), &fitness_value(1.0));
         text.push_str(&torn[..torn.len() / 2]);
@@ -1026,8 +937,9 @@ mod tests {
 
         let cache = EvalCache::new();
         cache.bind_sidecar(&path).unwrap();
-        assert_eq!(cache.analysis_spec(&spec(1.0)), Some(analysis(1.0)));
+        assert_eq!(cache.fitness(7, &genome(2)), Some(fitness_value(2.0)));
         assert_eq!(cache.fitness(7, &genome(1)), None, "torn tail skipped");
+        assert_eq!(cache.sidecar_skipped(), 1);
     }
 
     #[test]
@@ -1047,7 +959,7 @@ mod tests {
         let cache = EvalCache::new();
         cache.bind_sidecar(&path).unwrap();
         assert!(!cache.is_bound(), "cold cache, no appends");
-        cache.insert_analysis_spec(&spec(1.0), analysis(1.0));
+        cache.insert_fitness(7, &genome(1), fitness_value(1.0));
         let text = fs::read_to_string(&path).unwrap();
         assert_eq!(text, "clrearly-sweep v1\ncell t/a 1 0 0\n");
     }
@@ -1073,7 +985,7 @@ mod tests {
 
     #[test]
     fn sidecar_lines_carry_verified_integrity_tokens() {
-        let line = encode_analysis(&params(1.0), &analysis(1.0));
+        let line = encode_fitness(7, &genome(1), &fitness_value(1.0));
         assert!(line.contains(" i="), "encoder seals every line");
         assert!(verify_line(&line).is_some());
         // A single-bit flip in the body fails the digest.
@@ -1084,24 +996,21 @@ mod tests {
         // A legacy line without a token passes through unchanged.
         let body = &line[..line.rfind(" i=").unwrap()];
         assert_eq!(verify_line(body), Some(body));
-        assert!(
-            parse_analysis_any(body).is_some(),
-            "legacy lines still parse"
-        );
+        assert!(parse_fitness(body).is_some(), "legacy lines still parse");
     }
 
     #[test]
     fn corrupt_sidecar_lines_are_skipped_and_counted() {
         let path = temp_path("tampered.cache");
-        let good_a = encode_analysis(&params(1.0), &analysis(1.0));
-        let good_f = encode_fitness(7, &genome(1), &fitness_value(1.0));
-        // Flip one byte inside the fitness record's digest-covered body.
-        let tampered_f = good_f.replacen("fitness", "fitmess", 1);
-        fs::write(&path, format!("{CACHE_HEADER}\n{good_a}\n{tampered_f}\n")).unwrap();
+        let good = encode_fitness(7, &genome(2), &fitness_value(2.0));
+        let tampered = encode_fitness(7, &genome(1), &fitness_value(1.0));
+        // Flip one byte inside the record's digest-covered body.
+        let tampered = tampered.replacen("0000000000000007", "0000000000000008", 1);
+        fs::write(&path, format!("{CACHE_HEADER}\n{good}\n{tampered}\n")).unwrap();
 
         let cache = EvalCache::new();
         cache.bind_sidecar(&path).unwrap();
-        assert_eq!(cache.analysis_spec(&spec(1.0)), Some(analysis(1.0)));
+        assert_eq!(cache.fitness(7, &genome(2)), Some(fitness_value(2.0)));
         assert_eq!(cache.fitness(7, &genome(1)), None, "tampered line dropped");
         assert_eq!(cache.sidecar_skipped(), 1);
         fs::remove_file(&path).unwrap();
@@ -1129,43 +1038,6 @@ mod tests {
         assert_eq!(cache.analysis_spec(&transient), Some(analysis(1.0)));
         assert_eq!(cache.analysis_spec(&perm), Some(analysis(2.0)));
         assert_eq!(cache.analysis_len(), 2);
-    }
-
-    #[test]
-    fn mechanism_entries_roundtrip_the_sidecar() {
-        let path = temp_path("mechanism.cache");
-        let _ = fs::remove_file(&path);
-        let cache = EvalCache::new();
-        cache.bind_sidecar(&path).unwrap();
-        let perm = ClrChainSpec::permanent_aging(params(1.0), 25.0);
-        cache.insert_analysis_spec(&perm, analysis(2.0));
-        cache.insert_analysis_spec(&spec(2.0), analysis(3.0));
-        drop(cache);
-
-        let text = fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\nanalysis2 1 "), "tagged record: {text}");
-        assert!(text.contains("\nanalysis "), "legacy record kept verbatim");
-
-        let warm = EvalCache::new();
-        warm.bind_sidecar(&path).unwrap();
-        assert_eq!(warm.analysis_spec(&perm), Some(analysis(2.0)));
-        assert_eq!(warm.analysis_spec(&spec(2.0)), Some(analysis(3.0)));
-
-        // An analysis2 line with an unknown mechanism tag is foreign:
-        // skipped and counted, never guessed at.
-        let body = "analysis2 7 0000000000000000 junk";
-        let mut fnv = Fnv::new();
-        fnv.write_bytes(body.as_bytes());
-        fs::write(
-            &path,
-            format!("{CACHE_HEADER}\n{body} i={:016x}\n", fnv.finish()),
-        )
-        .unwrap();
-        let future = EvalCache::new();
-        future.bind_sidecar(&path).unwrap();
-        assert_eq!(future.analysis_len(), 0);
-        assert_eq!(future.sidecar_skipped(), 1);
-        fs::remove_file(&path).unwrap();
     }
 
     #[test]

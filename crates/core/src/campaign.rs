@@ -59,8 +59,8 @@ use crate::methodology::{ClrEarly, FrontPoint, FrontResult, Layer, StageBudget};
 use crate::problem::SystemProblem;
 use crate::resilience::{
     quarantine_sidecar_path, read_quarantine_sidecar, remove_checkpoint_files,
-    write_quarantine_sidecar, AlgorithmTag, Checkpoint, CheckpointWriter, CompletedStage,
-    QuarantineRecord, ResilientProblem, RunHealth, RunOutcome, RunSupervisor,
+    write_quarantine_sidecar, AlgorithmTag, Checkpoint, CompletedStage, QuarantineRecord,
+    ResilientProblem, RunHealth, RunOutcome, RunSupervisor,
 };
 use crate::tdse::{build_library, DvfsPolicy};
 use crate::DseError;
@@ -1170,9 +1170,9 @@ fn conclude_plain(plan: &CampaignPlan, mut results: Vec<FrontResult>) -> FrontRe
 }
 
 /// The generic supervised drive loop: step-wise evolution over a
-/// panic-isolating problem, checkpointing through a [`CheckpointWriter`]
-/// at the supervisor's cadence, with the crash-injection seam honoured
-/// before every generation. Works identically for NSGA-II and SPEA2
+/// panic-isolating problem, checkpointing through
+/// [`Checkpoint::save_rotated`] at the supervisor's cadence, with the
+/// crash-injection seam honoured before every generation. Works identically for NSGA-II and SPEA2
 /// states — this is the single copy of the supervision plumbing.
 #[allow(clippy::too_many_arguments)]
 fn supervise<A, S: EvolutionState<A, Genome = Genome>>(
@@ -1191,7 +1191,6 @@ fn supervise<A, S: EvolutionState<A, Genome = Genome>>(
         Some(snapshot) => S::restore(snapshot),
         None => S::init_with(ga, exec),
     };
-    let mut writer = CheckpointWriter::new(supervisor.config());
     let mut checkpoints = 0usize;
     let health_now = |checkpoints: usize| {
         let mut h = base_health.clone();
@@ -1212,35 +1211,33 @@ fn supervise<A, S: EvolutionState<A, Genome = Genome>>(
     // Checkpoints carry nothing thread-dependent: the state's population
     // and RNG words are identical for any worker count, and the health
     // counters are totals, not per-worker data.
-    let save =
-        |writer: &mut CheckpointWriter, state: &S, health: RunHealth| -> Result<(), DseError> {
-            // Every journal line inserted so far reaches disk before the
-            // checkpoint that a resume would start from.
-            if let Some(cache) = cache {
-                cache.flush_sidecar();
-            }
-            let cp = Checkpoint {
-                method: meta.method.to_owned(),
-                algorithm: meta.algorithm,
-                stage: meta.stage,
-                population_size: meta.budget.population,
-                generations: meta.budget.generations,
-                seed: meta.budget.seed,
-                objective_count: meta.objective_count,
-                completed: meta.completed.to_vec(),
-                state: state.snapshot(),
-                health,
-            };
-            writer.save(
-                &cp,
-                supervisor.checkpoint_path(),
-                supervisor.config().keep_checkpoints,
-            )?;
-            write_quarantine_sidecar(
-                &quarantine_sidecar_path(supervisor.checkpoint_path()),
-                &quarantine_log.lock().expect("quarantine log poisoned"),
-            )
+    let save = |state: &S, health: RunHealth| -> Result<(), DseError> {
+        // Every journal line inserted so far reaches disk before the
+        // checkpoint that a resume would start from.
+        if let Some(cache) = cache {
+            cache.flush_sidecar();
+        }
+        let cp = Checkpoint {
+            method: meta.method.to_owned(),
+            algorithm: meta.algorithm,
+            stage: meta.stage,
+            population_size: meta.budget.population,
+            generations: meta.budget.generations,
+            seed: meta.budget.seed,
+            objective_count: meta.objective_count,
+            completed: meta.completed.to_vec(),
+            state: state.snapshot(),
+            health,
         };
+        cp.save_rotated(
+            supervisor.checkpoint_path(),
+            supervisor.config().keep_checkpoints,
+        )?;
+        write_quarantine_sidecar(
+            &quarantine_sidecar_path(supervisor.checkpoint_path()),
+            &quarantine_log.lock().expect("quarantine log poisoned"),
+        )
+    };
     // Stamp the cumulative quarantine/degraded counters onto the trace
     // record of the batch that just ran (no batch ran on resume).
     let annotate = || {
@@ -1262,7 +1259,7 @@ fn supervise<A, S: EvolutionState<A, Genome = Genome>>(
             checkpoints += 1;
             let health = health_now(checkpoints);
             let generation = state.generation();
-            save(&mut writer, &state, health)?;
+            save(&state, health)?;
             exec.flush_trace();
             return Ok(SupervisedDrive::Interrupted { generation });
         }
@@ -1277,7 +1274,7 @@ fn supervise<A, S: EvolutionState<A, Genome = Genome>>(
         if state.generation() % supervisor.config().every_generations == 0 {
             checkpoints += 1;
             let health = health_now(checkpoints);
-            save(&mut writer, &state, health)?;
+            save(&state, health)?;
         }
     }
     // Stage-end sidecar write, so triage data survives even when the run

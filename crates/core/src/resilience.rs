@@ -692,11 +692,6 @@ pub struct SupervisorConfig {
     /// at `checkpoint_path`; older generations are rotated to
     /// `<path>.1 … <path>.keep-1`, oldest pruned.
     pub keep_checkpoints: usize,
-    /// When `Some(n)`, checkpoints between full keyframes are written as
-    /// sparse deltas against the last keyframe (genomes change sparsely
-    /// between generations); a fresh keyframe is forced every `n`
-    /// snapshots. `None` (the default) writes every checkpoint in full.
-    pub delta_checkpoints: Option<usize>,
     /// Per-evaluation wall-clock deadline; an attempt that exceeds it is
     /// converted into a retryable timeout. `None` disables the watchdog.
     pub eval_deadline: Option<Duration>,
@@ -707,8 +702,7 @@ pub struct SupervisorConfig {
 
 impl SupervisorConfig {
     /// Checkpoints to `path` every generation with one retry per failure,
-    /// keeping only the newest checkpoint, every checkpoint written in
-    /// full.
+    /// keeping only the newest checkpoint.
     ///
     /// Every `with_*` method is a consuming builder: it returns the
     /// updated configuration (and is `#[must_use]` — dropping the result
@@ -722,12 +716,10 @@ impl SupervisorConfig {
     /// let config = SupervisorConfig::new("/tmp/run.ckpt")
     ///     .with_interval(5)
     ///     .with_max_retries(2)
-    ///     .with_keep_checkpoints(3)
-    ///     .with_delta_checkpoints(4);
+    ///     .with_keep_checkpoints(3);
     /// assert_eq!(config.every_generations, 5);
     /// assert_eq!(config.max_retries, 2);
     /// assert_eq!(config.keep_checkpoints, 3);
-    /// assert_eq!(config.delta_checkpoints, Some(4));
     /// ```
     pub fn new(path: impl Into<PathBuf>) -> Self {
         SupervisorConfig {
@@ -735,7 +727,6 @@ impl SupervisorConfig {
             every_generations: 1,
             max_retries: 1,
             keep_checkpoints: 1,
-            delta_checkpoints: None,
             eval_deadline: None,
             backoff: None,
         }
@@ -769,22 +760,6 @@ impl SupervisorConfig {
     pub fn with_keep_checkpoints(mut self, keep: usize) -> Self {
         assert!(keep > 0, "must keep at least one checkpoint");
         self.keep_checkpoints = keep;
-        self
-    }
-
-    /// Enables sparse delta encoding between consecutive checkpoints
-    /// (builder style): a full keyframe is written every `keyframe_every`
-    /// snapshots (and whenever the stage changes), the checkpoints in
-    /// between store only the individuals that changed since the
-    /// keyframe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keyframe_every == 0`.
-    #[must_use]
-    pub fn with_delta_checkpoints(mut self, keyframe_every: usize) -> Self {
-        assert!(keyframe_every > 0, "keyframe cadence must be at least 1");
-        self.delta_checkpoints = Some(keyframe_every);
         self
     }
 
@@ -837,11 +812,10 @@ fn rotate_checkpoints(path: &Path, keep: usize) {
     }
 }
 
-/// Removes the checkpoint at `path`, its delta keyframe, and every
-/// rotation slot next to it (used once a supervised run completes).
+/// Removes the checkpoint at `path` and every rotation slot next to it
+/// (used once a supervised run completes).
 pub fn remove_checkpoint_files(path: &Path, keep: usize) {
     let _ = fs::remove_file(path);
-    let _ = fs::remove_file(keyframe_path(path));
     for n in 1..=keep.max(8) + 8 {
         let _ = fs::remove_file(rotated_checkpoint_path(path, n));
     }
@@ -1037,7 +1011,6 @@ pub struct Checkpoint {
 }
 
 const CHECKPOINT_HEADER: &str = "clrearly-checkpoint v2";
-const DELTA_HEADER: &str = "clrearly-delta v1";
 
 fn f64_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
@@ -1186,12 +1159,6 @@ fn encode_individual(out: &mut String, ind: &Individual<Genome>) {
     encode_genome(out, &ind.genome);
 }
 
-fn individual_line(ind: &Individual<Genome>) -> String {
-    let mut out = String::new();
-    encode_individual(&mut out, ind);
-    out
-}
-
 fn parse_individual(
     toks: &mut std::str::SplitWhitespace<'_>,
 ) -> Result<Individual<Genome>, DseError> {
@@ -1237,21 +1204,6 @@ fn atomic_write(path: &Path, text: &str) -> Result<(), DseError> {
     let tmp = PathBuf::from(os);
     fs::write(&tmp, text).map_err(|e| bad(format!("writing {}: {e}", tmp.display())))?;
     fs::rename(&tmp, path).map_err(|e| bad(format!("installing {}: {e}", path.display())))
-}
-
-/// The delta keyframe location for the checkpoint at `path`:
-/// `<path>.key`, with any numeric rotation suffix (`<path>.3`) stripped
-/// first so rotated delta slots resolve to the same keyframe as the live
-/// checkpoint.
-pub fn keyframe_path(path: &Path) -> PathBuf {
-    let s = path.as_os_str().to_string_lossy();
-    let base = match s.rfind('.') {
-        Some(i) if !s[i + 1..].is_empty() && s[i + 1..].bytes().all(|b| b.is_ascii_digit()) => {
-            &s[..i]
-        }
-        _ => s.as_ref(),
-    };
-    PathBuf::from(format!("{base}.key"))
 }
 
 impl Checkpoint {
@@ -1442,28 +1394,16 @@ impl Checkpoint {
         self.save(path)
     }
 
-    /// Reads and decodes a checkpoint file. A delta checkpoint (written
-    /// by a [`CheckpointWriter`] with delta encoding enabled) is
-    /// transparently resolved against its keyframe at
-    /// [`keyframe_path`]; the keyframe's digest is verified first.
+    /// Reads and decodes a checkpoint file.
     ///
     /// # Errors
     ///
-    /// [`DseError::Checkpoint`] if the file (or the keyframe a delta
-    /// refers to) is missing, unreadable, malformed, or fails digest
-    /// verification.
+    /// [`DseError::Checkpoint`] if the file is missing, unreadable,
+    /// malformed, or fails digest verification.
     pub fn load(path: &Path) -> Result<Checkpoint, DseError> {
         let text = fs::read_to_string(path)
             .map_err(|e| bad(format!("reading {}: {e}", path.display())))?;
-        if text.starts_with(DELTA_HEADER) {
-            let key = keyframe_path(path);
-            let base_text = fs::read_to_string(&key)
-                .map_err(|e| bad(format!("reading keyframe {}: {e}", key.display())))?;
-            let base = Checkpoint::decode(&base_text)?;
-            apply_delta(base, Fnv::hash_bytes(base_text.as_bytes()), &text)
-        } else {
-            Checkpoint::decode(&text)
-        }
+        Checkpoint::decode(&text)
     }
 
     /// [`Checkpoint::load`] with fallback through the rotation chain:
@@ -1509,56 +1449,6 @@ impl Checkpoint {
     }
 }
 
-/// Encodes `cp` as a sparse delta against `base`: scalars that change
-/// every generation (generation/evaluations/RNG/health) are stored in
-/// full, population and archive members that already exist in the base
-/// (bit-identically) are stored as `keep <base-index>` references into
-/// the base's concatenated population∥archive.
-fn encode_delta(base: &Checkpoint, base_digest: u64, cp: &Checkpoint) -> String {
-    use std::collections::HashMap;
-    let mut index: HashMap<String, usize> = HashMap::new();
-    for (i, ind) in base
-        .state
-        .population
-        .iter()
-        .chain(&base.state.archive)
-        .enumerate()
-    {
-        index.entry(individual_line(ind)).or_insert(i);
-    }
-    let mut out = String::new();
-    let _ = writeln!(out, "{DELTA_HEADER}");
-    let _ = writeln!(out, "base-digest {base_digest:016x}");
-    let _ = writeln!(out, "generation {}", cp.state.generation);
-    let _ = writeln!(out, "evaluations {}", cp.state.evaluations);
-    let w = cp.state.rng_state;
-    let _ = writeln!(
-        out,
-        "rng {:016x} {:016x} {:016x} {:016x}",
-        w[0], w[1], w[2], w[3]
-    );
-    encode_health(&mut out, &cp.health);
-    for (key, members) in [
-        ("population", &cp.state.population),
-        ("archive", &cp.state.archive),
-    ] {
-        let _ = writeln!(out, "{key} {}", members.len());
-        for ind in members {
-            let line = individual_line(ind);
-            match index.get(&line) {
-                Some(&i) => {
-                    let _ = writeln!(out, "keep {i}");
-                }
-                None => {
-                    let _ = writeln!(out, "individual {line}");
-                }
-            }
-        }
-    }
-    append_integrity_trailer(&mut out);
-    out
-}
-
 /// Appends the `integrity <fnv1a64-hex>` trailer line: the digest covers
 /// every byte written so far, so any later flip or truncation is caught
 /// by [`verify_integrity`] before the body is parsed.
@@ -1567,7 +1457,7 @@ fn append_integrity_trailer(out: &mut String) {
     let _ = writeln!(out, "integrity {digest:016x}");
 }
 
-/// Verifies the `integrity` trailer of a checkpoint or delta file.
+/// Verifies the `integrity` trailer of a checkpoint file.
 ///
 /// Legacy files that end without a trailer pass unchanged (pre-chaos
 /// checkpoints stay loadable). A trailer that is *present* but malformed
@@ -1595,133 +1485,6 @@ fn verify_integrity(text: &str) -> Result<(), DseError> {
         )));
     }
     Ok(())
-}
-
-/// Resolves a delta checkpoint against its decoded keyframe.
-/// `base_digest` is the FNV-1a digest of the keyframe's raw bytes and
-/// must match the digest recorded in the delta.
-fn apply_delta(base: Checkpoint, base_digest: u64, text: &str) -> Result<Checkpoint, DseError> {
-    fn field(lines: &mut std::str::Lines<'_>, key: &str) -> Result<String, DseError> {
-        let line = lines.next().ok_or_else(|| bad(format!("missing {key}")))?;
-        line.strip_prefix(key)
-            .and_then(|rest| rest.strip_prefix(' '))
-            .map(str::to_owned)
-            .ok_or_else(|| bad(format!("expected `{key} …`, found {line:?}")))
-    }
-    verify_integrity(text)?;
-    let mut lines = text.lines();
-    if lines.next() != Some(DELTA_HEADER) {
-        return Err(bad("not a clrearly delta checkpoint"));
-    }
-    let recorded = u64::from_str_radix(&field(&mut lines, "base-digest")?, 16)
-        .map_err(|_| bad("malformed base digest"))?;
-    if recorded != base_digest {
-        return Err(bad(format!(
-            "delta was encoded against a different keyframe \
-             (digest {recorded:016x}, keyframe {base_digest:016x})"
-        )));
-    }
-    let generation = parse_usize(&field(&mut lines, "generation")?)?;
-    let evaluations = parse_usize(&field(&mut lines, "evaluations")?)?;
-    let rng_state = parse_rng_words(&field(&mut lines, "rng")?)?;
-    let health = parse_health(&field(&mut lines, "health")?)?;
-
-    let pool: Vec<&Individual<Genome>> = base
-        .state
-        .population
-        .iter()
-        .chain(&base.state.archive)
-        .collect();
-    let mut sections: Vec<Vec<Individual<Genome>>> = Vec::with_capacity(2);
-    for key in ["population", "archive"] {
-        let count = parse_usize(&field(&mut lines, key)?)?;
-        let mut members = Vec::with_capacity(count);
-        for _ in 0..count {
-            let line = lines.next().ok_or_else(|| bad("truncated delta"))?;
-            if let Some(rest) = line.strip_prefix("keep ") {
-                let i = parse_usize(rest.trim())?;
-                let ind = pool
-                    .get(i)
-                    .ok_or_else(|| bad(format!("delta keep index {i} out of range")))?;
-                members.push((*ind).clone());
-            } else if let Some(rest) = line.strip_prefix("individual ") {
-                let mut toks = rest.split_whitespace();
-                members.push(parse_individual(&mut toks)?);
-            } else {
-                return Err(bad(format!("expected `keep`/`individual`, found {line:?}")));
-            }
-        }
-        sections.push(members);
-    }
-    let archive = sections.pop().expect("archive section");
-    let population = sections.pop().expect("population section");
-
-    Ok(Checkpoint {
-        state: EvoSnapshot {
-            population,
-            archive,
-            generation,
-            evaluations,
-            rng_state,
-        },
-        health,
-        ..base
-    })
-}
-
-/// Stateful checkpoint persister used by the supervised campaign driver:
-/// with delta encoding off it is a thin wrapper over
-/// [`Checkpoint::save_rotated`]; with delta encoding on it writes a full
-/// keyframe (at the checkpoint path *and* the [`keyframe_path`] sidecar)
-/// every `keyframe_every` snapshots and digest-pinned sparse deltas in
-/// between. Create one writer per supervised stage — the first save of a
-/// stage is always a keyframe.
-#[derive(Debug)]
-pub struct CheckpointWriter {
-    keyframe_every: Option<usize>,
-    since_keyframe: usize,
-    base: Option<(Checkpoint, u64)>,
-}
-
-impl CheckpointWriter {
-    /// A writer following `config`'s delta policy.
-    pub fn new(config: &SupervisorConfig) -> Self {
-        CheckpointWriter {
-            keyframe_every: config.delta_checkpoints,
-            since_keyframe: 0,
-            base: None,
-        }
-    }
-
-    /// Persists `cp` at `path` (with rotation retention `keep`), as a
-    /// keyframe or delta per the writer's policy.
-    ///
-    /// # Errors
-    ///
-    /// [`DseError::Checkpoint`] wrapping the underlying I/O failure.
-    pub fn save(&mut self, cp: &Checkpoint, path: &Path, keep: usize) -> Result<(), DseError> {
-        let Some(keyframe_every) = self.keyframe_every else {
-            return cp.save_rotated(path, keep);
-        };
-        let need_keyframe = match &self.base {
-            None => true,
-            Some(_) => self.since_keyframe >= keyframe_every,
-        };
-        if need_keyframe {
-            cp.save_rotated(path, keep)?;
-            let text = cp.encode();
-            atomic_write(&keyframe_path(path), &text)?;
-            self.base = Some((cp.clone(), Fnv::hash_bytes(text.as_bytes())));
-            self.since_keyframe = 1;
-        } else {
-            let (base, digest) = self.base.as_ref().expect("keyframe base");
-            let delta = encode_delta(base, *digest, cp);
-            rotate_checkpoints(path, keep);
-            atomic_write(path, &delta)?;
-            self.since_keyframe += 1;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -1850,78 +1613,6 @@ mod tests {
             Checkpoint::load(&path),
             Err(DseError::Checkpoint { .. })
         ));
-    }
-
-    #[test]
-    fn keyframe_path_strips_rotation_suffix() {
-        let live = Path::new("/tmp/run.ckpt");
-        assert_eq!(keyframe_path(live), Path::new("/tmp/run.ckpt.key"));
-        assert_eq!(
-            keyframe_path(&rotated_checkpoint_path(live, 3)),
-            Path::new("/tmp/run.ckpt.key"),
-            "rotated slots share the live checkpoint's keyframe"
-        );
-    }
-
-    #[test]
-    fn delta_checkpoints_roundtrip_through_load() {
-        let dir = std::env::temp_dir().join(format!("clre-delta-test-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.ckpt");
-        let config = SupervisorConfig::new(&path).with_delta_checkpoints(3);
-        let mut writer = CheckpointWriter::new(&config);
-
-        let mut cp = sample_checkpoint();
-        for generation in 5..11 {
-            cp.state.generation = generation;
-            cp.state.evaluations += 16;
-            cp.health.checkpoints_written += 1;
-            // Mutate one member so deltas are genuinely sparse, not empty.
-            cp.state.population[0].objectives[0] += 1.0;
-            writer.save(&cp, &path, 1).unwrap();
-            let text = fs::read_to_string(&path).unwrap();
-            let expect_keyframe = (generation - 5) % 3 == 0;
-            assert_eq!(
-                text.starts_with(CHECKPOINT_HEADER),
-                expect_keyframe,
-                "generation {generation}"
-            );
-            if !expect_keyframe {
-                assert!(text.starts_with(DELTA_HEADER));
-                assert!(text.contains("\nkeep "), "unchanged members are references");
-            }
-            assert_eq!(Checkpoint::load(&path).unwrap(), cp, "gen {generation}");
-        }
-
-        // A delta whose keyframe has been replaced must fail digest
-        // verification rather than resume from mismatched state.
-        let final_text = fs::read_to_string(&path).unwrap();
-        assert!(final_text.starts_with(DELTA_HEADER));
-        cp.state.generation = 99;
-        atomic_write(&keyframe_path(&path), &cp.encode()).unwrap();
-        assert!(Checkpoint::load(&path).is_err());
-
-        remove_checkpoint_files(&path, 1);
-        assert!(!keyframe_path(&path).exists());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn delta_writer_disabled_writes_full_checkpoints() {
-        let dir = std::env::temp_dir().join(format!("clre-delta-off-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.ckpt");
-        let config = SupervisorConfig::new(&path);
-        let mut writer = CheckpointWriter::new(&config);
-        let cp = sample_checkpoint();
-        for _ in 0..3 {
-            writer.save(&cp, &path, 1).unwrap();
-            assert!(fs::read_to_string(&path)
-                .unwrap()
-                .starts_with(CHECKPOINT_HEADER));
-        }
-        assert!(!keyframe_path(&path).exists());
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -2193,6 +1884,11 @@ mod tests {
         text.truncate(text.len() / 2);
         fs::write(&path, &text).unwrap();
         assert!(Checkpoint::load(&path).is_err());
+        let (loaded, skipped) = Checkpoint::load_with_fallback(&path, 3).unwrap();
+        assert_eq!((loaded.state.generation, skipped), (5, 1));
+        // A sparse delta left by an older build is not a checkpoint:
+        // fallback moves on to the rotation slots the same way.
+        fs::write(&path, "clrearly-delta v1\nbase-digest 0000000000000000\n").unwrap();
         let (loaded, skipped) = Checkpoint::load_with_fallback(&path, 3).unwrap();
         assert_eq!((loaded.state.generation, skipped), (5, 1));
         // Nothing decodable anywhere: the failure finally surfaces.

@@ -226,25 +226,12 @@ impl FaultMechanism {
         matches!(self, FaultMechanism::Transient)
     }
 
-    /// Stable wire encoding `(tag, payload)` used by persistence layers:
+    /// The `(tag, payload)` words [`ClrChainSpec::digest`] folds in:
     /// `(0, 0)` for transient, `(1, perm_rate bits)` for permanent/aging.
     pub fn encode_words(&self) -> (u64, u64) {
         match self {
             FaultMechanism::Transient => (0, 0),
             FaultMechanism::PermanentAging { perm_rate } => (1, perm_rate.to_bits()),
-        }
-    }
-
-    /// Inverse of [`FaultMechanism::encode_words`]; `None` for an unknown
-    /// tag (a persistence layer reading a future format must treat the
-    /// record as foreign, not guess).
-    pub fn decode_words(tag: u64, payload: u64) -> Option<Self> {
-        match tag {
-            0 => Some(FaultMechanism::Transient),
-            1 => Some(FaultMechanism::PermanentAging {
-                perm_rate: f64::from_bits(payload),
-            }),
-            _ => None,
         }
     }
 
@@ -1438,13 +1425,6 @@ mod tests {
             ClrChainSpec::permanent_aging(p, 41.0).digest(),
             "digest keys on the exact permanent rate"
         );
-        // Wire encoding round-trips and rejects unknown tags.
-        let (tag, payload) = perm.mechanism.encode_words();
-        assert_eq!(
-            FaultMechanism::decode_words(tag, payload),
-            Some(perm.mechanism)
-        );
-        assert_eq!(FaultMechanism::decode_words(99, 0), None);
     }
 
     #[test]

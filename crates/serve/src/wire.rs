@@ -46,8 +46,6 @@
 //! assert_eq!(parse_plan(&text).unwrap(), plan);
 //! ```
 
-use std::io::{self, Read, Write};
-
 use clre::campaign::{CampaignPlan, LibrarySource, StageAlgorithm, StagePlan};
 use clre::encoding::ChoiceMode;
 use clre::methodology::{Layer, StageBudget};
@@ -56,55 +54,8 @@ use clre::Scenario;
 /// The protocol version token exchanged in the handshake.
 pub const WIRE_VERSION: &str = "clre-wire v1";
 
-/// Frames larger than this are rejected before allocation: no legal
-/// line (trace, plan, stats) comes anywhere near it, so an oversized
-/// length prefix means a confused or hostile peer.
-pub const MAX_FRAME: u32 = 1 << 20;
-
-/// Writes one line as a length-prefixed frame and flushes, so the peer
-/// sees it immediately (live trace streaming depends on this).
-///
-/// # Errors
-///
-/// Any underlying I/O failure; `line` longer than [`MAX_FRAME`] is
-/// [`io::ErrorKind::InvalidInput`].
-pub fn write_frame(w: &mut impl Write, line: &str) -> io::Result<()> {
-    let len = u32::try_from(line.len())
-        .ok()
-        .filter(|&n| n <= MAX_FRAME)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(line.as_bytes())?;
-    w.flush()
-}
-
-/// Reads one frame; `Ok(None)` on a clean EOF at a frame boundary.
-///
-/// # Errors
-///
-/// Truncated frames, invalid UTF-8, and lengths beyond [`MAX_FRAME`]
-/// are [`io::ErrorKind::InvalidData`]; otherwise the underlying error.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
-    let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_be_bytes(len);
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap"),
-        ));
-    }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "truncated frame"))?;
-    String::from_utf8(buf)
-        .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
-}
+/// The length-prefixed framing, shared with the `exec-wire` protocol.
+pub use clre_exec::wire::{read_frame, write_frame, MAX_FRAME};
 
 pub use clre::apps::AppSpec;
 
@@ -478,28 +429,6 @@ impl DoneSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frames_roundtrip_and_reject_oversize() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, "hello clre-wire v1").unwrap();
-        write_frame(&mut buf, "").unwrap();
-        let mut r = buf.as_slice();
-        assert_eq!(
-            read_frame(&mut r).unwrap().as_deref(),
-            Some("hello clre-wire v1")
-        );
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
-        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
-
-        let mut huge = Vec::from((MAX_FRAME + 1).to_be_bytes());
-        huge.extend_from_slice(b"x");
-        assert!(read_frame(&mut huge.as_slice()).is_err());
-        // A truncated body is an error, not a silent None.
-        let mut torn = Vec::from(10u32.to_be_bytes());
-        torn.extend_from_slice(b"abc");
-        assert!(read_frame(&mut torn.as_slice()).is_err());
-    }
 
     #[test]
     fn builtin_plans_roundtrip_through_the_grammar() {

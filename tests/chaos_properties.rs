@@ -10,14 +10,15 @@ use std::sync::OnceLock;
 
 use clrearly::chaos::corrupt_file;
 use clrearly::core::apps;
+use clrearly::core::encoding::Gene;
 use clrearly::core::methodology::{ClrEarly, StageBudget};
 use clrearly::core::resilience::{
     read_quarantine_sidecar, rotated_checkpoint_path, write_quarantine_sidecar, Checkpoint,
     QuarantineRecord, RunOutcome, RunSupervisor, SupervisorConfig,
 };
-use clrearly::core::CampaignPlan;
-use clrearly::core::EvalCache;
-use clrearly::markov::clr::{analyze_robust_spec, ClrChainParams, ClrChainSpec};
+use clrearly::core::{CachedFitness, CampaignPlan, EvalCache};
+use clrearly::model::qos::SystemMetrics;
+use clrearly::model::{PeId, TaskId};
 use proptest::prelude::*;
 
 /// Rotation slots the fixture checkpoint keeps (primary + 2 rotations).
@@ -77,7 +78,7 @@ fn checkpoint_fixture() -> &'static (Vec<u8>, Vec<u8>) {
     })
 }
 
-/// Bytes of a warm evaluation-cache sidecar with a handful of analyses.
+/// Bytes of a warm evaluation-cache sidecar with a handful of fitnesses.
 fn cache_fixture() -> &'static Vec<u8> {
     static FIXTURE: OnceLock<Vec<u8>> = OnceLock::new();
     FIXTURE.get_or_init(|| {
@@ -86,30 +87,34 @@ fn cache_fixture() -> &'static Vec<u8> {
         let cache = EvalCache::new();
         cache.bind_sidecar(&path).expect("bind fresh sidecar");
         for i in 0..6u32 {
-            let spec = ClrChainSpec::transient(ClrChainParams {
-                exec_time: 1.0e-4 * f64::from(i + 1),
-                seu_rate: 100.0,
-                m_hw: 0.3,
-                m_impl_ssw: 0.1,
-                cov_det: 0.5,
-                m_tol: 0.2,
-                m_asw: 0.4,
-                intervals: 1,
-                t_det: 1.0e-6,
-                t_tol: 2.0e-6,
-                t_chk: 0.0,
-                p_chk_err: 0.0,
-            });
-            cache.insert_analysis_spec(&spec, analyze_robust_spec(&spec).expect("analysis"));
+            let genome: Vec<Gene> = (0..3)
+                .map(|t| Gene {
+                    task: TaskId::new(t),
+                    pe: PeId::new((t + i) % 4),
+                    choice: 7 * i + t,
+                })
+                .collect();
+            let scale = f64::from(i + 1);
+            let value = CachedFitness {
+                metrics: SystemMetrics {
+                    makespan: 1.0e-3 * scale,
+                    error_prob: 1.0e-2 * scale,
+                    mttf: 1.0e7 * scale,
+                    energy: 0.5 * scale,
+                    peak_power: 2.0 * scale,
+                },
+                violation: 0.0,
+            };
+            cache.insert_fitness(0x5eed, &genome, value);
         }
         drop(cache); // flushes the buffered journal
         let bytes = fs::read(&path).expect("warm sidecar");
         let _ = fs::remove_dir_all(&dir);
         let records = String::from_utf8_lossy(&bytes)
             .lines()
-            .filter(|line| line.starts_with("analysis "))
+            .filter(|line| line.starts_with("fitness "))
             .count();
-        assert_eq!(records, 6, "fixture sidecar must hold every analysis");
+        assert_eq!(records, 6, "fixture sidecar must hold every fitness");
         bytes
     })
 }
@@ -182,7 +187,7 @@ proptest! {
         corrupt_file(&path, seed, salt).expect("corruptible");
         let cache = EvalCache::new();
         if cache.bind_sidecar(&path).is_ok() {
-            prop_assert!(cache.analysis_len() <= 6, "damage cannot add entries");
+            prop_assert!(cache.fitness_len() <= 6, "damage cannot add entries");
         }
         let _ = fs::remove_dir_all(&dir);
     }

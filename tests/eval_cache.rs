@@ -170,11 +170,12 @@ fn interrupted_run_journals_every_insert_before_its_checkpoint() {
     assert!(matches!(outcome, RunOutcome::Interrupted { .. }));
     assert!(cache.is_bound());
 
-    // The journal was bound before the first evaluation, so every insert
-    // is one record line after the header.
+    // The journal was bound before the first evaluation, so every
+    // fitness insert is one record line after the header (analyses are
+    // held in memory only).
     let text = std::fs::read_to_string(cache_sidecar_path(&ckpt)).unwrap();
     let records = text.lines().count() - 1;
-    let inserts = cache.counts().inserts;
+    let inserts = cache.fitness_counts().inserts;
     assert!(inserts > 0, "the interrupted run inserted nothing");
     assert_eq!(records as u64, inserts, "journal lags its last checkpoint");
     drop(dse);

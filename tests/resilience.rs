@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use clrearly::core::apps;
 use clrearly::core::methodology::{ClrEarly, FrontResult, StageBudget};
-use clrearly::core::resilience::{keyframe_path, FallibleProblem, ResilientProblem};
+use clrearly::core::resilience::{FallibleProblem, ResilientProblem};
 use clrearly::core::{CampaignPlan, DseError, Layer, RunOutcome, RunSupervisor, SupervisorConfig};
 use clrearly::markov::MarkovError;
 use clrearly::moea::{Evaluation, Nsga2, Nsga2Config, Problem, Variation};
@@ -203,53 +203,6 @@ fn agnostic_resume_reproduces_merged_front_mid_campaign() {
     assert!(
         !checkpoint_path("agnostic-interrupt").exists(),
         "checkpoint not cleaned up"
-    );
-}
-
-#[test]
-fn delta_checkpoints_resume_identically() {
-    let platform = apps::paper_platform();
-    let graph = apps::sobel(&platform, 42).unwrap();
-    let dse = ClrEarly::new(&graph, &platform).unwrap();
-    let budget = StageBudget::smoke_test().with_seed(7);
-
-    let baseline = dse.run(&CampaignPlan::proposed(), &budget).unwrap();
-
-    let delta_supervisor = |name: &str| {
-        RunSupervisor::new(SupervisorConfig::new(checkpoint_path(name)).with_delta_checkpoints(2))
-    };
-
-    let sup = delta_supervisor("delta-interrupt").with_interrupt_at(1, 5);
-    match dse
-        .run_supervised(&CampaignPlan::proposed(), &budget, &sup)
-        .unwrap()
-    {
-        RunOutcome::Interrupted { stage, generation } => {
-            assert_eq!((stage, generation), (1, 5));
-        }
-        RunOutcome::Complete(_) => panic!("expected an interrupted run"),
-    }
-    // With a keyframe cadence of 2, the stage-1 interrupt leaves a
-    // keyframe plus a delta on disk — the resume must reassemble the
-    // full checkpoint from the pair.
-    assert!(
-        keyframe_path(&checkpoint_path("delta-interrupt")).exists(),
-        "delta mode wrote no keyframe"
-    );
-    let resumed = dse
-        .resume_supervised(&budget, &delta_supervisor("delta-interrupt"))
-        .unwrap()
-        .expect_complete();
-
-    assert_same_front(&baseline, &resumed);
-    assert_eq!(resumed.health.resumed_from_generation, Some(5));
-    assert!(
-        !checkpoint_path("delta-interrupt").exists(),
-        "checkpoint not cleaned up"
-    );
-    assert!(
-        !keyframe_path(&checkpoint_path("delta-interrupt")).exists(),
-        "keyframe not cleaned up"
     );
 }
 

@@ -1,6 +1,6 @@
 //! Property-based tests of the two wire parsers that read untrusted
-//! bytes: the length-prefixed `read_frame` (one copy each in
-//! `clre-serve` and `clre-exec`) and the server's `submit` line parser.
+//! bytes: the length-prefixed `read_frame` (the `clre-exec` codec, which
+//! `clre-serve` re-exports) and the server's `submit` line parser.
 //! Arbitrary bytes, truncated valid frames and mangled request lines must
 //! each yield `Ok`, `Ok(None)` or a typed error — never a panic.
 
@@ -8,27 +8,16 @@ use std::io::{self, Cursor};
 
 use clrearly::core::methodology::StageBudget;
 use clrearly::core::CampaignPlan;
-use clrearly::exec::wire as exec_wire;
-use clrearly::serve::wire::{self as serve_wire, AppSpec, SubmitRequest};
+use clrearly::serve::wire::{read_frame, write_frame, AppSpec, SubmitRequest};
 use proptest::prelude::*;
-
-type ReadFrame = fn(&mut Cursor<Vec<u8>>) -> io::Result<Option<String>>;
-
-/// Both framers, labelled for failure messages.
-fn framers() -> [(&'static str, ReadFrame); 2] {
-    [
-        ("clre-serve", serve_wire::read_frame),
-        ("clre-exec", exec_wire::read_frame),
-    ]
-}
 
 /// Reads frames until a clean end of stream or an error, bounded by the
 /// input length (every successful frame consumes at least its prefix).
-fn drain(read: ReadFrame, bytes: &[u8]) -> Result<Vec<String>, io::ErrorKind> {
+fn drain(bytes: &[u8]) -> Result<Vec<String>, io::ErrorKind> {
     let mut cursor = Cursor::new(bytes.to_vec());
     let mut frames = Vec::new();
     for _ in 0..=bytes.len() / 4 {
-        match read(&mut cursor) {
+        match read_frame(&mut cursor) {
             Ok(Some(line)) => frames.push(line),
             Ok(None) => return Ok(frames),
             Err(e) => return Err(e.kind()),
@@ -99,12 +88,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Entirely arbitrary bytes: most length prefixes exceed the cap,
-    /// the rest run into short or non-UTF-8 bodies. Both framers agree
-    /// and never panic.
+    /// the rest run into short or non-UTF-8 bodies. The reader never
+    /// panics, fails only with `InvalidData`, and what it accepts
+    /// re-encodes to the bytes it consumed, leaving less than a prefix.
     #[test]
-    fn arbitrary_bytes_never_panic_either_framer(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
-        let [(_, serve), (_, exec)] = framers();
-        prop_assert_eq!(drain(serve, &bytes), drain(exec, &bytes));
+    fn arbitrary_bytes_never_panic_the_framer(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+        match drain(&bytes) {
+            Ok(frames) => {
+                let mut encoded = Vec::new();
+                for line in &frames {
+                    write_frame(&mut encoded, line).expect("frame encodes");
+                }
+                prop_assert!(bytes.starts_with(&encoded));
+                prop_assert!(bytes.len() - encoded.len() < 4, "a whole prefix was left unread");
+            }
+            Err(kind) => prop_assert_eq!(kind, io::ErrorKind::InvalidData),
+        }
     }
 
     /// A small length prefix over an arbitrary body: a full UTF-8 body is
@@ -117,18 +116,15 @@ proptest! {
         let mut bytes = len.to_be_bytes().to_vec();
         bytes.extend_from_slice(&body);
         let len = len as usize;
-        for (name, read) in framers() {
-            let outcome = read(&mut Cursor::new(bytes.clone()));
-            match (body.len() >= len, std::str::from_utf8(&body[..len.min(body.len())])) {
-                (true, Ok(text)) => {
-                    prop_assert_eq!(outcome.ok().flatten().as_deref(), Some(text), "{}", name);
-                }
-                _ => prop_assert_eq!(
-                    outcome.err().map(|e| e.kind()),
-                    Some(io::ErrorKind::InvalidData),
-                    "{}", name
-                ),
+        let outcome = read_frame(&mut Cursor::new(bytes));
+        match (body.len() >= len, std::str::from_utf8(&body[..len.min(body.len())])) {
+            (true, Ok(text)) => {
+                prop_assert_eq!(outcome.ok().flatten().as_deref(), Some(text));
             }
+            _ => prop_assert_eq!(
+                outcome.err().map(|e| e.kind()),
+                Some(io::ErrorKind::InvalidData)
+            ),
         }
     }
 
@@ -141,23 +137,20 @@ proptest! {
         frac in 0.0..1.0f64,
     ) {
         let mut frame = Vec::new();
-        serve_wire::write_frame(&mut frame, &line).expect("frame encodes");
+        write_frame(&mut frame, &line).expect("frame encodes");
         #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let cut = ((frame.len() + 1) as f64 * frac) as usize;
         let cut = cut.min(frame.len());
-        for (name, read) in framers() {
-            let outcome = read(&mut Cursor::new(frame[..cut].to_vec()));
-            if cut < 4 {
-                prop_assert!(matches!(outcome, Ok(None)), "{}: cut {} of prefix", name, cut);
-            } else if cut < frame.len() {
-                prop_assert_eq!(
-                    outcome.err().map(|e| e.kind()),
-                    Some(io::ErrorKind::InvalidData),
-                    "{}", name
-                );
-            } else {
-                prop_assert_eq!(outcome.ok().flatten(), Some(line.clone()), "{}", name);
-            }
+        let outcome = read_frame(&mut Cursor::new(frame[..cut].to_vec()));
+        if cut < 4 {
+            prop_assert!(matches!(outcome, Ok(None)), "cut {} of prefix", cut);
+        } else if cut < frame.len() {
+            prop_assert_eq!(
+                outcome.err().map(|e| e.kind()),
+                Some(io::ErrorKind::InvalidData)
+            );
+        } else {
+            prop_assert_eq!(outcome.ok().flatten(), Some(line));
         }
     }
 
