@@ -761,7 +761,7 @@ impl<'a> ClrEarly<'a> {
                     scenario: *scenario,
                     mode: stage.mode,
                     library: stage.library,
-                    digest: problem.content_digest(),
+                    digest: problem.digest(),
                 };
                 problem.with_remote(context.encode())
             }
@@ -789,7 +789,7 @@ impl<'a> ClrEarly<'a> {
         source: LibrarySource,
     ) -> Result<Cow<'_, ImplLibrary>, DseError> {
         match source {
-            LibrarySource::Main => Ok(Cow::Borrowed(&self.library)),
+            LibrarySource::Main => Ok(Cow::Borrowed(self.library.as_ref())),
             LibrarySource::SingleLayer(layer) => {
                 let (catalog, policy) = match layer {
                     Layer::Dvfs => (vec![ClrConfig::unprotected()], DvfsPolicy::All),

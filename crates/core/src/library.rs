@@ -16,6 +16,8 @@
 //! host the task — this is why Table IV row I reports one point per PE
 //! type rather than a single global optimum.
 
+use std::sync::OnceLock;
+
 use clre_model::qos::{ObjectiveSet, TaskMetrics};
 use clre_model::reliability::ClrConfig;
 use clre_model::{DvfsModeId, ImplId, PeTypeId, TaskGraph, TaskTypeId};
@@ -44,7 +46,7 @@ pub struct CandidateImpl {
 }
 
 /// The per-application candidate library produced by task-level DSE.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ImplLibrary {
     /// `candidates[ty]` — all candidates of task type `ty`.
     candidates: Vec<Vec<CandidateImpl>>,
@@ -53,6 +55,20 @@ pub struct ImplLibrary {
     full: Vec<Vec<Vec<usize>>>,
     /// `pareto[ty][pe_ty]` — Pareto-filtered candidate indices.
     pareto: Vec<Vec<Vec<usize>>>,
+    /// [`ImplLibrary::content_digest`], folded on first request: callers
+    /// without a cache never ask for it and never pay for the fold.
+    #[serde(skip)]
+    digest: OnceLock<u64>,
+}
+
+/// Equality over the candidates and index lists; the memoized digest is
+/// derived from them and may or may not be computed yet.
+impl PartialEq for ImplLibrary {
+    fn eq(&self, other: &Self) -> bool {
+        self.candidates == other.candidates
+            && self.full == other.full
+            && self.pareto == other.pareto
+    }
 }
 
 impl ImplLibrary {
@@ -112,6 +128,7 @@ impl ImplLibrary {
             candidates,
             full,
             pareto,
+            digest: OnceLock::new(),
         })
     }
 
@@ -222,6 +239,8 @@ impl ImplLibrary {
             candidates: self.candidates.clone(),
             full: self.full.clone(),
             pareto,
+            // Same candidates, same digest (see `content_digest`).
+            digest: self.digest.clone(),
         }
     }
 
@@ -234,7 +253,13 @@ impl ImplLibrary {
     /// [`ImplLibrary::with_random_subsets`] twin share a digest — and may
     /// therefore share fitness-cache entries, which is exactly right
     /// because equal genomes evaluate identically under both.
+    ///
+    /// Folded once per library, on the first call.
     pub fn content_digest(&self) -> u64 {
+        *self.digest.get_or_init(|| self.fold_digest())
+    }
+
+    fn fold_digest(&self) -> u64 {
         let mut fnv = crate::cache::Fnv::new();
         fnv.write_u64(self.candidates.len() as u64);
         for cands in &self.candidates {
@@ -407,6 +432,59 @@ mod tests {
         changed[0][0].metrics.error_prob += 1.0e-12;
         let other = ImplLibrary::from_candidates(changed, 2, &ObjectiveSet::set_ii()).unwrap();
         assert_ne!(lib.content_digest(), other.content_digest());
+    }
+
+    #[test]
+    fn memoized_digest_equals_an_independent_fold() {
+        // FNV-1a written out byte by byte over the documented word
+        // stream, independent of the library's hasher.
+        fn reference(cands: &[Vec<CandidateImpl>]) -> u64 {
+            let mut words = vec![cands.len() as u64];
+            for group in cands {
+                words.push(group.len() as u64);
+                for c in group {
+                    words.extend([
+                        c.impl_id.index() as u64,
+                        c.pe_type.index() as u64,
+                        c.dvfs.index() as u64,
+                    ]);
+                    let m = &c.metrics;
+                    words.extend(
+                        [
+                            m.min_exec_time,
+                            m.avg_exec_time,
+                            m.error_prob,
+                            m.eta,
+                            m.power,
+                            m.energy,
+                            m.peak_temp,
+                            c.memory_bytes,
+                        ]
+                        .map(f64::to_bits),
+                    );
+                }
+            }
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            h
+        }
+        let cands = vec![
+            vec![cand(0, 1.0, 0.3), cand(1, 9.0, 0.9)],
+            vec![cand(0, 2.0, 0.1), cand(0, 2.5, 0.35), cand(1, 3.0, 0.05)],
+        ];
+        let lib = ImplLibrary::from_candidates(cands.clone(), 2, &ObjectiveSet::set_ii()).unwrap();
+        assert_eq!(lib.digest.get(), None, "not folded at construction");
+        let want = reference(&cands);
+        assert_eq!(lib.content_digest(), want);
+        assert_eq!(lib.digest.get(), Some(&want), "memoized by the first call");
+        assert_eq!(lib.content_digest(), want);
+        // Copies made after the fold carry the value; equality ignores it.
+        let twin = lib.with_random_subsets(3);
+        assert_eq!(twin.digest.get(), Some(&want));
+        let fresh = ImplLibrary::from_candidates(cands, 2, &ObjectiveSet::set_ii()).unwrap();
+        assert_eq!(fresh, lib);
     }
 
     #[test]

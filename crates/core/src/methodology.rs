@@ -200,7 +200,8 @@ impl FrontResult {
 
 /// The CL(R)Early DSE orchestrator for one `(application, platform)` pair.
 ///
-/// Construction runs the full-CLR task-level DSE once and reuses the
+/// Construction runs the full-CLR task-level DSE once (or adopts a
+/// prebuilt library, [`ClrEarly::from_library`]) and reuses the
 /// resulting [`ImplLibrary`] across every method; the single-layer
 /// baselines build their own restricted libraries on demand.
 #[derive(Debug)]
@@ -208,7 +209,9 @@ pub struct ClrEarly<'a> {
     pub(crate) graph: &'a TaskGraph,
     pub(crate) platform: &'a Platform,
     pub(crate) tdse: TdseConfig,
-    pub(crate) library: ImplLibrary,
+    /// Shared, so orchestrators over one (application, scenario) pair
+    /// can use a single resident copy.
+    pub(crate) library: Arc<ImplLibrary>,
     pub(crate) tdse_health: TdseHealth,
     pub(crate) objectives: ObjectiveSet,
     pub(crate) spec: QosSpec,
@@ -241,6 +244,27 @@ impl<'a> ClrEarly<'a> {
         tdse: TdseConfig,
     ) -> Result<Self, DseError> {
         let (library, tdse_health) = build_library_with_health(graph, platform, &tdse)?;
+        Self::from_library(graph, platform, tdse, Arc::new(library), tdse_health)
+    }
+
+    /// Creates an orchestrator around a library already built from
+    /// `graph`, `platform` and `tdse` — e.g. one memoized across
+    /// campaigns — together with the [`TdseHealth`] its build reported,
+    /// so run health counts what a fresh build would. `tdse` is kept
+    /// for the single-layer baselines' restricted libraries.
+    ///
+    /// # Errors
+    ///
+    /// [`DseError::EmptyChoiceGroup`] if the library leaves some task of
+    /// `graph` unmappable.
+    pub fn from_library(
+        graph: &'a TaskGraph,
+        platform: &'a Platform,
+        tdse: TdseConfig,
+        library: Arc<ImplLibrary>,
+        tdse_health: TdseHealth,
+    ) -> Result<Self, DseError> {
+        library.validate_for(graph)?;
         Ok(ClrEarly {
             graph,
             platform,

@@ -76,6 +76,15 @@ impl<'a> SystemProblem<'a> {
         self
     }
 
+    /// [`SystemProblem::content_digest`], reusing the value
+    /// [`SystemProblem::with_cache`] stored when a cache is attached.
+    pub(crate) fn digest(&self) -> u64 {
+        match self.cache {
+            Some(_) => self.problem_digest,
+            None => self.content_digest(),
+        }
+    }
+
     /// FNV-1a digest of everything a fitness value depends on: the task
     /// graph (types, criticalities, edges and communication volumes), the
     /// platform (PE placement, memory, interconnect), the library's

@@ -13,7 +13,9 @@
 //! one content-addressed `EvalCache` whose L1 task-analysis level is
 //! keyed purely by chain-parameter bits — tenant A's Markov solves
 //! answer tenant B's lookups, and the persisted sidecar keeps the cache
-//! warm across server restarts.
+//! warm across server restarts. Above the cache, the server builds each
+//! (application, scenario) task-level library once and shares it across
+//! campaigns ([`memo`]).
 //!
 //! Determinism contract: a campaign run through the server yields a
 //! front digest ([`server::front_digest`]) bit-identical to the same
@@ -62,6 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod memo;
 pub mod server;
 pub mod session;
 pub mod wire;

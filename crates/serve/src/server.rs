@@ -11,6 +11,9 @@
 //!
 //! * **Admission** — a submission passes the per-tenant quota and the
 //!   global concurrency ceiling or is rejected before any work starts.
+//! * **One library per (application, scenario)** — the [`LibraryMemo`]
+//!   builds it once, single-flight, and shares it by `Arc`; at most
+//!   [`MEMO_PER_WORKER`] × workers libraries stay resident.
 //! * **Determinism** — a campaign run through the server produces a
 //!   front bit-identical to the same plan run in-process: the gate only
 //!   schedules wall-clock, the pool merge is order-fixed, and the cache
@@ -39,10 +42,12 @@ use clre::cache::{EvalCache, Fnv};
 use clre::methodology::{ClrEarly, FrontResult};
 use clre::remote::BackendChoice;
 use clre::resilience::{RunOutcome, RunSupervisor, SupervisorConfig};
-use clre::tdse::TdseConfig;
+use clre::tdse::{build_library_with_health, TdseConfig};
+use clre::Scenario;
 use clre_exec::{ExecPool, Executor, FairGate, RunTelemetry};
 use clre_model::{Platform, TaskGraph};
 
+use crate::memo::LibraryMemo;
 use crate::session::{
     format_cache_stats, Admission, CampaignEntry, CampaignOutcome, LogWriter, Registry, TraceLog,
 };
@@ -158,11 +163,27 @@ pub fn build_app(app: &AppSpec) -> Result<(Platform, TaskGraph), String> {
         .map_err(|e| format!("{} app: {e}", app.platform_label()))
 }
 
+/// Resident libraries per worker: the memo keeps at most this many ×
+/// [`ServeConfig::workers`] entries.
+pub const MEMO_PER_WORKER: usize = 2;
+
+/// The [`LibraryMemo`] key of an (application, scenario) pair: their
+/// wire encodings.
+///
+/// The key may omit the tDSE configuration because the server's is
+/// always `scenario.apply_to(TdseConfig::default())` plus the platform's
+/// shared cache, and the cache only memoizes analyses, never changing a
+/// value: the library is a pure function of the pair.
+fn library_key(app: &AppSpec, scenario: &Scenario) -> String {
+    format!("{} {}", app.encode(), scenario.name())
+}
+
 struct Shared {
     config: ServeConfig,
     registry: Registry,
     gate: Arc<FairGate>,
     caches: Mutex<HashMap<String, Arc<EvalCache>>>,
+    libraries: LibraryMemo,
     stop: Arc<AtomicBool>,
     seq: AtomicU64,
     campaign_threads: Mutex<Vec<JoinHandle<()>>>,
@@ -214,10 +235,12 @@ impl Server {
         fs::create_dir_all(&config.root)?;
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
+        let libraries = LibraryMemo::new(MEMO_PER_WORKER * config.workers);
         let shared = Arc::new(Shared {
             config,
             registry: Registry::new(),
             gate: FairGate::shared(),
+            libraries,
             caches: Mutex::new(HashMap::new()),
             stop: Arc::new(AtomicBool::new(false)),
             seq: AtomicU64::new(1),
@@ -409,7 +432,16 @@ fn drive_campaign(
         Ok(tdse) => tdse,
         Err(e) => return CampaignOutcome::Failed(format!("scenario: {e}")),
     };
-    let dse = match ClrEarly::with_tdse_config(&graph, &platform, tdse) {
+    let key = library_key(&request.app, &request.scenario);
+    let built = shared.libraries.get_or_build(&key, || {
+        let (library, health) = build_library_with_health(&graph, &platform, &tdse)
+            .map_err(|e| format!("task-level DSE: {e}"))?;
+        Ok((Arc::new(library), health))
+    });
+    let dse = match built.and_then(|(library, health)| {
+        ClrEarly::from_library(&graph, &platform, tdse, library, health)
+            .map_err(|e| format!("task-level DSE: {e}"))
+    }) {
         Ok(dse) => dse
             .with_objectives(request.scenario.system_objectives())
             .with_executor(exec)
@@ -418,7 +450,7 @@ fn drive_campaign(
             // non-in-process backend reconstruct the stage problem;
             // without a backend the dispatch layer never consults it.
             .with_remote(request.app.clone(), request.scenario),
-        Err(e) => return CampaignOutcome::Failed(format!("task-level DSE: {e}")),
+        Err(e) => return CampaignOutcome::Failed(e),
     };
     let dir = entry.dir(&shared.config.root);
     let checkpoint = dir.join("run.ckpt");
@@ -600,8 +632,16 @@ fn stats_line(shared: &Arc<Shared>) -> String {
             )
         })
         .collect();
+    let memo = shared.libraries.counts();
     format!(
-        "stats active={active} done={done} parked={parked} failed={failed} tenants={tenants}{}",
+        "stats active={active} done={done} parked={parked} failed={failed} tenants={tenants} \
+         library.memo_hits={} library.builds={} library.waits={} library.evictions={} \
+         library.resident={}{}",
+        memo.hits,
+        memo.builds,
+        memo.waits,
+        memo.evictions,
+        memo.resident,
         format_cache_stats(&counts)
     )
 }

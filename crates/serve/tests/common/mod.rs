@@ -73,3 +73,12 @@ pub fn local_digest(request: &SubmitRequest) -> u64 {
         .expect("in-process campaign completes");
     front_digest(&front)
 }
+
+/// The value of the `stats` counter `key`, 0 when absent.
+#[allow(dead_code)] // each test binary compiles its own copy of this module
+pub fn stat(stats: &str, key: &str) -> u64 {
+    stats
+        .split_whitespace()
+        .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('=')?.parse().ok())
+        .unwrap_or(0)
+}

@@ -1,10 +1,10 @@
 //! Server round-trip contracts: digest parity with in-process runs,
-//! cross-tenant cache sharing, admission control, and the request
-//! surface (`ping`/`stats`).
+//! cross-tenant sharing of task-level work, admission control, and the
+//! request surface (`ping`/`stats`).
 
 mod common;
 
-use common::{fresh_root, local_digest, tiny_request, RunningServer};
+use common::{fresh_root, local_digest, stat, tiny_request, RunningServer};
 
 use clre::CampaignPlan;
 use clre_serve::client::{Event, ServeClient, Submission};
@@ -56,12 +56,14 @@ fn server_digest_matches_in_process_for_fc_and_proposed() {
     server.stop();
 }
 
-/// Two tenants on the same platform run concurrently against one shared
-/// cache: both fronts stay bit-identical to their isolated in-process
-/// runs, and the second tenant's library build is answered from the
-/// first tenant's L1 task-analysis entries (cross-tenant hits > 0).
+/// Two tenants on the same application run concurrently: both fronts
+/// stay bit-identical to their isolated in-process runs, and the second
+/// tenant reuses the first one's task-level work — its library comes
+/// from the server's library memo (a hit, or a wait on the first
+/// tenant's in-flight build), or its own build is answered from the
+/// first tenant's L1 task-analysis entries (cross-tenant hits).
 #[test]
-fn concurrent_tenants_share_the_analysis_cache_without_result_drift() {
+fn concurrent_tenants_share_task_level_work_without_result_drift() {
     let server = RunningServer::start(ServeConfig::new(fresh_root("xtenant")).with_workers(2));
     let fc = tiny_request("alpha", CampaignPlan::fc(), 4);
     let pf = tiny_request("beta", CampaignPlan::pf(), 4);
@@ -99,7 +101,7 @@ fn concurrent_tenants_share_the_analysis_cache_without_result_drift() {
         match terminal {
             Event::Done(summary) => assert_eq!(
                 summary.digest, expected,
-                "shared cache must not perturb either tenant's front"
+                "sharing must not perturb either tenant's front"
             ),
             other => panic!("expected done, got {other:?}"),
         }
@@ -107,13 +109,15 @@ fn concurrent_tenants_share_the_analysis_cache_without_result_drift() {
 
     let mut client = ServeClient::connect(&server.addr).expect("connect");
     let stats = client.stats().expect("stats");
-    let shared_hits: u64 = stats
-        .split_whitespace()
-        .find_map(|tok| tok.strip_prefix("cache.paper.analysis_hits=")?.parse().ok())
-        .expect("stats reports the paper-platform cache");
     assert!(
-        shared_hits > isolated_hits,
-        "cross-tenant L1 hits required: shared={shared_hits} vs isolated-sum={isolated_hits} \
+        stats.contains(" cache.paper.analysis_hits="),
+        "stats reports the paper-platform cache: {stats}"
+    );
+    let memo_shared = stat(&stats, "library.memo_hits") + stat(&stats, "library.waits");
+    let cross_tenant_hits = stat(&stats, "cache.paper.analysis_hits").saturating_sub(isolated_hits);
+    assert!(
+        memo_shared > 0 || cross_tenant_hits > 0,
+        "one tenant must reuse the other's library or analyses: isolated-sum={isolated_hits} \
          (stats: {stats})"
     );
     server.stop();
