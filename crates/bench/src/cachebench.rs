@@ -1,4 +1,4 @@
-//! Evaluation-cache benchmark: quantifies the two-level content-addressed
+//! Evaluation-cache benchmark: quantifies the content-addressed fitness
 //! cache (`clre::cache`) on the acceptance workload — fcCLR over a
 //! 100-task synthetic application.
 //!
@@ -6,14 +6,12 @@
 //!
 //! 1. **uncached** — the plain run, the baseline throughput;
 //! 2. **cached-cold** — the same run with an empty cache attached
-//!    (populates both levels, pays the insert overhead);
+//!    (populates it, pays the insert overhead);
 //! 3. **cached-warm** — the identical run again against the now-warm
 //!    cache (the warm-start scenario of a resumed campaign or a repeated
 //!    sweep cell).
 //!
-//! The task-analysis level is measured separately by building the
-//! task-level library twice under the same cache. All three system runs
-//! must produce bit-identical fronts — the benchmark reports
+//! All three runs must produce bit-identical fronts — the benchmark reports
 //! `fronts_identical` and refuses to claim a speedup without it.
 //!
 //! [`eval_cache`] returns the report as JSON (hand-formatted — the
@@ -26,7 +24,6 @@ use std::time::Instant;
 
 use clre::cache::CacheCounts;
 use clre::methodology::{ClrEarly, StageBudget};
-use clre::tdse::TdseConfig;
 use clre::{CampaignPlan, EvalCache, FrontResult};
 
 use crate::exec_config::ExecConfig;
@@ -78,26 +75,12 @@ pub fn eval_cache(scale: RunScale, config: &ExecConfig) -> String {
         .with_executor(config.executor());
     let (front_uncached, secs_uncached) = timed_run(&uncached_dse, &budget);
 
-    // Task-analysis level: build the library twice under one cache.
+    // Cold populates the cache, warm replays it.
     let cache = EvalCache::shared();
-    let cached_tdse = TdseConfig::default().with_eval_cache(Arc::clone(&cache));
-    let t0 = Instant::now();
-    let cached_dse = ClrEarly::with_tdse_config(&graph, &platform, cached_tdse.clone())
+    let cached_dse = ClrEarly::new(&graph, &platform)
         .expect("tDSE succeeds")
         .with_executor(config.executor())
         .with_cache(Arc::clone(&cache));
-    let lib_cold_secs = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let rebuilt = ClrEarly::with_tdse_config(&graph, &platform, cached_tdse).expect("tDSE again");
-    let lib_warm_secs = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        rebuilt.library().type_count(),
-        cached_dse.library().type_count(),
-        "warm rebuild must reproduce the library"
-    );
-    let analysis = cache.analysis_counts();
-
-    // Genome-fitness level: cold populates, warm replays.
     let (front_cold, secs_cold) = timed_run(&cached_dse, &budget);
     let (front_warm, secs_warm) = timed_run(&cached_dse, &budget);
     let fitness = cache.fitness_counts();
@@ -112,14 +95,10 @@ pub fn eval_cache(scale: RunScale, config: &ExecConfig) -> String {
     };
 
     let json = format!(
-        "{{\n  \"bench\": \"eval_cache\",\n  \"application_tasks\": {TASKS},\n  \"method\": \"fcCLR\",\n  \"population\": {},\n  \"generations\": {},\n  \"workers\": {},\n  \"library_build\": {{\"cold_secs\": {:.3}, \"warm_secs\": {:.3}, \"speedup\": {:.2}, \"analysis\": {}}},\n  \"uncached\": {},\n  \"cached_cold\": {},\n  \"cached_warm\": {},\n  \"warm_speedup_vs_uncached\": {:.2},\n  \"fitness\": {},\n  \"fronts_identical\": {}\n}}\n",
+        "{{\n  \"bench\": \"eval_cache\",\n  \"application_tasks\": {TASKS},\n  \"method\": \"fcCLR\",\n  \"population\": {},\n  \"generations\": {},\n  \"workers\": {},\n  \"uncached\": {},\n  \"cached_cold\": {},\n  \"cached_warm\": {},\n  \"warm_speedup_vs_uncached\": {:.2},\n  \"fitness\": {},\n  \"fronts_identical\": {}\n}}\n",
         budget.population,
         budget.generations,
         config.workers(),
-        lib_cold_secs,
-        lib_warm_secs,
-        lib_cold_secs / lib_warm_secs.max(1e-9),
-        json_counts(analysis),
         json_phase(secs_uncached, front_uncached.evaluations),
         json_phase(secs_cold, front_cold.evaluations),
         json_phase(secs_warm, front_warm.evaluations),

@@ -32,16 +32,17 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use clre::cache::{cache_sidecar_path, Fnv};
+use clre::cache::cache_sidecar_path;
 use clre::methodology::{ClrEarly, StageBudget};
 use clre::resilience::{
     quarantine_sidecar_path, BackoffPolicy, RunHealth, RunOutcome, RunSupervisor, SupervisorConfig,
 };
 use clre::tdse::{build_library_with_health, TdseConfig};
-use clre::{CampaignPlan, EvalCache, FrontResult};
+use clre::{CampaignPlan, EvalCache};
 use clre_chaos::{corrupt_file, DeathPlan, FaultPlan, SolverFaultPlan};
 use clre_exec::{ExecPool, Executor};
 use clre_model::{Platform, TaskGraph};
+use clre_serve::server::front_digest;
 
 use crate::RunScale;
 
@@ -69,18 +70,6 @@ fn storm_plan() -> FaultPlan {
         .with_error_ppm(100_000)
         .with_poison_ppm(110_000)
         .with_stall_ppm(150_000, STALL_MS)
-}
-
-/// FNV-1a digest of a front's objective matrix, point order preserved —
-/// bit-identical fronts and only bit-identical fronts collide.
-fn front_digest(front: &FrontResult) -> u64 {
-    let mut fnv = Fnv::new();
-    for objectives in front.objectives() {
-        for &x in &objectives {
-            fnv.write_f64(x);
-        }
-    }
-    fnv.finish()
 }
 
 /// A supervisor config with the hardened-recovery knobs on.

@@ -1,7 +1,7 @@
 //! Server benchmark: stands up an in-process `clre-serve` server, drives
 //! three concurrent tenants (fcCLR / pfCLR / proposed, same platform)
 //! through it, and reports per-tenant submit-to-first-trace and
-//! submit-to-done latencies plus the cross-tenant cache economics.
+//! submit-to-done latencies plus the cross-tenant library sharing.
 //!
 //! Two correctness flags ride along with the timings:
 //!
@@ -10,20 +10,16 @@
 //!   server that changes answers is worthless;
 //! * `cross_tenant_sharing` — some tenant reused another's task-level
 //!   work: its library came from the server's library memo (a hit, or a
-//!   wait on another tenant's in-flight build), or its own build was
-//!   answered from another tenant's L1 task-analysis entries (hits
-//!   beyond the self-hits the campaigns generate alone). Tenants on
-//!   distinct applications share neither and read `false`.
+//!   wait on another tenant's in-flight build). Tenants on distinct
+//!   applications share no library and read `false`.
 //!
 //! [`serve`] returns the report as JSON (hand-formatted, like the other
 //! bench reports) and writes it to `BENCH_serve.json` for CI to archive.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use clre::methodology::{ClrEarly, StageBudget};
-use clre::tdse::TdseConfig;
-use clre::{CampaignPlan, EvalCache};
+use clre::CampaignPlan;
 use clre_serve::client::{Event, ServeClient, Submission};
 use clre_serve::server::{build_app, front_digest, ServeConfig, Server};
 use clre_serve::wire::{AppSpec, SubmitRequest};
@@ -31,7 +27,7 @@ use clre_serve::wire::{AppSpec, SubmitRequest};
 use crate::RunScale;
 
 /// Task count of the benchmark workload (all tenants share it — sharing
-/// the platform and application is what makes the cache cross-tenant).
+/// the platform and application is what lets them share a library).
 const TASKS: usize = 12;
 /// Application seed, distinct from the other benches' workloads.
 const APP_SEED: u64 = 3;
@@ -145,25 +141,7 @@ fn local_digest(req: &SubmitRequest) -> u64 {
     front_digest(&front)
 }
 
-/// Analysis hits one campaign accumulates alone on a private cache —
-/// the self-hit baseline the shared server cache must beat.
-fn isolated_hits(req: &SubmitRequest) -> u64 {
-    let (platform, graph) = build_app(&req.app).expect("app builds");
-    let cache = EvalCache::shared();
-    let dse = ClrEarly::with_tdse_config(
-        &graph,
-        &platform,
-        TdseConfig::default().with_eval_cache(Arc::clone(&cache)),
-    )
-    .expect("tDSE succeeds")
-    .with_cache(Arc::clone(&cache));
-    dse.run(&req.plan, &req.budget)
-        .expect("isolated campaign completes");
-    cache.analysis_counts().hits
-}
-
-/// Sum of every `stats` counter whose key ends in `suffix` (all
-/// platform caches for the cache counters).
+/// Sum of every `stats` counter whose key ends in `suffix`.
 fn stat_sum(stats: &str, suffix: &str) -> u64 {
     stats
         .split_whitespace()
@@ -194,7 +172,6 @@ fn report(scale: RunScale, app_seeds: [u64; 3]) -> String {
         .map(|((tenant, _, plan), seed)| request(tenant, plan, &budget, seed))
         .collect();
     let expected: Vec<u64> = requests.iter().map(local_digest).collect();
-    let isolated: u64 = requests.iter().map(isolated_hits).sum();
 
     let root = std::env::temp_dir().join(format!(
         "clre-servebench-{}-{}",
@@ -230,20 +207,16 @@ fn report(scale: RunScale, app_seeds: [u64; 3]) -> String {
     server_thread.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&root);
 
-    let shared_hits = stat_sum(&stats, ".analysis_hits");
-    let shared_misses = stat_sum(&stats, ".analysis_misses");
     let memo_hits = stat_sum(&stats, "library.memo_hits");
     let memo_waits = stat_sum(&stats, "library.waits");
-    let cross_tenant_hits = shared_hits.saturating_sub(isolated);
-    let hit_rate = shared_hits as f64 / (shared_hits + shared_misses).max(1) as f64;
     let digest_parity = runs.iter().all(|r| r.digest_matches);
     let body: Vec<String> = runs.iter().map(|r| format!("    {}", r.json())).collect();
     format!(
-        "{{\n  \"bench\": \"serve\",\n  \"application_tasks\": {TASKS},\n  \"population\": {},\n  \"generations\": {},\n  \"workers\": {WORKERS},\n  \"tenants\": [\n{}\n  ],\n  \"library_memo_hits\": {memo_hits},\n  \"library_waits\": {memo_waits},\n  \"shared_analysis_hits\": {shared_hits},\n  \"isolated_analysis_hits\": {isolated},\n  \"cross_tenant_analysis_hits\": {cross_tenant_hits},\n  \"analysis_hit_rate\": {hit_rate:.4},\n  \"cross_tenant_sharing\": {},\n  \"digest_parity\": {digest_parity}\n}}\n",
+        "{{\n  \"bench\": \"serve\",\n  \"application_tasks\": {TASKS},\n  \"population\": {},\n  \"generations\": {},\n  \"workers\": {WORKERS},\n  \"tenants\": [\n{}\n  ],\n  \"library_memo_hits\": {memo_hits},\n  \"library_waits\": {memo_waits},\n  \"cross_tenant_sharing\": {},\n  \"digest_parity\": {digest_parity}\n}}\n",
         budget.population,
         budget.generations,
         body.join(",\n"),
-        memo_hits + memo_waits > 0 || cross_tenant_hits > 0,
+        memo_hits + memo_waits > 0,
     )
 }
 
@@ -260,7 +233,7 @@ mod tests {
         );
         assert!(
             json.contains("\"cross_tenant_sharing\": true"),
-            "no tenant reused another's library or analyses:\n{json}"
+            "no tenant reused another's library:\n{json}"
         );
         let _ = std::fs::remove_file("BENCH_serve.json");
     }

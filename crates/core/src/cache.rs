@@ -1,49 +1,39 @@
-//! Content-addressed evaluation cache: two-level memoization for the
-//! exact, deterministic computations that dominate DSE cost.
+//! Content-addressed fitness cache: memoizes genome evaluation, the
+//! exact, deterministic computation every GA generation repeats.
 //!
-//! * **Level 1 — task analysis.** [`analyze_robust_spec`] solves two absorbing
-//!   Markov chains (LU factorizations) per `(implementation × DVFS × CLR)`
-//!   point. The same points recur across campaign stages (`agnostic`
-//!   rebuilds four single-layer libraries), across sweep cells, and across
-//!   `ClrEarly` instances. The analysis cache keys on
-//!   [`ClrChainSpec::digest`] — FNV-1a over the IEEE-754 bit patterns of
-//!   every field, exact bits, no quantization — and stores the full
-//!   chain spec so a digest collision is detected by comparison and
-//!   degrades to a recomputation, never to a wrong answer.
-//! * **Level 2 — genome fitness.** Every GA generation re-decodes and
-//!   re-schedules genomes that recur across generations and seeded stages.
-//!   The fitness cache keys on the exact gene sequence plus a *problem
-//!   digest* (graph, platform, library content, objectives, QoS spec) so
-//!   one cache may be shared across stages and sweep cells without
-//!   cross-contamination. It stores `(SystemMetrics, violation)` — not the
-//!   projected objective vector — so front annotation is a pure lookup.
+//! Genomes recur across generations and seeded stages. The cache keys on
+//! the exact gene sequence plus a *problem digest* (graph, platform,
+//! library content, objectives, QoS spec) so one cache may be shared
+//! across stages, sweep cells and server tenants without
+//! cross-contamination. It stores `(SystemMetrics, violation)` — not the
+//! projected objective vector — so front annotation is a pure lookup.
 //!
-//! Both levels use sharded locks (safe under the `clre-exec` worker pool)
+//! Entries live in sharded locks (safe under the `clre-exec` worker pool)
 //! with an **insert-once** discipline: the first writer wins, later
-//! writers adopt the stored value. Because every cached computation is a
+//! writers adopt the stored value. Because every cached evaluation is a
 //! deterministic pure function of its key, a hit replays the uncached
 //! computation bit-for-bit — cached and uncached runs produce identical
 //! Pareto fronts for any worker count (DESIGN.md §12 gives the full
 //! argument).
 //!
+//! Task-level chain analyses are not cached: one costs a few µs, and the
+//! server builds each (application, scenario) library once, so an
+//! analysis cache had nothing left to answer.
+//!
 //! # Persistence
 //!
-//! Only Level 2 is persisted. [`EvalCache::bind_sidecar`] attaches an
-//! append-only journal (header [`CACHE_HEADER`]) next to the campaign
-//! checkpoint: existing fitness entries are loaded (warm start), and every
-//! subsequent fitness first-insert appends one self-contained line. Like
-//! the sweep ledger, the file is torn-tail tolerant — a process killed
-//! mid-write leaves at most one malformed line, which the loader skips; a
-//! corrupted or foreign file degrades to a cold cache without error.
-//!
-//! Level 1 lives in memory only. One chain analysis costs a few µs, and
-//! journalling it cost about as much again to write and nearly as much to
-//! reload, so a warm-started analysis saved at most 1–2 µs after paying
-//! about 3 µs to write. An older sidecar's `analysis`/`analysis2` lines
-//! no longer parse; they are counted in [`EvalCache::sidecar_skipped`].
+//! [`EvalCache::bind_sidecar`] attaches an append-only journal (header
+//! [`CACHE_HEADER`]) next to the campaign checkpoint: existing fitness
+//! entries are loaded (warm start), and every subsequent first-insert
+//! appends one self-contained line. Like the sweep ledger, the file is
+//! torn-tail tolerant — a process killed mid-write leaves at most one
+//! malformed line, which the loader skips; a corrupted or foreign file
+//! degrades to a cold cache without error. An older sidecar's
+//! `analysis`/`analysis2` lines no longer parse; they are counted in
+//! [`EvalCache::sidecar_skipped`].
 //!
 //! Journal lines are encoded only while a journal is bound: an unbound
-//! cache (every in-memory `ClrEarly`) checks one atomic flag per fitness
+//! cache (every in-memory `ClrEarly`) checks one atomic flag per
 //! insert and never formats, seals or locks anything. A bound journal is
 //! buffered in memory and reaches the file when the buffer fills, before
 //! every campaign checkpoint is saved, when the server shuts down, and
@@ -54,18 +44,28 @@
 //! # Examples
 //!
 //! ```
-//! use clre::cache::EvalCache;
-//! use clre_markov::clr::{analyze_robust_spec, ClrChainParams, ClrChainSpec};
+//! use clre::cache::{CachedFitness, EvalCache};
+//! use clre::encoding::Gene;
+//! use clre_model::qos::SystemMetrics;
+//! use clre_model::{PeId, TaskId};
 //!
 //! let cache = EvalCache::new();
-//! let spec = ClrChainSpec::transient(ClrChainParams::unprotected(300.0e-6, 100.0));
-//! assert!(cache.analysis_spec(&spec).is_none()); // cold
-//! let analysis = analyze_robust_spec(&spec).unwrap();
-//! cache.insert_analysis_spec(&spec, analysis);
-//! assert_eq!(cache.analysis_spec(&spec), Some(analysis)); // exact replay
+//! let genome = vec![Gene { task: TaskId::new(0), pe: PeId::new(1), choice: 3 }];
+//! let value = CachedFitness {
+//!     metrics: SystemMetrics {
+//!         makespan: 1.0e-3,
+//!         error_prob: 0.01,
+//!         mttf: 1.0e7,
+//!         energy: 0.5,
+//!         peak_power: 2.0,
+//!     },
+//!     violation: 0.0,
+//! };
+//! assert!(cache.fitness(7, &genome).is_none()); // cold
+//! cache.insert_fitness(7, &genome, value);
+//! assert_eq!(cache.fitness(7, &genome), Some(value)); // exact replay
+//! assert!(cache.fitness(8, &genome).is_none()); // other problem
 //! ```
-//!
-//! [`analyze_robust_spec`]: clre_markov::clr::analyze_robust_spec
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -75,7 +75,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use clre_markov::clr::{ClrChainSpec, RobustAnalysis};
 use clre_model::qos::SystemMetrics;
 
 use crate::encoding::Genome;
@@ -83,14 +82,13 @@ use crate::encoding::Genome;
 /// First line of every cache sidecar file.
 pub const CACHE_HEADER: &str = "clrearly-cache v1";
 
-/// Number of lock shards per cache level. A power of two so the shard
-/// index is a cheap mask of the key digest.
+/// Number of lock shards. A power of two so the shard index is a cheap
+/// mask of the key digest.
 const SHARDS: usize = 16;
 
 pub use clre_num::digest::Fnv;
 
-/// Monotonic hit/miss/insert counts of one cache level (or the sum of
-/// both, via [`EvalCache::counts`]).
+/// Monotonic hit/miss/insert/eviction counts of the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheCounts {
     /// Lookups answered from the cache.
@@ -116,14 +114,14 @@ impl CacheCounts {
 }
 
 #[derive(Debug, Default)]
-struct LevelStats {
+struct Stats {
     hits: AtomicU64,
     misses: AtomicU64,
     inserts: AtomicU64,
     evictions: AtomicU64,
 }
 
-impl LevelStats {
+impl Stats {
     fn counts(&self) -> CacheCounts {
         CacheCounts {
             hits: self.hits.load(Ordering::Relaxed),
@@ -158,15 +156,6 @@ struct FitnessEntry {
     value: CachedFitness,
 }
 
-/// One analysis-cache slot: the exact chain spec (for collision
-/// detection), the memoized analysis, and the LRU recency stamp.
-#[derive(Debug, Clone, Copy)]
-struct AnalysisSlot {
-    spec: ClrChainSpec,
-    analysis: RobustAnalysis,
-    tick: u64,
-}
-
 /// One fitness-cache slot: the entry plus its LRU recency stamp.
 #[derive(Debug, Clone)]
 struct FitnessSlot {
@@ -174,20 +163,17 @@ struct FitnessSlot {
     tick: u64,
 }
 
-type AnalysisShard = Mutex<HashMap<u64, AnalysisSlot>>;
 type FitnessShard = Mutex<HashMap<u64, FitnessSlot>>;
 
-/// The two-level, thread-safe, content-addressed evaluation cache.
+/// The thread-safe, content-addressed fitness cache.
 ///
 /// Shared by [`Arc`]: one instance may serve many `ClrEarly` campaigns,
 /// sweep cells and worker threads concurrently. See the [module
 /// docs](self) for the determinism argument and the sidecar format.
 #[derive(Debug)]
 pub struct EvalCache {
-    analysis: Vec<AnalysisShard>,
     fitness: Vec<FitnessShard>,
-    analysis_stats: LevelStats,
-    fitness_stats: LevelStats,
+    fitness_stats: Stats,
     /// The bound journal. `BufWriter` flushes on drop, so a cache that
     /// goes out of scope leaves its whole journal on disk.
     sidecar: Mutex<Option<BufWriter<fs::File>>>,
@@ -197,10 +183,10 @@ pub struct EvalCache {
     /// the journal in place.
     bound: AtomicBool,
     sidecar_skipped: AtomicU64,
-    /// Monotonic recency clock shared by both levels; bumped on every
-    /// hit and insert, stamped into the touched slot.
+    /// Monotonic recency clock; bumped on every hit and insert, stamped
+    /// into the touched slot.
     tick: AtomicU64,
-    /// Per-level entry ceiling (`0` = unbounded). Enforced per shard as
+    /// Fitness entry ceiling (`0` = unbounded). Enforced per shard as
     /// `max(1, ceiling / SHARDS)`, so the bound is approximate when keys
     /// hash unevenly but never exceeds the ceiling by more than a shard.
     entry_ceiling: AtomicUsize,
@@ -216,10 +202,8 @@ impl EvalCache {
     /// An empty, unbound (in-memory only) cache with no entry ceiling.
     pub fn new() -> Self {
         EvalCache {
-            analysis: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             fitness: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            analysis_stats: LevelStats::default(),
-            fitness_stats: LevelStats::default(),
+            fitness_stats: Stats::default(),
             sidecar: Mutex::new(None),
             bound: AtomicBool::new(false),
             sidecar_skipped: AtomicU64::new(0),
@@ -234,16 +218,16 @@ impl EvalCache {
         Arc::new(Self::new())
     }
 
-    /// Sets the per-level entry ceiling (`0` = unbounded). When a level
-    /// exceeds its ceiling the least-recently-used entries are evicted
-    /// (counted in [`CacheCounts::evictions`]). Eviction only affects hit
+    /// Sets the fitness entry ceiling (`0` = unbounded). Beyond it the
+    /// least-recently-used entries are evicted (counted in
+    /// [`CacheCounts::evictions`]). Eviction only affects hit
     /// rates, never answers: every cached computation is a pure function
     /// of its key, so a re-miss recomputes the identical bits.
     pub fn set_entry_ceiling(&self, ceiling: usize) {
         self.entry_ceiling.store(ceiling, Ordering::Relaxed);
     }
 
-    /// The current per-level entry ceiling (`0` = unbounded).
+    /// The current fitness entry ceiling (`0` = unbounded).
     pub fn entry_ceiling(&self) -> usize {
         self.entry_ceiling.load(Ordering::Relaxed)
     }
@@ -263,81 +247,6 @@ impl EvalCache {
     fn shard(digest: u64) -> usize {
         // The digest's low byte is well-mixed (FNV multiplies last).
         (digest as usize) & (SHARDS - 1)
-    }
-
-    /// Looks up a task analysis by exact chain-spec bits (parameters plus
-    /// fault mechanism).
-    ///
-    /// Returns `None` on a true miss *and* on a digest collision (the
-    /// stored spec differs bit-wise) — a collision recomputes rather than
-    /// ever replaying the wrong analysis.
-    pub fn analysis_spec(&self, spec: &ClrChainSpec) -> Option<RobustAnalysis> {
-        let digest = spec.digest();
-        let mut shard = self.analysis[Self::shard(digest)]
-            .lock()
-            .expect("analysis cache poisoned");
-        match shard.get_mut(&digest) {
-            Some(slot) if slot.spec == *spec => {
-                slot.tick = self.next_tick();
-                self.analysis_stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(slot.analysis)
-            }
-            _ => {
-                self.analysis_stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts a task analysis (insert-once: the first writer wins) and
-    /// returns the stored value — callers use the return value so every
-    /// worker proceeds with identical bits. Analyses are never journalled
-    /// (see the [module docs](self#persistence)).
-    pub fn insert_analysis_spec(
-        &self,
-        spec: &ClrChainSpec,
-        analysis: RobustAnalysis,
-    ) -> RobustAnalysis {
-        let digest = spec.digest();
-        let cap = self.shard_cap();
-        let (stored, fresh, evicted) = {
-            let mut shard = self.analysis[Self::shard(digest)]
-                .lock()
-                .expect("analysis cache poisoned");
-            match shard.entry(digest) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let slot = e.get();
-                    // A collision slot belongs to the first key; adopt the
-                    // stored value only for the matching key.
-                    if slot.spec == *spec {
-                        (slot.analysis, false, 0)
-                    } else {
-                        (analysis, false, 0)
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(AnalysisSlot {
-                        spec: *spec,
-                        analysis,
-                        tick: self.next_tick(),
-                    });
-                    let evicted = match cap {
-                        Some(cap) => evict_lru(&mut shard, cap, digest, |s| s.tick),
-                        None => 0,
-                    };
-                    (analysis, true, evicted)
-                }
-            }
-        };
-        if evicted > 0 {
-            self.analysis_stats
-                .evictions
-                .fetch_add(evicted, Ordering::Relaxed);
-        }
-        if fresh {
-            self.analysis_stats.inserts.fetch_add(1, Ordering::Relaxed);
-        }
-        stored
     }
 
     /// Looks up a genome fitness by problem digest + exact gene sequence.
@@ -392,7 +301,7 @@ impl EvalCache {
                         tick: self.next_tick(),
                     });
                     let evicted = match cap {
-                        Some(cap) => evict_lru(&mut shard, cap, digest, |s| s.tick),
+                        Some(cap) => evict_lru(&mut shard, cap, digest),
                         None => 0,
                     };
                     (value, true, evicted)
@@ -411,35 +320,20 @@ impl EvalCache {
         stored
     }
 
-    /// Analysis-level counters.
-    pub fn analysis_counts(&self) -> CacheCounts {
-        self.analysis_stats.counts()
-    }
-
-    /// Fitness-level counters.
+    /// Fitness counters — what threads into `RunHealth` and the
+    /// per-generation trace.
     pub fn fitness_counts(&self) -> CacheCounts {
         self.fitness_stats.counts()
     }
 
-    /// Both levels summed — what threads into `RunHealth` and the
-    /// per-generation trace.
-    pub fn counts(&self) -> CacheCounts {
-        let a = self.analysis_counts();
-        let f = self.fitness_counts();
-        CacheCounts {
-            hits: a.hits + f.hits,
-            misses: a.misses + f.misses,
-            inserts: a.inserts + f.inserts,
-            evictions: a.evictions + f.evictions,
-        }
+    /// Always zero counts. Kept for perfbench; deleted at the next benchmark change.
+    pub fn analysis_counts(&self) -> CacheCounts {
+        CacheCounts::default()
     }
 
-    /// Number of distinct analyses currently held.
+    /// Always 0. Kept for perfbench; deleted at the next benchmark change.
     pub fn analysis_len(&self) -> usize {
-        self.analysis
-            .iter()
-            .map(|s| s.lock().expect("analysis cache poisoned").len())
-            .sum()
+        0
     }
 
     /// Number of distinct genome fitnesses currently held.
@@ -562,18 +456,13 @@ impl EvalCache {
 /// Evicts least-recently-used slots from one shard until it holds at most
 /// `cap` entries, never evicting the just-inserted `keep` key. Returns the
 /// number of evictions.
-fn evict_lru<V>(
-    shard: &mut HashMap<u64, V>,
-    cap: usize,
-    keep: u64,
-    tick: impl Fn(&V) -> u64,
-) -> u64 {
+fn evict_lru(shard: &mut HashMap<u64, FitnessSlot>, cap: usize, keep: u64) -> u64 {
     let mut evicted = 0;
     while shard.len() > cap {
         let Some((&victim, _)) = shard
             .iter()
             .filter(|(&k, _)| k != keep)
-            .min_by_key(|(_, v)| tick(v))
+            .min_by_key(|(_, slot)| slot.tick)
         else {
             break;
         };
@@ -727,30 +616,7 @@ fn parse_fitness(line: &str) -> Option<FitnessEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clre_markov::clr::{ClrChainParams, TaskReliability};
     use clre_model::{PeId, TaskId};
-
-    fn params(seed: f64) -> ClrChainParams {
-        let mut p = ClrChainParams::unprotected(300.0e-6 * seed, 100.0);
-        p.m_hw = 0.25;
-        p
-    }
-
-    fn spec(seed: f64) -> ClrChainSpec {
-        ClrChainSpec::transient(params(seed))
-    }
-
-    fn analysis(seed: f64) -> RobustAnalysis {
-        RobustAnalysis {
-            reliability: TaskReliability {
-                min_exec_time: 1.0e-3 * seed,
-                avg_exec_time: 1.5e-3 * seed,
-                error_prob: 0.125 * seed,
-            },
-            degraded: false,
-            retried: true,
-        }
-    }
 
     fn genome(seed: u32) -> Genome {
         (0..3)
@@ -782,30 +648,24 @@ mod tests {
     }
 
     #[test]
-    fn analysis_roundtrip_and_counters() {
+    fn fitness_roundtrip_and_counters() {
         let cache = EvalCache::new();
-        let p = spec(1.0);
-        assert_eq!(cache.analysis_spec(&p), None);
-        let stored = cache.insert_analysis_spec(&p, analysis(1.0));
-        assert_eq!(stored, analysis(1.0));
-        assert_eq!(cache.analysis_spec(&p), Some(analysis(1.0)));
-        let counts = cache.analysis_counts();
+        let g = genome(1);
+        assert_eq!(cache.fitness(3, &g), None);
+        let stored = cache.insert_fitness(3, &g, fitness_value(1.0));
+        assert_eq!(stored, fitness_value(1.0));
+        assert_eq!(cache.fitness(3, &g), Some(fitness_value(1.0)));
+        let counts = cache.fitness_counts();
         assert_eq!((counts.hits, counts.misses, counts.inserts), (1, 1, 1));
-        assert_eq!(cache.analysis_len(), 1);
+        assert_eq!(cache.fitness_len(), 1);
     }
 
     #[test]
     fn insert_once_keeps_the_first_value() {
         let cache = EvalCache::new();
-        let p = spec(1.0);
-        cache.insert_analysis_spec(&p, analysis(1.0));
-        // A second writer adopts the stored value, not its own.
-        let stored = cache.insert_analysis_spec(&p, analysis(9.0));
-        assert_eq!(stored, analysis(1.0));
-        assert_eq!(cache.analysis_counts().inserts, 1);
-
         let g = genome(1);
         cache.insert_fitness(3, &g, fitness_value(1.0));
+        // A second writer adopts the stored value, not its own.
         let stored = cache.insert_fitness(3, &g, fitness_value(9.0));
         assert_eq!(stored, fitness_value(1.0));
         assert_eq!(cache.fitness_counts().inserts, 1);
@@ -834,32 +694,9 @@ mod tests {
         let warm = EvalCache::new();
         warm.bind_sidecar(&path).unwrap();
         assert_eq!(warm.fitness(7, &genome(1)), Some(fitness_value(1.0)));
-        assert_eq!(warm.counts().inserts, 0, "loads are not inserts");
+        assert_eq!(warm.fitness_counts().inserts, 0, "loads are not inserts");
         let text = fs::read_to_string(&path).unwrap();
         assert!(text.starts_with(CACHE_HEADER));
-    }
-
-    #[test]
-    fn bound_analysis_inserts_write_no_line() {
-        let path = temp_path("analysis-memory-only.cache");
-        let _ = fs::remove_file(&path);
-        let cache = EvalCache::new();
-        cache.bind_sidecar(&path).unwrap();
-        cache.insert_analysis_spec(&spec(1.0), analysis(1.0));
-        let perm = ClrChainSpec::permanent_aging(params(1.0), 25.0);
-        cache.insert_analysis_spec(&perm, analysis(2.0));
-        assert_eq!(cache.analysis_len(), 2, "held in memory");
-        assert_eq!(cache.analysis_counts().inserts, 2);
-        drop(cache);
-
-        assert_eq!(
-            fs::read_to_string(&path).unwrap(),
-            format!("{CACHE_HEADER}\n")
-        );
-        let warm = EvalCache::new();
-        warm.bind_sidecar(&path).unwrap();
-        assert_eq!(warm.analysis_len(), 0, "a warm start re-solves analyses");
-        fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -897,7 +734,7 @@ mod tests {
         cache.bind_sidecar(&path).unwrap();
         assert!(cache.is_bound());
         assert_eq!(cache.fitness(7, &genome(1)), Some(fitness_value(1.0)));
-        assert_eq!((cache.analysis_len(), cache.fitness_len()), (0, 1));
+        assert_eq!(cache.fitness_len(), 1);
         assert_eq!(cache.sidecar_skipped(), 3);
         fs::remove_file(&path).unwrap();
     }
@@ -948,7 +785,7 @@ mod tests {
         fs::write(&path, format!("{CACHE_HEADER}\n\u{0}garbage lines\nmore\n")).unwrap();
         let cache = EvalCache::new();
         cache.bind_sidecar(&path).unwrap();
-        assert_eq!(cache.analysis_len() + cache.fitness_len(), 0);
+        assert_eq!(cache.fitness_len(), 0);
         assert!(cache.is_bound(), "still journals fresh inserts");
     }
 
@@ -1023,53 +860,27 @@ mod tests {
     }
 
     #[test]
-    fn mechanism_specs_get_distinct_entries() {
-        let cache = EvalCache::new();
-        let p = params(1.0);
-        let transient = ClrChainSpec::transient(p);
-        let perm = ClrChainSpec::permanent_aging(p, 25.0);
-        cache.insert_analysis_spec(&transient, analysis(1.0));
-        assert_eq!(
-            cache.analysis_spec(&perm),
-            None,
-            "same params, different mechanism never hits"
-        );
-        cache.insert_analysis_spec(&perm, analysis(2.0));
-        assert_eq!(cache.analysis_spec(&transient), Some(analysis(1.0)));
-        assert_eq!(cache.analysis_spec(&perm), Some(analysis(2.0)));
-        assert_eq!(cache.analysis_len(), 2);
-    }
-
-    #[test]
     fn lru_eviction_bounds_entries_and_counts() {
         let cache = EvalCache::new();
         cache.set_entry_ceiling(SHARDS); // one slot per shard
         assert_eq!(cache.entry_ceiling(), SHARDS);
-        for i in 0..200 {
-            cache.insert_analysis_spec(&spec(1.0 + i as f64), analysis(1.0));
+        for i in 0..200u32 {
+            cache.insert_fitness(7, &genome(i), fitness_value(1.0));
         }
         assert!(
-            cache.analysis_len() <= SHARDS,
+            cache.fitness_len() <= SHARDS,
             "ceiling enforced: {} entries",
-            cache.analysis_len()
+            cache.fitness_len()
         );
-        let counts = cache.analysis_counts();
+        let counts = cache.fitness_counts();
         assert_eq!(counts.inserts, 200);
-        assert_eq!(counts.evictions, 200 - cache.analysis_len() as u64);
-        assert_eq!(cache.counts().evictions, counts.evictions);
-
-        // Fitness level is bounded by the same ceiling.
-        for i in 0..100 {
-            cache.insert_fitness(u64::from(i), &genome(i), fitness_value(1.0));
-        }
-        assert!(cache.fitness_len() <= SHARDS);
-        assert!(cache.fitness_counts().evictions > 0);
+        assert_eq!(counts.evictions, 200 - cache.fitness_len() as u64);
 
         // Eviction never corrupts answers: a re-inserted key replays its
         // stored value exactly.
-        let p = spec(500.0);
-        cache.insert_analysis_spec(&p, analysis(5.0));
-        assert_eq!(cache.analysis_spec(&p), Some(analysis(5.0)));
+        let g = genome(500);
+        cache.insert_fitness(7, &g, fitness_value(5.0));
+        assert_eq!(cache.fitness(7, &g), Some(fitness_value(5.0)));
     }
 
     #[test]
@@ -1078,49 +889,32 @@ mod tests {
         // The harshest setting: a ceiling of 1 clamps every shard to a
         // single slot, so almost every insert evicts. The invariant under
         // test is counter accuracy: inserts - evictions must equal the
-        // number of resident entries, per level, exactly.
+        // number of resident entries, exactly.
         cache.set_entry_ceiling(1);
         assert_eq!(cache.entry_ceiling(), 1);
-
-        for i in 0..64 {
-            cache.insert_analysis_spec(&spec(1.0 + f64::from(i)), analysis(1.0));
-        }
-        let analysis_counts = cache.analysis_counts();
-        assert_eq!(analysis_counts.inserts, 64);
-        assert!(
-            cache.analysis_len() <= SHARDS,
-            "one slot per shard: {} entries",
-            cache.analysis_len()
-        );
-        assert_eq!(
-            analysis_counts.evictions,
-            analysis_counts.inserts - cache.analysis_len() as u64,
-            "every insert past a shard's single slot is exactly one eviction"
-        );
-        assert!(analysis_counts.evictions > 0);
 
         for i in 0..64u32 {
             cache.insert_fitness(7, &genome(i), fitness_value(f64::from(i + 1)));
         }
-        let fitness_counts = cache.fitness_counts();
-        assert_eq!(fitness_counts.inserts, 64);
-        assert!(cache.fitness_len() <= SHARDS);
-        assert_eq!(
-            fitness_counts.evictions,
-            fitness_counts.inserts - cache.fitness_len() as u64
+        let counts = cache.fitness_counts();
+        assert_eq!(counts.inserts, 64);
+        assert!(
+            cache.fitness_len() <= SHARDS,
+            "one slot per shard: {} entries",
+            cache.fitness_len()
         );
-
-        // The aggregate view sums both levels without double counting.
         assert_eq!(
-            cache.counts().evictions,
-            analysis_counts.evictions + fitness_counts.evictions
+            counts.evictions,
+            counts.inserts - cache.fitness_len() as u64,
+            "every insert past a shard's single slot is exactly one eviction"
         );
+        assert!(counts.evictions > 0);
 
         // LRU at cap one means the newest key in a shard survives, and
         // the survivor replays its stored value bit-exactly.
-        let last = spec(200.0);
-        cache.insert_analysis_spec(&last, analysis(3.0));
-        assert_eq!(cache.analysis_spec(&last), Some(analysis(3.0)));
+        let last = genome(200);
+        cache.insert_fitness(7, &last, fitness_value(3.0));
+        assert_eq!(cache.fitness(7, &last), Some(fitness_value(3.0)));
     }
 
     #[test]
@@ -1128,25 +922,25 @@ mod tests {
         let cache = EvalCache::new();
         // Unbounded while warming, then capped: recently-touched entries
         // must survive a later squeeze.
-        let hot = spec(1.0);
-        for i in 0..40 {
-            cache.insert_analysis_spec(&spec(1.0 + i as f64), analysis(1.0));
+        let hot = genome(0);
+        for i in 0..40u32 {
+            cache.insert_fitness(7, &genome(i), fitness_value(1.0));
         }
-        assert_eq!(cache.analysis_spec(&hot), Some(analysis(1.0))); // refresh
+        assert_eq!(cache.fitness(7, &hot), Some(fitness_value(1.0))); // refresh
         cache.set_entry_ceiling(SHARDS);
         // Inserts into the hot entry's shard trigger evictions there; the
         // hot entry was just touched so colder keys go first.
-        for i in 100..140 {
-            cache.insert_analysis_spec(&spec(1.0 + i as f64), analysis(1.0));
+        for i in 100..140u32 {
+            cache.insert_fitness(7, &genome(i), fitness_value(1.0));
         }
-        let still_hot = cache.analysis_spec(&hot).is_some();
-        let total = cache.analysis_len();
+        let still_hot = cache.fitness(7, &hot).is_some();
+        let total = cache.fitness_len();
         assert!(total <= SHARDS + 40, "squeeze converges: {total}");
         // The hot entry survives unless its own shard overflowed past it;
         // with one slot per shard the newest insert wins, so just assert
         // the lookup stays coherent either way.
         if still_hot {
-            assert_eq!(cache.analysis_spec(&hot), Some(analysis(1.0)));
+            assert_eq!(cache.fitness(7, &hot), Some(fitness_value(1.0)));
         }
     }
 

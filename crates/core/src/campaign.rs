@@ -1201,7 +1201,7 @@ fn supervise<A, S: EvolutionState<A, Genome = Genome>>(
         // so they are stamped, not accumulated, to stay monotone across
         // the stages of one campaign.
         if let Some(cache) = cache {
-            let counts = cache.counts();
+            let counts = cache.fitness_counts();
             h.cache_hits = counts.hits;
             h.cache_misses = counts.misses;
             h.cache_inserts = counts.inserts;

@@ -31,10 +31,9 @@
 //! * [`resilience`] — the fault-tolerant DSE runtime: panic/error-isolated
 //!   fitness evaluation with quarantine, periodic GA checkpoints with
 //!   deterministic resume, and per-run [`RunHealth`] reports.
-//! * [`cache`] — the content-addressed evaluation cache: two-level
-//!   (task-analysis + genome-fitness) memoization with a persistent
-//!   sidecar for warm-started resumes; hits replay the uncached
-//!   computation bit-for-bit.
+//! * [`cache`] — the content-addressed evaluation cache: genome-fitness
+//!   memoization with a persistent sidecar for warm-started resumes;
+//!   hits replay the uncached computation bit-for-bit.
 //! * [`remote`] — the `clre-eval v1` context grammar and [`DseVocab`]:
 //!   what lets the `clre-exec-worker` subprocess backend reconstruct a
 //!   digest-verified stage problem from one line of text and evaluate

@@ -356,18 +356,11 @@ impl<'a> ClrEarly<'a> {
     }
 
     /// Attaches a shared evaluation cache (builder style): every GA run
-    /// of this orchestrator memoizes genome fitness through it, and the
-    /// single-layer baselines reuse its task-analysis level when they
-    /// rebuild their restricted libraries. Cached and uncached runs
-    /// produce bit-identical fronts for any worker count; only the wall
-    /// clock and the hit/miss telemetry differ.
-    ///
-    /// The library built at construction time predates this call; attach
-    /// the cache through [`TdseConfig::with_eval_cache`] and
-    /// [`ClrEarly::with_tdse_config`] to memoize that initial build too.
+    /// of this orchestrator memoizes genome fitness through it. Cached and
+    /// uncached runs produce bit-identical fronts for any worker count;
+    /// only the wall clock and the hit/miss telemetry differ.
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<EvalCache>) -> Self {
-        self.tdse = self.tdse.clone().with_eval_cache(Arc::clone(&cache));
         self.cache = Some(cache);
         self
     }

@@ -83,8 +83,8 @@ pub struct RunHealth {
     pub checkpoints_written: usize,
     /// Generation the run was resumed from, if it was resumed.
     pub resumed_from_generation: Option<usize>,
-    /// Evaluation-cache lookups answered from the cache (both levels:
-    /// task analyses and genome fitness). Zero when no cache is attached.
+    /// Genome-fitness cache lookups answered from the cache. Zero when no
+    /// cache is attached.
     pub cache_hits: u64,
     /// Evaluation-cache lookups that had to compute.
     pub cache_misses: u64,

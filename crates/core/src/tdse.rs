@@ -47,8 +47,8 @@ pub enum ReliabilityModel {
     /// Transient SEUs only — the single-mechanism model of the original
     /// pipeline. Chain specs carry
     /// [`clre_markov::clr::FaultMechanism::Transient`], whose digest
-    /// equals the raw parameter digest, so every cache line, chaos-plan
-    /// decision and Pareto front is bit-identical to the pre-spec code.
+    /// equals the raw parameter digest, so every chaos-plan decision and
+    /// Pareto front is bit-identical to the pre-spec code.
     #[default]
     Transient,
     /// Transient SEUs compete with permanent/aging faults: each
@@ -71,7 +71,7 @@ pub enum ReliabilityModel {
 }
 
 /// Configuration of one task-level DSE run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TdseConfig {
     /// The CLR configurations to explore per candidate.
     pub clr_catalog: Vec<ClrConfig>,
@@ -84,42 +84,14 @@ pub struct TdseConfig {
     pub implicit_masking_override: Option<f64>,
     /// The characterization substrate.
     pub profile: ProfileModel,
-    /// Optional task-analysis cache consulted in front of every
-    /// [`analyze_robust_spec`] call. Shared (via [`Arc`]) across library
-    /// builds so campaign stages and sweep cells hit instead of
-    /// re-factoring the same LU systems.
-    pub cache: Option<Arc<EvalCache>>,
     /// Optional deterministic solver-fault plan (chaos testing): analyses
     /// whose content digest the plan selects have their primary LU solve
     /// (and optionally the scaled retry) fail with an injected singular
     /// pivot, exercising the recovery ladder of
-    /// [`analyze_robust_spec`]. Injected analyses bypass the
-    /// cache so fault-free runs sharing the same sidecar never replay a
-    /// degraded verdict.
+    /// [`analyze_robust_spec`].
     pub solver_faults: Option<SolverFaultPlan>,
     /// Which fault mechanism every candidate's Markov chains model.
     pub reliability_model: ReliabilityModel,
-}
-
-impl PartialEq for TdseConfig {
-    /// Two configs are equal when they describe the same exploration;
-    /// the attached cache is an accelerator, not part of the
-    /// configuration's identity, and compares by instance (`Arc`
-    /// pointer).
-    fn eq(&self, other: &Self) -> bool {
-        self.clr_catalog == other.clr_catalog
-            && self.dvfs_policy == other.dvfs_policy
-            && self.objectives == other.objectives
-            && self.implicit_masking_override == other.implicit_masking_override
-            && self.profile == other.profile
-            && self.solver_faults == other.solver_faults
-            && self.reliability_model == other.reliability_model
-            && match (&self.cache, &other.cache) {
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                (None, None) => true,
-                _ => false,
-            }
-    }
 }
 
 impl Default for TdseConfig {
@@ -130,7 +102,6 @@ impl Default for TdseConfig {
             objectives: ObjectiveSet::set_ii(),
             implicit_masking_override: None,
             profile: ProfileModel::default(),
-            cache: None,
             solver_faults: None,
             reliability_model: ReliabilityModel::Transient,
         }
@@ -172,12 +143,9 @@ impl TdseConfig {
         Ok(self)
     }
 
-    /// Attaches a shared evaluation cache (builder style): every
-    /// [`analyze_robust_spec`] call made while building libraries under this
-    /// config first consults the cache's task-analysis level.
+    /// Returns the config unchanged. Kept for perfbench; deleted at the next benchmark change.
     #[must_use]
-    pub fn with_eval_cache(mut self, cache: Arc<EvalCache>) -> Self {
-        self.cache = Some(cache);
+    pub fn with_eval_cache(self, _cache: Arc<EvalCache>) -> Self {
         self
     }
 
@@ -259,7 +227,7 @@ impl TdseHealth {
 /// Estimates the Table II metrics of one fully configured candidate under
 /// `config` — the per-candidate step of the library sweep, reading the
 /// same config fields: the profile, the implicit-masking override, the
-/// reliability model, the analysis cache and the solver-fault plan.
+/// reliability model and the solver-fault plan.
 ///
 /// Steps:
 /// 1. characterize `(cycles, capacitance)` at the DVFS mode,
@@ -268,13 +236,11 @@ impl TdseHealth {
 ///    TMR triples power, so it also heats and ages the PE faster,
 /// 4. derate the raw SEU rate by the PE type's architectural masking
 ///    factor (`1 − AVF`),
-/// 5. run the timing and functional Markov chains, probing the cache
-///    first; a hit replays the uncached verdict bit-for-bit.
+/// 5. run the timing and functional Markov chains.
 ///
 /// # Errors
 ///
 /// Propagates [`DseError::Markov`] for degenerate chain parameters.
-/// Failed analyses are never cached.
 ///
 /// # Examples
 ///
@@ -300,7 +266,7 @@ pub fn evaluate_candidate(
     config: &TdseConfig,
 ) -> Result<TaskMetrics, DseError> {
     let point = ProtectedPoint::new(imp, pe_type, mode, clr, &config.profile);
-    let robust = Analyzer::new(config).analyze(&point.spec(config))?;
+    let robust = analyze(&point.spec(config), config)?;
     Ok(point.metrics(&robust))
 }
 
@@ -310,11 +276,11 @@ pub fn evaluate_candidate(
 /// against the same semantics: the flattened chain parameters plus the
 /// fault mechanism derived from `model`. Under
 /// [`ReliabilityModel::Transient`] the spec's digest equals the raw
-/// parameter digest, so caches, sidecar files and solver-fault plans
-/// behave exactly as before the mechanism axis existed. Under [`ReliabilityModel::PermanentAging`] the PE type's
-/// Weibull hazard at mission time — with scale `η` at the candidate's
-/// protected power, the same `η` [`evaluate_candidate`] reports — is
-/// folded in as a competing permanent-fault rate.
+/// parameter digest, so solver-fault plans behave exactly as before the
+/// mechanism axis existed. Under [`ReliabilityModel::PermanentAging`] the
+/// PE type's Weibull hazard at mission time — with scale `η` at the
+/// candidate's protected power, the same `η` [`evaluate_candidate`]
+/// reports — is folded in as a competing permanent-fault rate.
 pub fn chain_spec(
     imp: &BaseImpl,
     pe_type: &PeType,
@@ -429,57 +395,12 @@ impl<'a> ProtectedPoint<'a> {
     }
 }
 
-/// Where candidate analyses come from: an optional task-analysis cache
-/// and an optional solver-fault plan. Analyses the plan selects never
-/// read or write the cache.
-struct Analyzer<'a> {
-    cache: Option<&'a EvalCache>,
-    solver_faults: Option<&'a SolverFaultPlan>,
-}
-
-impl<'a> Analyzer<'a> {
-    /// The analyzer for `config`'s cache and solver-fault plan.
-    fn new(config: &'a TdseConfig) -> Self {
-        Analyzer {
-            cache: config.cache.as_deref(),
-            solver_faults: config.solver_faults.as_ref(),
-        }
-    }
-
-    /// The fault plan, if it selects `spec`'s primary solve.
-    fn injected(&self, spec: &ClrChainSpec) -> Option<&SolverFaultPlan> {
-        self.solver_faults
-            .filter(|plan| plan.primary_fails(spec.digest()))
-    }
-
-    /// The cached verdict for `spec`, or `None` when it must be solved:
-    /// a cache miss, no cache, or an analysis the fault plan selects.
-    fn probe(&self, spec: &ClrChainSpec) -> Option<RobustAnalysis> {
-        if self.injected(spec).is_some() {
-            return None;
-        }
-        self.cache?.analysis_spec(spec)
-    }
-
-    /// Solves `spec` and, unless the verdict was injected, inserts it
-    /// once into the cache, returning the stored value.
-    fn solve(&self, spec: &ClrChainSpec) -> Result<RobustAnalysis, MarkovError> {
-        if let Some(plan) = self.injected(spec) {
-            return analyze_robust_chaos_spec(spec, plan);
-        }
-        let robust = analyze_robust_spec(spec)?;
-        Ok(match self.cache {
-            Some(cache) => cache.insert_analysis_spec(spec, robust),
-            None => robust,
-        })
-    }
-
-    /// The verdict for `spec`: probed, and solved on a miss.
-    fn analyze(&self, spec: &ClrChainSpec) -> Result<RobustAnalysis, MarkovError> {
-        match self.probe(spec) {
-            Some(hit) => Ok(hit),
-            None => self.solve(spec),
-        }
+/// Solves `spec`, through `config`'s solver-fault plan when the plan
+/// selects the spec's primary solve.
+fn analyze(spec: &ClrChainSpec, config: &TdseConfig) -> Result<RobustAnalysis, MarkovError> {
+    match &config.solver_faults {
+        Some(plan) if plan.primary_fails(spec.digest()) => analyze_robust_chaos_spec(spec, plan),
+        _ => analyze_robust_spec(spec),
     }
 }
 
@@ -528,12 +449,10 @@ pub fn candidates_for_type(
 /// [`candidates_for_type`] that also accumulates degraded-analysis
 /// counters into `health`.
 ///
-/// The sweep probes the analysis cache serially up to the first miss
-/// and analyzes the remaining candidates in parallel on an
-/// [`ExecPool::auto`] pool; a fully warm sweep never starts a thread.
-/// Results are folded in (implementation, mode, CLR) order, so the
-/// candidates, the counters and the first error are bit-identical to a
-/// serial loop for any worker count.
+/// The sweep analyzes every candidate in parallel on an
+/// [`ExecPool::auto`] pool. Results are folded in (implementation, mode,
+/// CLR) order, so the candidates, the counters and the first error are
+/// bit-identical to a serial loop for any worker count.
 ///
 /// # Errors
 ///
@@ -545,19 +464,17 @@ pub fn candidates_for_type_with_health(
     config: &TdseConfig,
     health: &mut TdseHealth,
 ) -> Result<Vec<CandidateImpl>, DseError> {
-    sweep_type(graph, platform, ty, config, health, ExecPool::auto)
+    sweep_type(graph, platform, ty, config, health, &ExecPool::auto())
 }
 
-/// The sweep behind [`candidates_for_type_with_health`], with the pool
-/// supplied by `pool`, which is called only when some analysis has to be
-/// solved.
+/// The sweep behind [`candidates_for_type_with_health`] on `pool`.
 pub(crate) fn sweep_type(
     graph: &TaskGraph,
     platform: &Platform,
     ty: TaskTypeId,
     config: &TdseConfig,
     health: &mut TdseHealth,
-    pool: impl FnOnce() -> ExecPool,
+    pool: &ExecPool,
 ) -> Result<Vec<CandidateImpl>, DseError> {
     let task_type = graph.task_type(ty).ok_or(DseError::InvalidConfig {
         what: "task type id out of range",
@@ -589,35 +506,12 @@ pub(crate) fn sweep_type(
         }
     }
 
-    let analyzer = Analyzer::new(config);
-    // Probe serially up to the first miss, which is solved inline: a fully
-    // warm sweep is answered here and hands nothing to the pool.
-    let mut analyses = Vec::new();
-    for (.., point) in &keys {
-        let spec = point.spec(config);
-        match analyzer.probe(&spec) {
-            Some(hit) => analyses.push(Ok(hit)),
-            None => {
-                analyses.push(analyzer.solve(&spec));
-                break;
-            }
-        }
-    }
-    // Workers analyze the remaining keys one at a time, as the serial loop
-    // did, so concurrent builds sharing a cache see each other's inserts.
-    // The pool returns the results in key order.
-    let rest = &keys[analyses.len()..];
-    let solved = match rest {
-        [] => Vec::new(),
-        _ => {
-            pool()
-                .evaluate_batch(rest, |(.., point)| analyzer.analyze(&point.spec(config)))
-                .0
-        }
-    };
+    // The pool returns the analyses in key order.
+    let (analyses, _) =
+        pool.evaluate_batch(&keys, |(.., point)| analyze(&point.spec(config), config));
     // Fold in key order: the first error is the serial loop's error.
     keys.iter()
-        .zip(analyses.into_iter().chain(solved))
+        .zip(analyses)
         .map(|((impl_idx, mode_idx, point), robust)| {
             let robust = robust?;
             health.candidates_evaluated += 1;
@@ -680,7 +574,6 @@ pub fn build_library_with_health(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheCounts;
     use crate::scenario::Scenario;
     use clre_model::platform::paper_platform;
     use clre_model::reliability::{AswMethod, HwMethod, SswMethod};
@@ -702,9 +595,9 @@ mod tests {
     }
 
     /// The serial sweep this module shipped before the parallel one, kept
-    /// as its oracle: the pre-parallel loop with the pre-parallel
-    /// per-candidate cache policy and metrics formula inlined, so it
-    /// shares no code with the sweep beyond [`chain_spec`].
+    /// as its oracle: the pre-parallel loop with the solver-fault switch
+    /// and metrics formula inlined, so it shares no code with the sweep
+    /// beyond [`chain_spec`].
     fn serial_oracle(
         graph: &TaskGraph,
         platform: &Platform,
@@ -747,15 +640,7 @@ mod tests {
                         Some(plan) if plan.primary_fails(spec.digest()) => {
                             analyze_robust_chaos_spec(&spec, plan)?
                         }
-                        _ => match &config.cache {
-                            Some(cache) => match cache.analysis_spec(&spec) {
-                                Some(hit) => hit,
-                                None => {
-                                    cache.insert_analysis_spec(&spec, analyze_robust_spec(&spec)?)
-                                }
-                            },
-                            None => analyze_robust_spec(&spec)?,
-                        },
+                        _ => analyze_robust_spec(&spec)?,
                     };
                     let r = robust.reliability;
                     health.candidates_evaluated += 1;
@@ -784,34 +669,20 @@ mod tests {
     }
 
     /// Every task type's sweep under `config`, plus the health counters
-    /// and the analysis-cache counters the sweeps added.
-    type Sweep = (
-        Result<Vec<Vec<CandidateImpl>>, String>,
-        TdseHealth,
-        Option<CacheCounts>,
-    );
+    /// the sweeps added.
+    type Sweep = (Result<Vec<Vec<CandidateImpl>>, String>, TdseHealth);
 
     fn sweep_all(
         graph: &TaskGraph,
         config: &TdseConfig,
         sweep: impl Fn(&TdseConfig, TaskTypeId, &mut TdseHealth) -> Result<Vec<CandidateImpl>, DseError>,
     ) -> Sweep {
-        let before = config.cache.as_ref().map(|c| c.analysis_counts());
         let mut health = TdseHealth::default();
         let candidates = (0..graph.task_types().len())
             .map(|ty| sweep(config, TaskTypeId::new(ty as u32), &mut health))
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| format!("{e:?}"));
-        let counts = config.cache.as_ref().zip(before).map(|(c, b)| {
-            let a = c.analysis_counts();
-            CacheCounts {
-                hits: a.hits - b.hits,
-                misses: a.misses - b.misses,
-                inserts: a.inserts - b.inserts,
-                evictions: a.evictions - b.evictions,
-            }
-        });
-        (candidates, health, counts)
+        (candidates, health)
     }
 
     fn oracle_sweep(graph: &TaskGraph, platform: &Platform, config: &TdseConfig) -> Sweep {
@@ -827,57 +698,23 @@ mod tests {
         workers: usize,
     ) -> Sweep {
         sweep_all(graph, config, |cfg, ty, health| {
-            sweep_type(graph, platform, ty, cfg, health, || ExecPool::new(workers))
+            sweep_type(graph, platform, ty, cfg, health, &ExecPool::new(workers))
         })
-    }
-
-    /// The cache states the parallel sweep must be indistinguishable
-    /// under: absent, cold, warm (filled by one oracle sweep) and cold
-    /// with an entry ceiling of 1.
-    const CACHE_STATES: [&str; 4] = ["absent", "cold", "warm", "ceiling-1"];
-
-    fn with_cache_state(
-        graph: &TaskGraph,
-        platform: &Platform,
-        base: &TdseConfig,
-        state: &str,
-    ) -> TdseConfig {
-        if state == "absent" {
-            return base.clone();
-        }
-        let cache = EvalCache::shared();
-        if state == "ceiling-1" {
-            cache.set_entry_ceiling(1);
-        }
-        let config = base.clone().with_eval_cache(cache);
-        if state == "warm" {
-            // A failing sweep still warms every key before its error.
-            let _ = oracle_sweep(graph, platform, &config);
-        }
-        config
     }
 
     fn assert_matches_oracle(
         graph: &TaskGraph,
         platform: &Platform,
-        base: &TdseConfig,
+        config: &TdseConfig,
         what: &str,
     ) {
-        for state in CACHE_STATES {
-            let oracle = oracle_sweep(
-                graph,
-                platform,
-                &with_cache_state(graph, platform, base, state),
-            );
-            assert!(oracle.0.is_ok(), "{what}/{state}: oracle failed");
-            for workers in [1, 2, 3, 8] {
-                let config = with_cache_state(graph, platform, base, state);
-                let pooled = pooled_sweep(graph, platform, &config, workers);
-                let at = format!("{what}/{state}/{workers} workers");
-                assert_eq!(pooled.0, oracle.0, "{at}: candidates");
-                assert_eq!(pooled.1, oracle.1, "{at}: health");
-                assert_eq!(pooled.2, oracle.2, "{at}: cache counts");
-            }
+        let oracle = oracle_sweep(graph, platform, config);
+        assert!(oracle.0.is_ok(), "{what}: oracle failed");
+        for workers in [1, 2, 3, 8] {
+            let pooled = pooled_sweep(graph, platform, config, workers);
+            let at = format!("{what}/{workers} workers");
+            assert_eq!(pooled.0, oracle.0, "{at}: candidates");
+            assert_eq!(pooled.1, oracle.1, "{at}: health");
         }
     }
 
@@ -902,48 +739,18 @@ mod tests {
     fn parallel_sweep_matches_the_serial_oracle_under_a_solver_fault_storm() {
         let p = paper_platform();
         let g = test_graph(&p);
-        // Every primary solve fails: all analyses bypass the cache.
+        // Every primary solve fails.
         let storm = TdseConfig::default().with_solver_faults(SolverFaultPlan::new(7, 1_000_000, 0));
         assert_matches_oracle(&g, &p, &storm, "storm");
         let s = pooled_sweep(&g, &p, &storm, 3);
         assert_eq!(s.1.solver_retries, s.1.candidates_evaluated);
         // Partial injection with failing retries: injected, degraded and
-        // cached analyses interleave in one sweep.
+        // plain analyses interleave in one sweep.
         let mixed =
             TdseConfig::default().with_solver_faults(SolverFaultPlan::new(3, 400_000, 500_000));
         assert_matches_oracle(&g, &p, &mixed, "mixed");
         let m = pooled_sweep(&g, &p, &mixed, 3);
         assert!(m.1.degraded_analyses > 0 && m.1.solver_retries > m.1.degraded_analyses);
-    }
-
-    #[test]
-    fn warm_sweep_hands_nothing_to_the_pool() {
-        let p = paper_platform();
-        let g = test_graph(&p);
-        let config = with_cache_state(&g, &p, &TdseConfig::default(), "warm");
-        let warm = sweep_all(&g, &config, |cfg, ty, health| {
-            sweep_type(&g, &p, ty, cfg, health, || {
-                panic!("a warm sweep built a pool")
-            })
-        });
-        assert_eq!(warm.0, oracle_sweep(&g, &p, &config).0);
-        let counts = warm.2.expect("cache attached");
-        assert_eq!((counts.misses, counts.inserts), (0, 0));
-        assert_eq!(counts.hits, warm.1.candidates_evaluated as u64);
-
-        // Injected analyses never read the cache, so a warm sweep under
-        // a fault plan still hands them to the pool.
-        let faulty = config.with_solver_faults(SolverFaultPlan::new(7, 1_000_000, 0));
-        let pooled = std::cell::Cell::new(0);
-        sweep_all(&g, &faulty, |cfg, ty, health| {
-            sweep_type(&g, &p, ty, cfg, health, || {
-                pooled.set(pooled.get() + 1);
-                ExecPool::new(2)
-            })
-        })
-        .0
-        .expect("storm sweep");
-        assert_eq!(pooled.get(), g.task_types().len());
     }
 
     #[test]
@@ -972,18 +779,15 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        for state in CACHE_STATES {
-            let config = with_cache_state(&g, &p, &TdseConfig::default(), state);
-            let oracle = oracle_sweep(&g, &p, &config);
-            let err = oracle.0.clone().expect_err("degenerate impls must fail");
-            assert!(err.contains("InvalidResidence"), "{err}");
-            assert!(oracle.1.candidates_evaluated > 0);
-            for workers in [1, 2, 3, 8] {
-                let config = with_cache_state(&g, &p, &TdseConfig::default(), state);
-                let pooled = pooled_sweep(&g, &p, &config, workers);
-                assert_eq!(pooled.0, oracle.0, "{state}/{workers}: first error");
-                assert_eq!(pooled.1, oracle.1, "{state}/{workers}: health at the error");
-            }
+        let config = TdseConfig::default();
+        let oracle = oracle_sweep(&g, &p, &config);
+        let err = oracle.0.clone().expect_err("degenerate impls must fail");
+        assert!(err.contains("InvalidResidence"), "{err}");
+        assert!(oracle.1.candidates_evaluated > 0);
+        for workers in [1, 2, 3, 8] {
+            let pooled = pooled_sweep(&g, &p, &config, workers);
+            assert_eq!(pooled.0, oracle.0, "{workers}: first error");
+            assert_eq!(pooled.1, oracle.1, "{workers}: health at the error");
         }
     }
 
@@ -995,34 +799,6 @@ mod tests {
         let cands = candidates_for_type(&g, &p, TaskTypeId::new(0), &cfg).unwrap();
         // 2 processor impls × 3 modes × 80 + 1 accel impl × 1 mode × 80.
         assert_eq!(cands.len(), (2 * 3 + 1) * 80);
-    }
-
-    #[test]
-    fn cached_library_build_is_bit_identical() {
-        let p = paper_platform();
-        let g = test_graph(&p);
-        let cold = build_library_with_health(&g, &p, &TdseConfig::default()).unwrap();
-
-        let cache = EvalCache::shared();
-        let cfg = TdseConfig::default().with_eval_cache(Arc::clone(&cache));
-        let first = build_library_with_health(&g, &p, &cfg).unwrap();
-        let after_first = cache.analysis_counts();
-        assert!(after_first.inserts > 0, "cold build populates the cache");
-
-        let warm = build_library_with_health(&g, &p, &cfg).unwrap();
-        let after_warm = cache.analysis_counts();
-        assert_eq!(
-            after_warm.inserts, after_first.inserts,
-            "warm build inserts nothing new"
-        );
-        assert!(after_warm.hits > after_first.hits);
-
-        // Cache off, cache cold, cache warm: all bit-identical — including
-        // the degraded/retried health counters replayed from stored flags.
-        assert_eq!(cold.0, first.0);
-        assert_eq!(first.0, warm.0);
-        assert_eq!(cold.1, first.1);
-        assert_eq!(first.1, warm.1);
     }
 
     #[test]
@@ -1044,16 +820,10 @@ mod tests {
         assert_eq!(s.1.solver_retries, s.1.candidates_evaluated);
         assert_eq!(s.1.degraded_analyses, 0);
 
-        // Same seed reproduces the same library and counters bit-for-bit;
-        // injected analyses never leak into an attached cache.
-        let cache = EvalCache::shared();
-        let storm_cached = TdseConfig::default()
-            .with_solver_faults(SolverFaultPlan::new(7, 1_000_000, 0))
-            .with_eval_cache(Arc::clone(&cache));
-        let s2 = build_library_with_health(&g, &p, &storm_cached).unwrap();
+        // Same seed reproduces the same library and counters bit-for-bit.
+        let s2 = build_library_with_health(&g, &p, &storm).unwrap();
         assert_eq!(s.0, s2.0);
         assert_eq!(s.1, s2.1);
-        assert_eq!(cache.analysis_counts().inserts, 0);
     }
 
     #[test]
@@ -1317,7 +1087,7 @@ mod tests {
     }
 
     #[test]
-    fn permanent_library_build_is_cached_bit_identically() {
+    fn permanent_library_build_is_reproducible() {
         let p = paper_platform();
         let g = test_graph(&p);
         let model = ReliabilityModel::PermanentAging { mission_time: 50.0 };
@@ -1325,15 +1095,9 @@ mod tests {
             .with_profile(accelerated_aging_profile())
             .with_reliability_model(model);
         let cold = build_library_with_health(&g, &p, &base).unwrap();
-
-        let cache = EvalCache::shared();
-        let cfg = base.clone().with_eval_cache(Arc::clone(&cache));
-        let first = build_library_with_health(&g, &p, &cfg).unwrap();
-        assert!(cache.analysis_counts().inserts > 0);
-        let warm = build_library_with_health(&g, &p, &cfg).unwrap();
-        assert_eq!(cold.0, first.0);
-        assert_eq!(first.0, warm.0);
-        assert_eq!(cold.1, warm.1);
+        let again = build_library_with_health(&g, &p, &base).unwrap();
+        assert_eq!(cold.0, again.0);
+        assert_eq!(cold.1, again.1);
 
         // The permanent library is genuinely different from transient.
         let transient = build_library_with_health(

@@ -115,9 +115,9 @@ impl ClrChainParams {
     ///
     /// Exact bits, no quantization: two parameter sets share a digest only
     /// if every field is bit-identical (so `0.0` and `-0.0` digest
-    /// differently, as do distinct NaN payloads). Used as the key of the
-    /// task-analysis cache, where bit-exactness is what guarantees cached
-    /// analyses replay the uncached computation verbatim.
+    /// differently, as do distinct NaN payloads). Used as the key of
+    /// solver-fault plans, where bit-exactness is what makes a plan's
+    /// choice of analyses reproducible.
     pub fn digest(&self) -> u64 {
         let mut fnv = Fnv::new();
         self.fold_into(&mut fnv);
@@ -250,7 +250,7 @@ impl FaultMechanism {
 
 /// One task's chain specification: flattened CLR parameters plus the
 /// fault mechanism routing the events. This is the unit the chain
-/// builders, the robust-analysis ladder, and the task-analysis cache key
+/// builders, the robust-analysis ladder, and solver-fault plans key
 /// on; the transient-only constructors reproduce the historic
 /// `ClrChainParams` behaviour bit-exactly (including the digest).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -850,10 +850,10 @@ mod tests {
         assert_ne!(p.digest(), q.digest(), "one ULP is a different key");
     }
 
-    /// The digests key the on-disk analysis-cache sidecar and every chaos
-    /// fault schedule, so their exact values are a persistence format: a
-    /// change to the hash, the field order or the mechanism words must
-    /// fail here, not silently orphan existing sidecars.
+    /// The digests key every solver-fault schedule, so their exact values
+    /// are a reproducibility format: a change to the hash, the field order
+    /// or the mechanism words must fail here, not silently move every
+    /// recorded chaos run onto a different schedule.
     #[test]
     fn persistent_digests_are_pinned() {
         let bare = ClrChainParams::unprotected(300.0e-6, 100.0);

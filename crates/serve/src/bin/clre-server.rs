@@ -10,8 +10,9 @@
 //! `--trace-ring` bounds each campaign's in-memory trace history (0 =
 //! unbounded, default 4096 lines); older lines spill to `trace.txt`
 //! and `attach from=n` replays them from there. `--cache-ceiling`
-//! bounds each shared evaluation cache (0 = unbounded); beyond it the
-//! least-recently-used entries are evicted and reported in `stats`.
+//! bounds the fitness entries of each shared evaluation cache (0 =
+//! unbounded); beyond it the least-recently-used entries are evicted and
+//! reported in `stats`.
 //! `--backend` selects where evaluation batches run (default
 //! `inprocess`); `subprocess` supervises a pool of `clre-exec-worker`
 //! children, located via `$CLRE_EXEC_WORKER`, a sibling of this binary,

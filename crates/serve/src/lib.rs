@@ -9,13 +9,12 @@
 //! generation granularity via `clre_exec::FairGate`), and streams each
 //! generation's `trace-v1` line back the moment it is finalized.
 //!
-//! Cross-tenant warm-start: every campaign on the same platform shares
-//! one content-addressed `EvalCache` whose L1 task-analysis level is
-//! keyed purely by chain-parameter bits — tenant A's Markov solves
-//! answer tenant B's lookups, and the persisted sidecar keeps the cache
-//! warm across server restarts. Above the cache, the server builds each
-//! (application, scenario) task-level library once and shares it across
-//! campaigns ([`memo`]).
+//! Cross-tenant warm-start: the server builds each (application,
+//! scenario) task-level library once and shares it across campaigns
+//! ([`memo`]). Every campaign on the same platform also shares one
+//! content-addressed fitness `EvalCache`, keyed by problem digest and
+//! genome, and the persisted sidecar keeps it warm across server
+//! restarts.
 //!
 //! Determinism contract: a campaign run through the server yields a
 //! front digest ([`server::front_digest`]) bit-identical to the same

@@ -4,8 +4,8 @@
 //! campaign [`Registry`], one [`FairGate`] arbitrating every campaign's
 //! evaluation batches over the host's worker budget, and one shared
 //! [`EvalCache`] per platform label (persisted to a sidecar under the
-//! server root, so restarts stay warm and unrelated tenants warm-start
-//! each other through the content-addressed L1 task-analysis level).
+//! server root, so restarts stay warm and tenants on the same problem
+//! reuse each other's genome fitnesses).
 //!
 //! Lifecycle invariants:
 //!
@@ -68,9 +68,9 @@ pub struct ServeConfig {
     /// replays them from there, so the cap bounds resident memory
     /// without truncating history.
     pub trace_ring: usize,
-    /// Entry ceiling per shared [`EvalCache`] (0 = unbounded); beyond
-    /// it, least-recently-used entries are evicted and counted in the
-    /// `stats` eviction telemetry.
+    /// Fitness entry ceiling per shared [`EvalCache`] (0 = unbounded);
+    /// beyond it, least-recently-used entries are evicted and counted in
+    /// the `stats` eviction telemetry.
     pub cache_ceiling: usize,
     /// Where campaign evaluation batches run. The choice never changes
     /// fronts (the determinism invariant above) — only where the work
@@ -141,8 +141,8 @@ impl ServeConfig {
 }
 
 /// FNV-1a digest of a front's objective matrix, point order preserved —
-/// the wire protocol's determinism fingerprint (identical to the
-/// chaosbench digest, so digests compare across tools).
+/// the wire protocol's determinism fingerprint, shared by every bench
+/// report so digests compare across tools.
 pub fn front_digest(front: &FrontResult) -> u64 {
     let mut fnv = Fnv::new();
     for objectives in front.objectives() {
@@ -171,9 +171,8 @@ pub const MEMO_PER_WORKER: usize = 2;
 /// wire encodings.
 ///
 /// The key may omit the tDSE configuration because the server's is
-/// always `scenario.apply_to(TdseConfig::default())` plus the platform's
-/// shared cache, and the cache only memoizes analyses, never changing a
-/// value: the library is a pure function of the pair.
+/// always `scenario.apply_to(TdseConfig::default())`: the library is a
+/// pure function of the pair.
 fn library_key(app: &AppSpec, scenario: &Scenario) -> String {
     format!("{} {}", app.encode(), scenario.name())
 }
@@ -423,12 +422,8 @@ fn drive_campaign(
         exec = exec.with_eval_backend(backend);
     }
     // The scenario picks the fault mechanism, CLR catalog and objective
-    // set; the shared cache is attached first so scenario-distinct
-    // chain digests land in the same warm sidecar without colliding.
-    let tdse = match request
-        .scenario
-        .apply_to(TdseConfig::default().with_eval_cache(Arc::clone(&cache)))
-    {
+    // set.
+    let tdse = match request.scenario.apply_to(TdseConfig::default()) {
         Ok(tdse) => tdse,
         Err(e) => return CampaignOutcome::Failed(format!("scenario: {e}")),
     };
@@ -621,15 +616,11 @@ fn stats_line(shared: &Arc<Shared>) -> String {
     let (active, done, parked, failed) = shared.registry.outcome_counts();
     let tenants = shared.registry.tenant_count();
     let caches = shared.caches.lock().expect("cache table poisoned");
-    let counts: HashMap<String, (u64, u64, u64, u64, u64, u64)> = caches
+    let counts: HashMap<String, (u64, u64, u64)> = caches
         .iter()
         .map(|(label, cache)| {
-            let a = cache.analysis_counts();
             let f = cache.fitness_counts();
-            (
-                label.clone(),
-                (a.hits, a.misses, a.evictions, f.hits, f.misses, f.evictions),
-            )
+            (label.clone(), (f.hits, f.misses, f.evictions))
         })
         .collect();
     let memo = shared.libraries.counts();

@@ -381,20 +381,19 @@ impl Registry {
 }
 
 /// Snapshot of every shared cache's counters, for the `stats` response.
-/// Per label: `(analysis hits, analysis misses, analysis evictions,
-/// fitness hits, fitness misses, fitness evictions)` — evictions are
-/// nonzero only when the server runs with a cache entry ceiling.
-pub fn format_cache_stats(counts: &HashMap<String, (u64, u64, u64, u64, u64, u64)>) -> String {
+/// Per label: `(fitness hits, fitness misses, fitness evictions)` —
+/// evictions are nonzero only when the server runs with a cache entry
+/// ceiling.
+pub fn format_cache_stats(counts: &HashMap<String, (u64, u64, u64)>) -> String {
     let mut labels: Vec<&String> = counts.keys().collect();
     labels.sort();
     labels
         .iter()
         .map(|label| {
-            let (ah, am, ae, fh, fm, fe) = counts[label.as_str()];
+            let (fh, fm, fe) = counts[label.as_str()];
             format!(
-                " cache.{label}.analysis_hits={ah} cache.{label}.analysis_misses={am} \
-                 cache.{label}.analysis_evictions={ae} cache.{label}.fitness_hits={fh} \
-                 cache.{label}.fitness_misses={fm} cache.{label}.fitness_evictions={fe}"
+                " cache.{label}.fitness_hits={fh} cache.{label}.fitness_misses={fm} \
+                 cache.{label}.fitness_evictions={fe}"
             )
         })
         .collect()
@@ -424,8 +423,8 @@ mod tests {
     #[test]
     fn cache_stats_tokens_are_space_separated_and_numeric() {
         let mut counts = HashMap::new();
-        counts.insert("paper".to_owned(), (11u64, 22u64, 5u64, 33u64, 44u64, 6u64));
-        counts.insert("sobel".to_owned(), (1u64, 2u64, 0u64, 3u64, 4u64, 0u64));
+        counts.insert("paper".to_owned(), (33u64, 44u64, 6u64));
+        counts.insert("sobel".to_owned(), (3u64, 4u64, 0u64));
         let stats = format_cache_stats(&counts);
         // Every token must parse as key=<u64> — a glued token (missing
         // separator) would make its numeric tail unparseable.
@@ -437,13 +436,10 @@ mod tests {
                 .unwrap_or_else(|_| panic!("token {tok:?} has a non-numeric value"));
         }
         for expected in [
-            "cache.paper.analysis_hits=11",
-            "cache.paper.analysis_misses=22",
-            "cache.paper.analysis_evictions=5",
             "cache.paper.fitness_hits=33",
             "cache.paper.fitness_misses=44",
             "cache.paper.fitness_evictions=6",
-            "cache.sobel.analysis_hits=1",
+            "cache.sobel.fitness_hits=3",
         ] {
             assert!(
                 stats.split_whitespace().any(|t| t == expected),
