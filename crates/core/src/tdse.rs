@@ -449,10 +449,11 @@ pub fn candidates_for_type(
 /// [`candidates_for_type`] that also accumulates degraded-analysis
 /// counters into `health`.
 ///
-/// The sweep analyzes every candidate in parallel on an
-/// [`ExecPool::auto`] pool. Results are folded in (implementation, mode,
-/// CLR) order, so the candidates, the counters and the first error are
-/// bit-identical to a serial loop for any worker count.
+/// This is the one-type view of the library sweep behind
+/// [`build_library_with_health`]: the same pass, over this type's keys
+/// alone, on an [`ExecPool::auto`] pool. The candidates, the counters and
+/// the first error are bit-identical to a serial loop in (implementation,
+/// mode, CLR) order for any worker count.
 ///
 /// # Errors
 ///
@@ -464,69 +465,137 @@ pub fn candidates_for_type_with_health(
     config: &TdseConfig,
     health: &mut TdseHealth,
 ) -> Result<Vec<CandidateImpl>, DseError> {
-    sweep_type(graph, platform, ty, config, health, &ExecPool::auto())
+    if graph.task_type(ty).is_none() {
+        return Err(DseError::InvalidConfig {
+            what: "task type id out of range",
+        });
+    }
+    let types = ty.index()..ty.index() + 1;
+    let mut swept = sweep(graph, platform, types, config, health, &ExecPool::auto())?;
+    Ok(swept.pop().expect("one task type swept"))
 }
 
-/// The sweep behind [`candidates_for_type_with_health`] on `pool`.
-pub(crate) fn sweep_type(
+/// One candidate of the library sweep: indices of its task type, of the
+/// type's implementation, of the PE type's DVFS mode and of the CLR
+/// catalog entry.
+#[derive(Clone, Copy)]
+struct SweepKey {
+    ty: u32,
+    imp: u32,
+    mode: u32,
+    clr: u32,
+}
+
+/// A swept candidate plus its analysis' recovery flags.
+struct Swept {
+    candidate: CandidateImpl,
+    degraded: bool,
+    retried: bool,
+}
+
+/// The sweep of the task types `types` (indices into
+/// `graph.task_types()`) on `pool`: every type's (implementation, mode,
+/// CLR) keys are enumerated up front and analyzed in one pool pass, each
+/// type's results landing in that type's own buffer, then folded per type
+/// in key order. The candidates, the counters and the first error are
+/// therefore the serial loop's, for any worker count.
+fn sweep(
     graph: &TaskGraph,
     platform: &Platform,
-    ty: TaskTypeId,
+    types: std::ops::Range<usize>,
     config: &TdseConfig,
     health: &mut TdseHealth,
     pool: &ExecPool,
-) -> Result<Vec<CandidateImpl>, DseError> {
-    let task_type = graph.task_type(ty).ok_or(DseError::InvalidConfig {
-        what: "task type id out of range",
-    })?;
-    // Enumerate the (implementation, mode, CLR) keys in sweep order.
+) -> Result<Vec<Vec<CandidateImpl>>, DseError> {
     let mut keys = Vec::new();
-    for (impl_idx, imp) in task_type.impls().iter().enumerate() {
-        let Some(pe_type) = platform.pe_type(imp.pe_type()) else {
-            // Implementation targets a PE type absent from this platform:
-            // simply not mappable here.
-            continue;
-        };
-        let modes: &[DvfsMode] = match config.dvfs_policy {
-            DvfsPolicy::All => pe_type.dvfs_modes(),
-            // A PE type without modes contributes nothing, as under `All`.
-            DvfsPolicy::NominalOnly => pe_type.dvfs_modes().get(..1).unwrap_or(&[]),
-        };
-        for (mode_idx, mode) in modes.iter().enumerate() {
-            // Configuration-memory mitigation styles (scrubbing,
-            // TMR+scrubbing) only exist on reconfigurable fabric; a
-            // processor has no bitstream to scrub.
-            let clrs = config.clr_catalog.iter().filter(|clr| {
-                !clr.hw.requires_reconfigurable() || pe_type.kind() == PeKind::ReconfigurableRegion
-            });
-            for clr in clrs {
-                let point = ProtectedPoint::new(imp, pe_type, mode, clr, &config.profile);
-                keys.push((impl_idx, mode_idx, point));
+    let mut counts = Vec::with_capacity(types.len());
+    for (ty, task_type) in types.clone().zip(&graph.task_types()[types]) {
+        let first = keys.len();
+        for (imp_idx, imp) in task_type.impls().iter().enumerate() {
+            let Some(pe_type) = platform.pe_type(imp.pe_type()) else {
+                // Implementation targets a PE type absent from this platform:
+                // simply not mappable here.
+                continue;
+            };
+            let modes = match config.dvfs_policy {
+                DvfsPolicy::All => pe_type.dvfs_modes().len(),
+                // A PE type without modes contributes nothing, as under `All`.
+                DvfsPolicy::NominalOnly => pe_type.dvfs_modes().len().min(1),
+            };
+            for mode_idx in 0..modes {
+                for (clr_idx, clr) in config.clr_catalog.iter().enumerate() {
+                    // Configuration-memory mitigation styles (scrubbing,
+                    // TMR+scrubbing) only exist on reconfigurable fabric; a
+                    // processor has no bitstream to scrub.
+                    if clr.hw.requires_reconfigurable()
+                        && pe_type.kind() != PeKind::ReconfigurableRegion
+                    {
+                        continue;
+                    }
+                    keys.push(SweepKey {
+                        ty: ty as u32,
+                        imp: imp_idx as u32,
+                        mode: mode_idx as u32,
+                        clr: clr_idx as u32,
+                    });
+                }
             }
         }
+        counts.push(keys.len() - first);
     }
 
-    // The pool returns the analyses in key order.
-    let (analyses, _) =
-        pool.evaluate_batch(&keys, |(.., point)| analyze(&point.spec(config), config));
+    let mut outputs: Vec<Vec<Option<Result<Swept, MarkovError>>>> = counts
+        .iter()
+        .map(|&n| std::iter::repeat_with(|| None).take(n).collect())
+        .collect();
+    pool.evaluate_in_place(outputs.iter_mut().map(Vec::as_mut_slice), |i, slot| {
+        *slot = Some(sweep_key(graph, platform, keys[i], config));
+    });
+    drop(keys);
     // Fold in key order: the first error is the serial loop's error.
-    keys.iter()
-        .zip(analyses)
-        .map(|((impl_idx, mode_idx, point), robust)| {
-            let robust = robust?;
-            health.candidates_evaluated += 1;
-            health.degraded_analyses += usize::from(robust.degraded);
-            health.solver_retries += usize::from(robust.retried);
-            Ok(CandidateImpl {
-                impl_id: ImplId::new(*impl_idx as u32),
-                pe_type: point.imp.pe_type(),
-                dvfs: DvfsModeId::new(*mode_idx as u32),
-                clr: *point.clr,
-                metrics: point.metrics(&robust),
-                memory_bytes: candidate_memory(point.imp, point.clr),
-            })
+    outputs
+        .into_iter()
+        .map(|slots| {
+            let mut candidates = Vec::with_capacity(slots.len());
+            for slot in slots {
+                let swept = slot.expect("the pool fills every slot")?;
+                health.candidates_evaluated += 1;
+                health.degraded_analyses += usize::from(swept.degraded);
+                health.solver_retries += usize::from(swept.retried);
+                candidates.push(swept.candidate);
+            }
+            Ok(candidates)
         })
         .collect()
+}
+
+/// Analyzes the candidate `key` names — the per-item step of [`sweep`].
+fn sweep_key(
+    graph: &TaskGraph,
+    platform: &Platform,
+    key: SweepKey,
+    config: &TdseConfig,
+) -> Result<Swept, MarkovError> {
+    let imp = &graph.task_types()[key.ty as usize].impls()[key.imp as usize];
+    let pe_type = platform
+        .pe_type(imp.pe_type())
+        .expect("keys only name implementations on platform PE types");
+    let mode = &pe_type.dvfs_modes()[key.mode as usize];
+    let clr = &config.clr_catalog[key.clr as usize];
+    let point = ProtectedPoint::new(imp, pe_type, mode, clr, &config.profile);
+    let robust = analyze(&point.spec(config), config)?;
+    Ok(Swept {
+        candidate: CandidateImpl {
+            impl_id: ImplId::new(key.imp),
+            pe_type: imp.pe_type(),
+            dvfs: DvfsModeId::new(key.mode),
+            clr: *clr,
+            metrics: point.metrics(&robust),
+            memory_bytes: candidate_memory(imp, clr),
+        },
+        degraded: robust.degraded,
+        retried: robust.retried,
+    })
 }
 
 /// Runs task-level DSE for every task type of `graph` and assembles the
@@ -547,6 +616,11 @@ pub fn build_library(
 /// [`build_library`] that also reports how many candidate analyses ran
 /// and how many used the degraded closed-form fallback.
 ///
+/// Every task type's candidates are analyzed in one pass on an
+/// [`ExecPool::auto`] pool (see [`build_library_on`]), then folded per
+/// type in key order, so the library, the counters and the first error
+/// are bit-identical to a serial loop over the types.
+///
 /// # Errors
 ///
 /// As for [`build_library`].
@@ -555,17 +629,25 @@ pub fn build_library_with_health(
     platform: &Platform,
     config: &TdseConfig,
 ) -> Result<(ImplLibrary, TdseHealth), DseError> {
+    build_library_on(graph, platform, config, &ExecPool::auto())
+}
+
+/// [`build_library_with_health`] with its one sweep pass on `pool`
+/// instead of [`ExecPool::auto`] — e.g. a server holding its sweeps to
+/// its configured worker budget. The result does not depend on `pool`.
+///
+/// # Errors
+///
+/// As for [`build_library`].
+pub fn build_library_on(
+    graph: &TaskGraph,
+    platform: &Platform,
+    config: &TdseConfig,
+    pool: &ExecPool,
+) -> Result<(ImplLibrary, TdseHealth), DseError> {
     let mut health = TdseHealth::default();
-    let mut all = Vec::with_capacity(graph.task_types().len());
-    for ty in 0..graph.task_types().len() {
-        all.push(candidates_for_type_with_health(
-            graph,
-            platform,
-            TaskTypeId::new(ty as u32),
-            config,
-            &mut health,
-        )?);
-    }
+    let types = 0..graph.task_types().len();
+    let all = sweep(graph, platform, types, config, &mut health, pool)?;
     let lib = ImplLibrary::from_candidates(all, platform.pe_types().len(), &config.objectives)?;
     lib.validate_for(graph)?;
     Ok((lib, health))
@@ -668,38 +750,36 @@ mod tests {
         Ok(out)
     }
 
-    /// Every task type's sweep under `config`, plus the health counters
-    /// the sweeps added.
+    /// Every task type's candidates under `config` (or the first error,
+    /// formatted), plus the health counters the sweep added.
     type Sweep = (Result<Vec<Vec<CandidateImpl>>, String>, TdseHealth);
 
-    fn sweep_all(
-        graph: &TaskGraph,
-        config: &TdseConfig,
-        sweep: impl Fn(&TdseConfig, TaskTypeId, &mut TdseHealth) -> Result<Vec<CandidateImpl>, DseError>,
-    ) -> Sweep {
+    /// The serial oracle over every task type, in type order, stopping at
+    /// the first error.
+    fn oracle_sweep(graph: &TaskGraph, platform: &Platform, config: &TdseConfig) -> Sweep {
         let mut health = TdseHealth::default();
         let candidates = (0..graph.task_types().len())
-            .map(|ty| sweep(config, TaskTypeId::new(ty as u32), &mut health))
+            .map(|ty| TaskTypeId::new(ty as u32))
+            .map(|ty| serial_oracle(graph, platform, ty, config, &mut health))
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| format!("{e:?}"));
         (candidates, health)
     }
 
-    fn oracle_sweep(graph: &TaskGraph, platform: &Platform, config: &TdseConfig) -> Sweep {
-        sweep_all(graph, config, |cfg, ty, health| {
-            serial_oracle(graph, platform, ty, cfg, health)
-        })
-    }
-
+    /// The library-wide pass behind [`build_library_on`] on a pool of
+    /// `workers`.
     fn pooled_sweep(
         graph: &TaskGraph,
         platform: &Platform,
         config: &TdseConfig,
         workers: usize,
     ) -> Sweep {
-        sweep_all(graph, config, |cfg, ty, health| {
-            sweep_type(graph, platform, ty, cfg, health, &ExecPool::new(workers))
-        })
+        let mut health = TdseHealth::default();
+        let types = 0..graph.task_types().len();
+        let pool = ExecPool::new(workers);
+        let candidates =
+            sweep(graph, platform, types, config, &mut health, &pool).map_err(|e| format!("{e:?}"));
+        (candidates, health)
     }
 
     fn assert_matches_oracle(
@@ -788,6 +868,58 @@ mod tests {
             let pooled = pooled_sweep(&g, &p, &config, workers);
             assert_eq!(pooled.0, oracle.0, "{workers}: first error");
             assert_eq!(pooled.1, oracle.1, "{workers}: health at the error");
+        }
+    }
+
+    #[test]
+    fn first_error_of_a_later_task_type_matches_the_serial_oracle() {
+        // Type 0 sweeps cleanly; type 1 fails part-way through its keys;
+        // type 2 would succeed. The one library-wide pass analyzes all
+        // three at once, yet must return type 1's first error with health
+        // counting type 0 and type 1's keys before the error, exactly as
+        // the serial loop stops there.
+        let p = paper_platform();
+        let ch = SyntheticCharacterizer::new(5);
+        let characterized = |name: &str, seed: u32| {
+            ch.impls_for_type(seed, &p)
+                .into_iter()
+                .fold(TaskType::new(name), TaskType::with_impl)
+        };
+        let failing = characterized("t1", 1).with_impl(BaseImpl::new(
+            "bad",
+            clre_model::PeTypeId::new(0),
+            f64::INFINITY,
+            1e-9,
+        ));
+        let g = TaskGraph::builder("g", 1.0)
+            .task_type(characterized("t0", 0))
+            .task_type(failing)
+            .task_type(characterized("t2", 2))
+            .task("a", "t0")
+            .unwrap()
+            .task("b", "t1")
+            .unwrap()
+            .task("c", "t2")
+            .unwrap()
+            .build()
+            .unwrap();
+        let config = TdseConfig::default();
+        let oracle = oracle_sweep(&g, &p, &config);
+        let err = oracle.0.clone().expect_err("type 1 must fail");
+        assert!(err.contains("InvalidResidence"), "{err}");
+        let type0 = candidates_for_type(&g, &p, TaskTypeId::new(0), &config).unwrap();
+        assert!(
+            oracle.1.candidates_evaluated > type0.len(),
+            "type 1 started"
+        );
+        for workers in [1, 2, 3, 8] {
+            let pooled = pooled_sweep(&g, &p, &config, workers);
+            assert_eq!(pooled.0, oracle.0, "{workers}: first error");
+            assert_eq!(pooled.1, oracle.1, "{workers}: health at the error");
+            let built = build_library_on(&g, &p, &config, &ExecPool::new(workers))
+                .map(|_| ())
+                .map_err(|e| format!("{e:?}"));
+            assert_eq!(built, Err(err.clone()), "{workers}: the build's error");
         }
     }
 

@@ -11,12 +11,15 @@
 //! crate is assumed):
 //!
 //! * [`ExecPool`] — a fixed worker count plus
-//!   [`ExecPool::evaluate_batch`]: fan a slice of items out over scoped
-//!   threads (`std::thread::scope`) via an atomic work-stealing index and
-//!   write each result into its item's pre-sized slot, so the merged
-//!   output is **bit-identical to serial order** regardless of thread
-//!   interleaving. One worker (or one item) short-circuits to a plain
-//!   serial loop.
+//!   [`ExecPool::evaluate_batch`]: the calling thread works as worker 0
+//!   beside `workers − 1` scoped threads (`std::thread::scope`); workers
+//!   claim contiguous pieces of the items off a shared queue and write
+//!   each result in place into its item's pre-sized slot, so the output
+//!   is **bit-identical to serial order** regardless of thread
+//!   interleaving. [`ExecPool::evaluate_in_place`] is the same pass over
+//!   several caller-owned output buffers at once (the tDSE library build
+//!   keeps one per task type). One worker (or one item) short-circuits
+//!   to a plain serial loop.
 //! * [`Executor`] — an [`ExecPool`] bundled with a phase label and an
 //!   optional [`TelemetrySink`]; the MOEA layer calls
 //!   [`Executor::evaluate_batch`] once per generation and the executor

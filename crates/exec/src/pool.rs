@@ -1,6 +1,5 @@
 //! The deterministic batch-evaluation pool.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 use std::time::Instant;
@@ -15,8 +14,9 @@ use crate::histogram::LatencyHistogram;
 pub struct ExecStats {
     /// Wall-clock duration of the whole batch, in nanoseconds.
     pub wall_nanos: u64,
-    /// Candidates evaluated by each worker, indexed by worker id. Length
-    /// is the number of workers actually spawned (1 for the serial path).
+    /// Candidates evaluated by each worker, indexed by worker id; worker 0
+    /// is the calling thread. Length is the number of workers that ran
+    /// the batch: `min(workers, items)`, and 1 for the serial path.
     pub per_worker: Vec<usize>,
     /// Log-spaced per-evaluation latency histogram over the batch.
     pub histogram: LatencyHistogram,
@@ -68,26 +68,36 @@ impl DeathPlan {
 
 /// A fixed-size evaluation worker pool.
 ///
-/// The pool holds no threads between batches: each
-/// [`ExecPool::evaluate_batch`] call opens a `std::thread::scope`, fans
-/// the items out over `workers` scoped threads through an atomic
-/// work-stealing index, and joins them before returning. That keeps the
-/// engine dependency-free and the borrow story trivial (workers may
-/// borrow the items and the evaluator directly), at a per-batch cost of a
-/// few thread spawns — noise next to the Markov-chain solves that
-/// dominate a DSE generation.
+/// The pool holds no threads between batches. Each call runs on the
+/// calling thread as worker 0 and opens a `std::thread::scope` holding
+/// `workers − 1` more threads, so a batch pays `workers − 1` thread
+/// spawns and the caller computes instead of parking in `join`. Workers
+/// claim contiguous pieces of at most 32 items off a shared queue and
+/// write each result in place into the piece's output slots.
+/// That keeps the engine dependency-free and the borrow story trivial
+/// (workers may borrow the items, the outputs and the evaluator
+/// directly).
 ///
 /// **Determinism invariant:** every item's result is written into the
-/// item's own index in a pre-sized buffer, and the buffer is drained in
-/// index order after all workers joined. The returned `Vec` is therefore
-/// bit-identical to what a serial loop over `items` would produce, for
-/// any worker count and any thread interleaving. Only [`ExecStats`]
-/// varies between runs.
+/// item's own pre-sized output slot, whichever worker claims it. The
+/// outputs are therefore bit-identical to what a serial loop over the
+/// items would produce, for any worker count and any thread
+/// interleaving. Only [`ExecStats`] varies between runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecPool {
     workers: usize,
     death: Option<DeathPlan>,
 }
+
+/// Upper bound on the items of one claimed piece: a claim takes the
+/// queue's lock once, so a piece amortizes it over many items, while
+/// [`PIECES_PER_WORKER`] keeps small batches split finely enough that
+/// every worker gets some.
+const MAX_CHUNK: usize = 32;
+
+/// Pieces per worker a batch is cut into when that gives pieces below
+/// [`MAX_CHUNK`], so the batch's tail balances across the workers.
+const PIECES_PER_WORKER: usize = 4;
 
 impl ExecPool {
     /// A pool with exactly one worker: evaluation runs inline on the
@@ -133,117 +143,229 @@ impl ExecPool {
     /// Evaluates `f` over every item, returning the results in item order
     /// plus the batch's [`ExecStats`].
     ///
-    /// With one worker (or at most one item) this is a plain serial loop;
-    /// otherwise the items are pulled by `min(workers, items.len())`
-    /// scoped threads off a shared atomic cursor. A panicking evaluation
-    /// propagates out of this call in both modes (the resilient runtime
-    /// wraps evaluators that should not unwind).
+    /// One output slot per item is filled in place by
+    /// [`ExecPool::evaluate_in_place`], then collected into the result
+    /// vector in place (the slots' allocation is reused). A panicking
+    /// evaluation propagates out of this call for any worker count (the
+    /// resilient runtime wraps evaluators that should not unwind).
     pub fn evaluate_batch<T, R, F>(&self, items: &[T], f: F) -> (Vec<R>, ExecStats)
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
+        let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+        let stats = self.evaluate_in_place([slots.as_mut_slice()], |i, slot| {
+            *slot = Some(f(&items[i]));
+        });
+        let results = slots
+            .into_iter()
+            .map(|slot| slot.expect("every slot is evaluated exactly once"))
+            .collect();
+        (results, stats)
+    }
+
+    /// Runs `f(index, slot)` exactly once on every slot of `outputs`,
+    /// where `index` counts the slots across all outputs in order (the
+    /// first slot of the second output follows the last of the first).
+    /// Callers keep their inputs beside the outputs, indexed the same
+    /// way, and let `f` write each result into its slot. Keeping one
+    /// output per group (say, per task type) means a multi-group map
+    /// needs one pass and no buffer spanning every group.
+    ///
+    /// With one worker (or at most one slot) this is a plain serial loop.
+    /// Otherwise the calling thread works as worker 0 beside
+    /// `min(workers, slots) − 1` scoped threads, each claiming contiguous
+    /// pieces of one output at a time. A piece never spans two outputs.
+    /// A panic in `f` reaches the caller after every worker has stopped:
+    /// a spawned worker's panic through its join, worker 0's once the
+    /// scope has joined the others.
+    pub fn evaluate_in_place<'s, S, F>(
+        &self,
+        outputs: impl IntoIterator<Item = &'s mut [S]>,
+        f: F,
+    ) -> ExecStats
+    where
+        S: Send + 's,
+        F: Fn(usize, &mut S) + Sync,
+    {
         let start = Instant::now();
-        let workers = self.workers.min(items.len()).max(1);
+        let outputs: Vec<&'s mut [S]> = outputs.into_iter().collect();
+        let total: usize = outputs.iter().map(|out| out.len()).sum();
+        let workers = self.workers.min(total).max(1);
         if workers <= 1 {
             let mut histogram = LatencyHistogram::new();
-            let results = items
-                .iter()
-                .map(|item| {
-                    let t0 = Instant::now();
-                    let r = f(item);
-                    histogram.record(duration_nanos(t0));
-                    r
-                })
-                .collect::<Vec<R>>();
-            let stats = ExecStats {
+            let slots = outputs.into_iter().flat_map(|out| out.iter_mut());
+            for (i, slot) in slots.enumerate() {
+                timed(&f, i, slot, &mut histogram);
+            }
+            return ExecStats {
                 wall_nanos: duration_nanos(start),
-                per_worker: vec![items.len()],
+                per_worker: vec![total],
                 histogram,
                 worker_deaths: 0,
             };
-            return (results, stats);
         }
 
-        // One pre-sized slot per item; workers write results by index, so
-        // the in-order drain below reproduces the serial output exactly.
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        let deaths = AtomicUsize::new(0);
-        let worker_stats: Vec<(usize, LatencyHistogram)> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut count = 0usize;
-                        let mut histogram = LatencyHistogram::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(item) = items.get(i) else { break };
-                            if self.death.is_some_and(|plan| plan.fires(i)) {
-                                // Simulated worker death: the claimed slot
-                                // stays unfilled for the recovery pass.
-                                deaths.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            let t0 = Instant::now();
-                            let r = f(item);
-                            histogram.record(duration_nanos(t0));
-                            *slots[i].lock().expect("result slot poisoned") = Some(r);
-                            count += 1;
-                        }
-                        (count, histogram)
-                    })
-                })
+        let queue = WorkQueue::new(outputs, total, workers, self.death);
+        let reports: Vec<WorkerReport<'s, S>> = thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers)
+                .map(|_| scope.spawn(|| queue.work(&f)))
                 .collect();
+            // The calling thread is worker 0. Should it panic, the scope
+            // joins the spawned workers before the panic resumes.
+            let mut reports = vec![queue.work(&f)];
             // Join in spawn order so `per_worker` is indexed by worker id.
-            // A worker panic (i.e. an evaluator panic) resurfaces here on
-            // the calling thread, as in the serial path.
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(s) => s,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
+            // A spawned worker's panic (i.e. an evaluator panic)
+            // resurfaces here on the calling thread, as in the serial
+            // path.
+            reports.extend(spawned.into_iter().map(|h| match h.join() {
+                Ok(report) => report,
+                Err(payload) => std::panic::resume_unwind(payload),
+            }));
+            reports
         });
 
         let mut histogram = LatencyHistogram::new();
         let mut per_worker = Vec::with_capacity(workers);
-        for (count, h) in &worker_stats {
-            per_worker.push(*count);
-            histogram.merge(h);
+        let mut worker_deaths = 0;
+        let mut unfinished = queue.pieces.into_inner().expect("work queue poisoned");
+        for report in reports {
+            per_worker.push(report.evaluated);
+            histogram.merge(&report.histogram);
+            if let Some(lost) = report.lost {
+                worker_deaths += 1;
+                unfinished.push(lost);
+            }
         }
-        // Recovery pass: items lost to dead workers (their claimed slot,
-        // plus anything left unclaimed once every worker died) are
-        // re-evaluated inline. `f` is pure, so the recovered results are
-        // bit-identical to what the lost workers would have produced.
-        let results = slots
-            .into_iter()
-            .enumerate()
-            .map(
-                |(i, slot)| match slot.into_inner().expect("result slot poisoned") {
-                    Some(r) => r,
-                    None if self.death.is_some() => {
-                        let t0 = Instant::now();
-                        let r = f(&items[i]);
-                        histogram.record(duration_nanos(t0));
-                        r
-                    }
-                    None => unreachable!(
-                        "every index below items.len() was claimed by exactly one worker"
-                    ),
-                },
-            )
-            .collect();
-        let stats = ExecStats {
+        // Recovery pass: items lost to dead workers (each dead worker's
+        // triggering item, plus anything left unclaimed once every worker
+        // died) are evaluated inline. `f` is pure, so the recovered
+        // results are bit-identical to what the lost workers would have
+        // produced. Without a death plan nothing is ever left over.
+        for (base, piece) in unfinished {
+            for (offset, slot) in piece.iter_mut().enumerate() {
+                timed(&f, base + offset, slot, &mut histogram);
+            }
+        }
+        ExecStats {
             wall_nanos: duration_nanos(start),
             per_worker,
             histogram,
-            worker_deaths: deaths.load(Ordering::Relaxed),
-        };
-        (results, stats)
+            worker_deaths,
+        }
     }
+}
+
+/// A contiguous run of output slots and the index of its first slot.
+type Piece<'s, S> = (usize, &'s mut [S]);
+
+/// What one worker did: how many items it evaluated, their latencies,
+/// and, if it died, the piece holding the item it died on.
+struct WorkerReport<'s, S> {
+    evaluated: usize,
+    histogram: LatencyHistogram,
+    lost: Option<Piece<'s, S>>,
+}
+
+/// The unclaimed pieces of one batch, next piece on top.
+struct WorkQueue<'s, S> {
+    pieces: Mutex<Vec<Piece<'s, S>>>,
+    death: Option<DeathPlan>,
+}
+
+impl<'s, S> WorkQueue<'s, S> {
+    /// Cuts every output into pieces of [`chunk_len`] slots. Under a
+    /// death plan each death-triggering slot is a piece of its own: the
+    /// worker that claims it dies holding nothing else, and the rest of
+    /// its chunk stays queued for the live workers. Deaths therefore stay
+    /// `min(workers, triggering items)`, as when items were claimed one
+    /// at a time.
+    fn new(
+        outputs: Vec<&'s mut [S]>,
+        total: usize,
+        workers: usize,
+        death: Option<DeathPlan>,
+    ) -> Self {
+        let chunk = chunk_len(total, workers);
+        let fires = |i: usize| death.is_some_and(|plan| plan.fires(i));
+        let mut pieces = Vec::with_capacity(total.div_ceil(chunk) + outputs.len());
+        let mut base = 0;
+        for mut rest in outputs {
+            while !rest.is_empty() {
+                let len = if fires(base) {
+                    1
+                } else {
+                    (1..chunk.min(rest.len()))
+                        .find(|&k| fires(base + k))
+                        .unwrap_or(chunk.min(rest.len()))
+                };
+                let (piece, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                pieces.push((base, piece));
+                base += len;
+                rest = tail;
+            }
+        }
+        pieces.reverse();
+        WorkQueue {
+            pieces: Mutex::new(pieces),
+            death,
+        }
+    }
+
+    /// Pops the next piece. A method of its own so the lock is released
+    /// before the piece is evaluated, not held through a loop body.
+    fn claim(&self) -> Option<Piece<'s, S>> {
+        self.pieces.lock().expect("work queue poisoned").pop()
+    }
+
+    /// One worker's loop: claim pieces until the queue is empty or the
+    /// worker dies.
+    fn work<F: Fn(usize, &mut S)>(&self, f: &F) -> WorkerReport<'s, S> {
+        let mut evaluated = 0;
+        let mut histogram = LatencyHistogram::new();
+        while let Some((base, piece)) = self.claim() {
+            if self.death.is_some_and(|plan| plan.fires(base)) {
+                // Simulated worker death: the claimed item stays
+                // unevaluated for the recovery pass.
+                return WorkerReport {
+                    evaluated,
+                    histogram,
+                    lost: Some((base, piece)),
+                };
+            }
+            for (offset, slot) in piece.iter_mut().enumerate() {
+                timed(f, base + offset, slot, &mut histogram);
+            }
+            evaluated += piece.len();
+        }
+        WorkerReport {
+            evaluated,
+            histogram,
+            lost: None,
+        }
+    }
+}
+
+/// Slots per piece: [`PIECES_PER_WORKER`] pieces per worker, capped at
+/// [`MAX_CHUNK`]. Any batch of two or more slots is cut into at least
+/// two pieces, so a second worker always has something to claim.
+fn chunk_len(total: usize, workers: usize) -> usize {
+    total
+        .div_ceil(workers * PIECES_PER_WORKER)
+        .clamp(1, MAX_CHUNK)
+}
+
+/// Runs `f(index, slot)` and records its latency.
+fn timed<S, F: Fn(usize, &mut S)>(
+    f: &F,
+    index: usize,
+    slot: &mut S,
+    histogram: &mut LatencyHistogram,
+) {
+    let t0 = Instant::now();
+    f(index, slot);
+    histogram.record(duration_nanos(t0));
 }
 
 fn duration_nanos(since: Instant) -> u64 {
@@ -253,6 +375,7 @@ fn duration_nanos(since: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn parallel_matches_serial_bitwise() {
@@ -362,5 +485,116 @@ mod tests {
         });
         std::panic::set_hook(prev);
         assert!(result.is_err(), "worker panic must reach the caller");
+    }
+
+    #[test]
+    fn evaluator_panic_on_the_calling_thread_propagates_after_join() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::Duration;
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let caller = thread::current().id();
+        let caller_panicked = AtomicBool::new(false);
+        let running = AtomicUsize::new(0);
+        let finished = AtomicUsize::new(0);
+        let items: Vec<u32> = (0..64).collect();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ExecPool::new(2).evaluate_batch(&items, |x| {
+                if thread::current().id() == caller {
+                    caller_panicked.store(true, Ordering::SeqCst);
+                    panic!("worker 0");
+                }
+                running.fetch_add(1, Ordering::SeqCst);
+                // Keep the spawned worker busy while worker 0 unwinds.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !caller_panicked.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    thread::yield_now();
+                }
+                thread::sleep(Duration::from_micros(200));
+                finished.fetch_add(1, Ordering::SeqCst);
+                running.fetch_sub(1, Ordering::SeqCst);
+                *x
+            })
+        }));
+        std::panic::set_hook(prev);
+        let payload = result.expect_err("worker 0's panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"worker 0"));
+        assert!(
+            caller_panicked.load(Ordering::SeqCst),
+            "worker 0 ran an item"
+        );
+        assert!(finished.load(Ordering::SeqCst) > 0, "worker 1 ran items");
+        assert_eq!(
+            running.load(Ordering::SeqCst),
+            0,
+            "the spawned worker finished before the panic resumed"
+        );
+    }
+
+    #[test]
+    fn trace_records_both_workers_of_a_two_worker_batch() {
+        use crate::{Executor, RunTelemetry};
+        use std::sync::atomic::AtomicBool;
+        use std::time::Duration;
+        let sink = RunTelemetry::sink();
+        let exec = Executor::new(ExecPool::new(2))
+            .with_label("both")
+            .with_telemetry(sink.clone());
+        let other_started = AtomicBool::new(false);
+        let items: Vec<u32> = (0..60).collect();
+        let results = exec.evaluate_batch(0, &items, |&x| {
+            if x == 0 {
+                // Whoever holds item 0 waits until some other item has
+                // started; only the other worker can start one.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !other_started.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    thread::yield_now();
+                }
+            } else {
+                other_started.store(true, Ordering::SeqCst);
+            }
+            x + 1
+        });
+        assert_eq!(results, (1..=60).collect::<Vec<u32>>());
+        let trace = sink.lock().unwrap().trace();
+        let line = trace
+            .lines()
+            .find(|l| l.starts_with("trace-v1 phase=both"))
+            .expect("one trace-v1 record");
+        let per_worker: Vec<usize> = line
+            .split(' ')
+            .find_map(|t| t.strip_prefix("per_worker="))
+            .expect("per_worker token")
+            .split('|')
+            .map(|n| n.parse().unwrap())
+            .collect();
+        assert_eq!(per_worker.len(), 2, "{line}");
+        assert!(!per_worker.contains(&0), "both workers take items: {line}");
+        assert_eq!(per_worker.iter().sum::<usize>(), items.len());
+    }
+
+    #[test]
+    fn in_place_outputs_share_one_index_space() {
+        // Three outputs of uneven length: indices run across them in
+        // order, and no piece spans two outputs.
+        let mut outputs: Vec<Vec<usize>> = vec![vec![0; 70], vec![], vec![0; 5], vec![0; 101]];
+        let plan = DeathPlan::new(7, 60_000);
+        for pool in [
+            ExecPool::serial(),
+            ExecPool::new(2),
+            ExecPool::new(5),
+            ExecPool::new(3).with_death_plan(plan),
+        ] {
+            let stats =
+                pool.evaluate_in_place(outputs.iter_mut().map(Vec::as_mut_slice), |i, slot| {
+                    *slot = i * 3 + 1;
+                });
+            let flat: Vec<usize> = outputs.iter().flatten().copied().collect();
+            assert_eq!(flat, (0..176).map(|i| i * 3 + 1).collect::<Vec<_>>());
+            assert_eq!(stats.histogram.total(), 176);
+            for out in &mut outputs {
+                out.fill(0);
+            }
+        }
     }
 }

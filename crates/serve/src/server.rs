@@ -42,7 +42,7 @@ use clre::cache::{EvalCache, Fnv};
 use clre::methodology::{ClrEarly, FrontResult};
 use clre::remote::BackendChoice;
 use clre::resilience::{RunOutcome, RunSupervisor, SupervisorConfig};
-use clre::tdse::{build_library_with_health, TdseConfig};
+use clre::tdse::{build_library_on, TdseConfig};
 use clre::Scenario;
 use clre_exec::{ExecPool, Executor, FairGate, RunTelemetry};
 use clre_model::{Platform, TaskGraph};
@@ -58,8 +58,9 @@ use crate::wire::{read_frame, write_frame, AppSpec, DoneSummary, SubmitRequest, 
 pub struct ServeConfig {
     /// State directory: per-tenant campaign dirs, cache sidecars.
     pub root: PathBuf,
-    /// Worker threads per evaluation batch (the host's worker budget —
-    /// the fair gate runs one batch at a time across all campaigns).
+    /// Worker threads per evaluation batch and per cold task-level
+    /// library build (the host's worker budget — the fair gate runs one
+    /// batch at a time across all campaigns).
     pub workers: usize,
     /// Admission policy.
     pub admission: Admission,
@@ -429,7 +430,10 @@ fn drive_campaign(
     };
     let key = library_key(&request.app, &request.scenario);
     let built = shared.libraries.get_or_build(&key, || {
-        let (library, health) = build_library_with_health(&graph, &platform, &tdse)
+        // A cold build sweeps on the server's worker budget, like the
+        // campaign's own batches.
+        let pool = ExecPool::new(shared.config.workers);
+        let (library, health) = build_library_on(&graph, &platform, &tdse, &pool)
             .map_err(|e| format!("task-level DSE: {e}"))?;
         Ok((Arc::new(library), health))
     });
