@@ -106,13 +106,15 @@ impl ImplLibrary {
             }
             let mut filtered: Vec<Vec<usize>> = Vec::with_capacity(groups.len());
             for group in &groups {
-                points.reset(0);
-                for (pos, &i) in group.iter().enumerate() {
-                    let v = cands[i].metrics.objective_vector(objectives);
-                    if pos == 0 {
-                        points.reset(v.len());
-                    }
-                    points.push_row(&v);
+                points.reset(objectives.objectives().len());
+                for &i in group {
+                    let metrics = &cands[i].metrics;
+                    points.push_row_from(
+                        objectives
+                            .objectives()
+                            .iter()
+                            .map(|&o| metrics.objective(o)),
+                    );
                 }
                 filtered.push(
                     non_dominated_matrix(&points)

@@ -16,8 +16,7 @@ use std::sync::Arc;
 
 use clre_exec::ExecPool;
 use clre_markov::clr::{
-    analyze_robust_chaos_spec, analyze_robust_spec, ClrChainParams, ClrChainSpec, RobustAnalysis,
-    SolverFaultPlan,
+    analyze_robust_batch, ClrChainParams, ClrChainSpec, RobustAnalysis, SolverFaultPlan, LANES,
 };
 use clre_markov::MarkovError;
 use clre_model::platform::PeKind;
@@ -88,7 +87,7 @@ pub struct TdseConfig {
     /// whose content digest the plan selects have their primary LU solve
     /// (and optionally the scaled retry) fail with an injected singular
     /// pivot, exercising the recovery ladder of
-    /// [`analyze_robust_spec`].
+    /// [`analyze_robust_spec`](clre_markov::clr::analyze_robust_spec).
     pub solver_faults: Option<SolverFaultPlan>,
     /// Which fault mechanism every candidate's Markov chains model.
     pub reliability_model: ReliabilityModel,
@@ -202,7 +201,7 @@ impl TdseConfig {
 
 /// Health counters from one task-level DSE sweep — how many candidate
 /// analyses ran and how many had to fall back to the degraded closed-form
-/// solver (see [`analyze_robust_spec`]).
+/// solver (see [`analyze_robust_spec`](clre_markov::clr::analyze_robust_spec)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TdseHealth {
     /// Total candidate evaluations performed.
@@ -266,8 +265,8 @@ pub fn evaluate_candidate(
     config: &TdseConfig,
 ) -> Result<TaskMetrics, DseError> {
     let point = ProtectedPoint::new(imp, pe_type, mode, clr, &config.profile);
-    let robust = analyze(&point.spec(config), config)?;
-    Ok(point.metrics(&robust))
+    let [outcome, ..] = analyze_robust_batch(&[point.spec(config)], config.solver_faults.as_ref());
+    Ok(point.metrics(&outcome.expect("one spec, one outcome")?))
 }
 
 /// The mechanism-aware chain specification of a fully configured
@@ -395,15 +394,6 @@ impl<'a> ProtectedPoint<'a> {
     }
 }
 
-/// Solves `spec`, through `config`'s solver-fault plan when the plan
-/// selects the spec's primary solve.
-fn analyze(spec: &ClrChainSpec, config: &TdseConfig) -> Result<RobustAnalysis, MarkovError> {
-    match &config.solver_faults {
-        Some(plan) if plan.primary_fails(spec.digest()) => analyze_robust_chaos_spec(spec, plan),
-        _ => analyze_robust_spec(spec),
-    }
-}
-
 /// Memory footprint of an implementation under a CLR configuration:
 /// spatial and information redundancy multiply the base footprint, and
 /// checkpointing reserves a 25% state buffer.
@@ -493,12 +483,18 @@ struct Swept {
     retried: bool,
 }
 
+/// The outcomes of up to [`LANES`] consecutive keys of one type, analyzed
+/// together; slots past the group's keys stay `None`.
+type SweptGroup = [Option<Result<Swept, MarkovError>>; LANES];
+
 /// The sweep of the task types `types` (indices into
 /// `graph.task_types()`) on `pool`: every type's (implementation, mode,
-/// CLR) keys are enumerated up front and analyzed in one pool pass, each
-/// type's results landing in that type's own buffer, then folded per type
-/// in key order. The candidates, the counters and the first error are
-/// therefore the serial loop's, for any worker count.
+/// CLR) keys are enumerated up front and cut into groups of up to
+/// [`LANES`] consecutive keys of one type, which one pool pass analyzes
+/// with [`analyze_robust_batch`], each type's groups landing in that
+/// type's own buffer. The fold then walks every type's keys in order, so
+/// the candidates, the counters and the first error are the serial
+/// loop's, for any worker count.
 fn sweep(
     graph: &TaskGraph,
     platform: &Platform,
@@ -508,7 +504,9 @@ fn sweep(
     pool: &ExecPool,
 ) -> Result<Vec<Vec<CandidateImpl>>, DseError> {
     let mut keys = Vec::new();
-    let mut counts = Vec::with_capacity(types.len());
+    // `(first key, key count)` of every group, all types in order.
+    let mut groups = Vec::new();
+    let mut group_counts = Vec::with_capacity(types.len());
     for (ty, task_type) in types.clone().zip(&graph.task_types()[types]) {
         let first = keys.len();
         for (imp_idx, imp) in task_type.impls().iter().enumerate() {
@@ -541,24 +539,35 @@ fn sweep(
                 }
             }
         }
-        counts.push(keys.len() - first);
+        let before = groups.len();
+        groups.extend(
+            (first..keys.len())
+                .step_by(LANES)
+                .map(|start| (start, LANES.min(keys.len() - start))),
+        );
+        group_counts.push(groups.len() - before);
     }
 
-    let mut outputs: Vec<Vec<Option<Result<Swept, MarkovError>>>> = counts
+    let mut outputs: Vec<Vec<SweptGroup>> = group_counts
         .iter()
-        .map(|&n| std::iter::repeat_with(|| None).take(n).collect())
+        .map(|&n| {
+            std::iter::repeat_with(|| std::array::from_fn(|_| None))
+                .take(n)
+                .collect()
+        })
         .collect();
-    pool.evaluate_in_place(outputs.iter_mut().map(Vec::as_mut_slice), |i, slot| {
-        *slot = Some(sweep_key(graph, platform, keys[i], config));
+    pool.evaluate_in_place(outputs.iter_mut().map(Vec::as_mut_slice), |g, slots| {
+        let (start, len) = groups[g];
+        sweep_group(graph, platform, &keys[start..start + len], config, slots);
     });
     drop(keys);
     // Fold in key order: the first error is the serial loop's error.
     outputs
         .into_iter()
-        .map(|slots| {
-            let mut candidates = Vec::with_capacity(slots.len());
-            for slot in slots {
-                let swept = slot.expect("the pool fills every slot")?;
+        .map(|groups| {
+            let mut candidates = Vec::with_capacity(groups.len() * LANES);
+            for swept in groups.into_iter().flatten().flatten() {
+                let swept = swept?;
                 health.candidates_evaluated += 1;
                 health.degraded_analyses += usize::from(swept.degraded);
                 health.solver_retries += usize::from(swept.retried);
@@ -569,33 +578,48 @@ fn sweep(
         .collect()
 }
 
-/// Analyzes the candidate `key` names — the per-item step of [`sweep`].
-fn sweep_key(
+/// Analyzes the candidates `keys` name (up to [`LANES`] of one type) in
+/// one batch into `slots` — the per-item step of [`sweep`].
+fn sweep_group(
     graph: &TaskGraph,
     platform: &Platform,
-    key: SweepKey,
+    keys: &[SweepKey],
     config: &TdseConfig,
-) -> Result<Swept, MarkovError> {
-    let imp = &graph.task_types()[key.ty as usize].impls()[key.imp as usize];
-    let pe_type = platform
-        .pe_type(imp.pe_type())
-        .expect("keys only name implementations on platform PE types");
-    let mode = &pe_type.dvfs_modes()[key.mode as usize];
-    let clr = &config.clr_catalog[key.clr as usize];
-    let point = ProtectedPoint::new(imp, pe_type, mode, clr, &config.profile);
-    let robust = analyze(&point.spec(config), config)?;
-    Ok(Swept {
-        candidate: CandidateImpl {
-            impl_id: ImplId::new(key.imp),
-            pe_type: imp.pe_type(),
-            dvfs: DvfsModeId::new(key.mode),
-            clr: *clr,
-            metrics: point.metrics(&robust),
-            memory_bytes: candidate_memory(imp, clr),
-        },
-        degraded: robust.degraded,
-        retried: robust.retried,
-    })
+    slots: &mut SweptGroup,
+) {
+    let imps = graph.task_types()[keys[0].ty as usize].impls();
+    let point = |key: &SweepKey| {
+        let imp = &imps[key.imp as usize];
+        let pe_type = platform
+            .pe_type(imp.pe_type())
+            .expect("keys only name implementations on platform PE types");
+        let mode = &pe_type.dvfs_modes()[key.mode as usize];
+        let clr = &config.clr_catalog[key.clr as usize];
+        ProtectedPoint::new(imp, pe_type, mode, clr, &config.profile)
+    };
+    // A short group pads its lanes with its last key; only its own lanes
+    // are analyzed.
+    let points: [ProtectedPoint; LANES] =
+        std::array::from_fn(|l| point(&keys[l.min(keys.len() - 1)]));
+    let specs = points.each_ref().map(|p| p.spec(config));
+    let outcomes = analyze_robust_batch(&specs[..keys.len()], config.solver_faults.as_ref());
+    for (((slot, key), point), outcome) in slots.iter_mut().zip(keys).zip(&points).zip(outcomes) {
+        *slot = outcome.map(|outcome| {
+            let robust = outcome?;
+            Ok(Swept {
+                candidate: CandidateImpl {
+                    impl_id: ImplId::new(key.imp),
+                    pe_type: point.imp.pe_type(),
+                    dvfs: DvfsModeId::new(key.mode),
+                    clr: *point.clr,
+                    metrics: point.metrics(&robust),
+                    memory_bytes: candidate_memory(point.imp, point.clr),
+                },
+                degraded: robust.degraded,
+                retried: robust.retried,
+            })
+        });
+    }
 }
 
 /// Runs task-level DSE for every task type of `graph` and assembles the
@@ -657,6 +681,7 @@ pub fn build_library_on(
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+    use clre_markov::clr::{analyze_robust_chaos_spec, analyze_robust_spec};
     use clre_model::platform::paper_platform;
     use clre_model::reliability::{AswMethod, HwMethod, SswMethod};
     use clre_model::TaskType;

@@ -628,6 +628,76 @@ fn analyze_robust_with_spec(
     }
 }
 
+/// How many specs [`analyze_robust_batch`] solves side by side.
+pub const LANES: usize = structured::LANES;
+
+/// [`analyze_robust_spec`] on up to [`LANES`] specs at once, or
+/// [`analyze_robust_chaos_spec`] for a spec whose primary solve `faults`
+/// selects. Entry `i` is spec `i`'s outcome, bit for bit what the
+/// single-spec call returns; entries past `specs.len()` are `None`.
+///
+/// The specs that share a chain topology (interval count and whether a
+/// permanent rate is present) replay one recorded elimination side by
+/// side; see [`analyze_spec`]. A spec the replay cannot finish exactly
+/// takes the single-spec ladder.
+///
+/// # Panics
+///
+/// Panics if `specs` holds more than [`LANES`] specs.
+///
+/// # Examples
+///
+/// ```
+/// use clre_markov::clr::{analyze_robust_batch, analyze_robust_spec, ClrChainParams, ClrChainSpec};
+///
+/// let specs: Vec<ClrChainSpec> = [0.0, 0.5, 0.9]
+///     .iter()
+///     .map(|&m_hw| ClrChainSpec::transient(ClrChainParams {
+///         m_hw,
+///         ..ClrChainParams::unprotected(300e-6, 2000.0)
+///     }))
+///     .collect();
+/// let batch = analyze_robust_batch(&specs, None);
+/// for (spec, outcome) in specs.iter().zip(&batch) {
+///     assert_eq!(outcome.as_ref().unwrap(), &analyze_robust_spec(spec));
+/// }
+/// assert!(batch[3].is_none());
+/// ```
+pub fn analyze_robust_batch(
+    specs: &[ClrChainSpec],
+    faults: Option<&SolverFaultPlan>,
+) -> [Option<Result<RobustAnalysis, MarkovError>>; LANES] {
+    assert!(specs.len() <= LANES, "at most {LANES} specs per batch");
+    let chaos = |spec: &ClrChainSpec| faults.filter(|plan| plan.primary_fails(spec.digest()));
+    let mut healthy = [None; LANES];
+    if let Some(first) = specs.first() {
+        let (mut lanes, mut replayed, mut n) = ([0; LANES], [first; LANES], 0);
+        for (i, spec) in specs.iter().enumerate() {
+            if chaos(spec).is_none() {
+                (lanes[n], replayed[n], n) = (i, spec, n + 1);
+            }
+        }
+        for (&i, r) in lanes[..n]
+            .iter()
+            .zip(structured::analyze_lanes(&replayed[..n]))
+        {
+            healthy[i] = r;
+        }
+    }
+    std::array::from_fn(|i| {
+        let spec = specs.get(i)?;
+        Some(match (healthy[i], chaos(spec)) {
+            (Some(reliability), _) => Ok(RobustAnalysis {
+                reliability,
+                degraded: false,
+                retried: false,
+            }),
+            (None, Some(plan)) => analyze_robust_chaos_spec(spec, plan),
+            (None, None) => analyze_robust_spec(spec),
+        })
+    })
+}
+
 /// Deterministic solver-singularity fault schedule for the chaos layer.
 ///
 /// Decisions are pure functions of `(seed, params digest, stage)` —
@@ -771,16 +841,17 @@ fn analyze_scaled_spec(spec: &ClrChainSpec) -> Result<TaskReliability, MarkovErr
 /// `None`) with plain or scaled-pivoting LU and reads off `AvgExT` and
 /// the `Error` absorption probability.
 ///
-/// The [`structured`] solver does the work; its metrics are bit-identical
-/// to [`analyze_dense`]'s, which reruns whenever the structured path sees
-/// a non-finite intermediate value.
+/// The [`structured`] solver does the work, replaying the elimination it
+/// recorded for the spec's chain topology; its metrics are bit-identical
+/// to [`analyze_dense`]'s, which answers whatever the structured path
+/// cannot: every error, and a non-finite intermediate value.
 fn analyze_via_spec(
     spec: &ClrChainSpec,
     weights: Option<&[f64]>,
     scaled: bool,
 ) -> Result<TaskReliability, MarkovError> {
     structured::analyze(spec, weights, scaled)
-        .unwrap_or_else(|| analyze_dense(spec, weights, scaled))
+        .map_or_else(|| analyze_dense(spec, weights, scaled), Ok)
 }
 
 /// [`analyze_via_spec`] through general [`MarkovChain`]s: builds both
@@ -1494,8 +1565,7 @@ mod tests {
                     for w in [None, Some(weights[k as usize - 1])] {
                         for scaled in [false, true] {
                             let fast = structured::analyze(&spec, w, scaled)
-                                .expect("no dense fallback on healthy specs")
-                                .unwrap();
+                                .expect("no dense fallback on healthy specs");
                             let dense = analyze_dense(&spec, w, scaled).unwrap();
                             assert_eq!(bits(&fast), bits(&dense), "k={k} {spec:?} {w:?}");
                         }
@@ -1519,7 +1589,7 @@ mod tests {
     }
 
     #[test]
-    fn structured_solver_fails_like_dense() {
+    fn failing_specs_take_the_dense_path() {
         // m_Tol = 1 with certain faults never terminates: singular I − Q.
         let looping = ClrChainSpec::transient(ClrChainParams {
             cov_det: 1.0,
@@ -1534,8 +1604,9 @@ mod tests {
         });
         for spec in [looping, overflow] {
             for scaled in [false, true] {
+                assert!(structured::analyze(&spec, None, scaled).is_none());
                 assert_eq!(
-                    structured::analyze(&spec, None, scaled).expect("no fallback"),
+                    analyze_via_spec(&spec, None, scaled),
                     analyze_dense(&spec, None, scaled)
                 );
             }

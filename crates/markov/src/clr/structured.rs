@@ -4,43 +4,72 @@
 //! fault mechanism alone, so this module writes `I − Q`, the residence
 //! vector and the `Error` column of `R` straight from the spec, in the
 //! state order of [`super::build_chain_spec`], into buffers reused across
-//! analyses on a thread. It then repeats [`clre_num::Lu`]'s elimination
-//! (same pivot rule, same update expressions, same accumulation order)
-//! while skipping every update whose multiplier or pivot-row entry is
-//! exactly `0.0`, and solves the functional chain only for the unit
-//! columns that feed `Error` instead of forming the full inverse.
+//! analyses on a thread, and it solves the functional chain only for the
+//! unit columns that feed `Error` instead of forming the full inverse.
+//!
+//! # Record and replay
+//!
+//! Every chain of one *topology* — interval count, whether a permanent
+//! rate is present, timing or functional, plain or scaled pivoting — has
+//! the same non-zero pattern in `I − Q`, so specs of one topology run the
+//! same elimination up to values and the odd pivot change. The first time
+//! a thread meets a topology, [`clre_num::Lu`]'s elimination (same pivot
+//! rule, same update expressions) runs on that spec, skipping every
+//! update whose multiplier or pivot-row entry is exactly `0.0`, to find
+//! its pivot rows. They become a [`Program`] (the refactorization idea of
+//! KLU, Davis & Palamadai Natarajan, ACM TOMS 36(3), 2010): value slots
+//! for the pattern and its fill, per column the pivot candidates, the
+//! multipliers and the `dst −= f·u` updates, and the `L` and `U` lists of
+//! the solves, in `Lu`'s accumulation order. Every analysis of that
+//! topology, the recording one included, replays the program, on one
+//! spec or on up to [`LANES`] side by side (one `[f64; N]` per slot). A
+//! lane is replayed only while its guards hold: the first strictly
+//! largest (scaled) candidate is the recorded pivot, no pivot falls below
+//! [`PIVOT_EPS`], and every slot and solution value ends finite. A lane
+//! that breaks a guard gets a program recorded from its own pivots, for
+//! that analysis only. A spec that fails a builder check, has a `−0.0`
+//! residence, a singular pivot or a non-finite value is left to the dense
+//! [`crate::MarkovChain`] path: [`analyze`] returns `None`, so every
+//! error comes from that path.
+//!
+//! # Exactness
 //!
 //! Skipping `acc − 0·x` with finite `x` is exact as long as `acc` is not
 //! `−0.0`: `I − Q` holds no `−0.0` (`0.0 − (0.0 + p)` is `+0.0` when `p`
 //! is zero), a difference of finite doubles is `−0.0` only when the
 //! minuend already is, and the right-hand sides are unit vectors or
-//! residences. So whenever every
-//! intermediate value is finite and no residence is `−0.0`, the metrics
-//! are bit-identical to the dense [`crate::MarkovChain`] path; otherwise
-//! [`analyze`] returns `None` and the caller reruns that path.
+//! residences. So whenever every intermediate value is finite and no
+//! residence is `−0.0`, the elimination picks the dense path's pivots and
+//! the metrics are bit-identical to that path's.
+//!
+//! Replay keeps every pattern entry, so it performs updates the
+//! elimination skips: zero-valued edges, and fill a differently valued
+//! spec never made non-zero. The same argument covers them. Their
+//! multiplier may be `−0.0` (`+0.0` over a negative pivot), so the
+//! subtrahend `±0.0·u` is a zero of either sign; `x − (±0.0)` is `x`
+//! for every `x` that is not `−0.0`, and no minuend is. Entries outside
+//! the pattern stay `+0.0` under the recorded pivot sequence, and the
+//! dense updates they take part in are the same no-ops. A non-finite
+//! value, finally, never turns finite again (`inf − x`, `NaN − x` and
+//! their quotients by a finite pivot stay non-finite), so checking the
+//! final slots and solutions sees every non-finite intermediate.
 
 use super::{interval_weights, ClrChainSpec, TaskReliability};
 use crate::chain::ROW_SUM_EPS;
-use crate::MarkovError;
 use std::cell::RefCell;
 
 /// `clre_num::Lu`'s singular-pivot threshold.
 const PIVOT_EPS: f64 = 1e-304;
 
-/// Why the structured path stopped early.
-enum Stop {
-    /// The analysis fails exactly as the dense path would.
-    Error(MarkovError),
-    /// A non-finite intermediate (or a `−0.0` residence) breaks the
-    /// exactness argument: rerun the dense path.
-    Dense,
-}
+/// Specs one replay solves side by side.
+pub(crate) const LANES: usize = 4;
 
-impl From<MarkovError> for Stop {
-    fn from(e: MarkovError) -> Self {
-        Stop::Error(e)
-    }
-}
+/// Marks an edge into an absorbing state, which has no slot in `I − Q`.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Slot 0 of every program holds `+0.0` in every lane: the pivot
+/// candidate of a diagonal position outside the pattern.
+const ZERO_SLOT: u32 = 0;
 
 /// Per-thread buffers; every analysis clears and refills them.
 #[derive(Default)]
@@ -53,91 +82,596 @@ struct Workspace {
     edges: Vec<(usize, f64)>,
     /// `edges[row_start[s]..row_start[s + 1]]` belong to state `s`.
     row_start: Vec<usize>,
-    /// `(j, R[j, Error])` for every transient `j` with an `→ Error` edge.
-    to_error: Vec<(usize, f64)>,
-    /// Dense row-major `I − Q`, factored in place.
+    /// Dense row-major `I − Q`, factored in place to find the pivots.
     a: Vec<f64>,
-    /// Row permutation of the factorization: row `i` of `L·U` is row
-    /// `perm[i]` of `I − Q`, which `position` maps back to `i`.
-    perm: Vec<usize>,
-    position: Vec<usize>,
+    /// The row position each column's pivot was swapped in from.
+    pivots: Vec<usize>,
     /// Row scales of the scaled-pivoting factorization.
     scales: Vec<f64>,
     /// Rows below the diagonal with a non-zero in the current column.
     col_rows: Vec<usize>,
-    /// Non-zero multipliers `(row, L[row, col])`, by column.
-    lower: Vec<(usize, f64)>,
-    lower_start: Vec<usize>,
-    /// Non-zero entries `(col, U[row, col])` right of the diagonal, by row.
-    upper: Vec<(usize, f64)>,
-    upper_start: Vec<usize>,
-    /// Right-hand sides, one column each, and their solutions.
-    rhs: Vec<f64>,
-    xy: Vec<f64>,
+    /// Non-zero entries `(col, a[pivot, col])` right of the pivot.
+    pivot_entries: Vec<(usize, f64)>,
+}
+
+/// What fixes the pattern of one chain's `I − Q` and the elimination a
+/// [`Program`] replays.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Topology {
+    intervals: usize,
+    permanent: bool,
+    functional: bool,
+    scaled: bool,
+}
+
+impl Topology {
+    fn of(spec: &ClrChainSpec, functional: bool, scaled: bool) -> Self {
+        Topology {
+            intervals: spec.params.intervals.max(1) as usize,
+            permanent: spec.mechanism.perm_rate() > 0.0,
+            functional,
+            scaled,
+        }
+    }
+}
+
+/// One elimination step of a [`Program`]; the ranges index its flat
+/// lists.
+struct Column {
+    /// Slot of the pivot, `U[col, col]`.
+    diag: u32,
+    /// Pivot candidates in row-position order, the diagonal position
+    /// first.
+    candidates: (u32, u32),
+    /// Index of the recorded pivot within the candidates.
+    pivot: u32,
+    /// The pivot row right of the diagonal: row `col` of `U`.
+    upper: (u32, u32),
+    /// The rows this step eliminates: column `col` of `L`.
+    lower: (u32, u32),
+    /// First update target; row `e` of `lower` updates the
+    /// `upper.len()` slots from `targets + e · upper.len()` on.
+    targets: u32,
+}
+
+/// The recorded elimination of one [`Topology`]; see the module docs.
+struct Program {
+    topology: Topology,
+    /// Transient states.
+    t: usize,
+    /// Value of every slot before the edges are written: the identity's
+    /// entry (`1.0` on the diagonal) or `0.0`.
+    init: Vec<f64>,
+    /// Slot of every assembled edge, [`NO_SLOT`] for absorbing targets.
+    edge_slot: Vec<u32>,
+    /// Slots of each source row of `I − Q` (scaled programs' row scales).
+    row_slots: Vec<u32>,
+    row_start: Vec<u32>,
+    columns: Vec<Column>,
+    /// `(slot, source row)` pivot candidates.
+    candidates: Vec<(u32, u32)>,
+    /// `(column, slot)` entries of `U` right of the diagonal.
+    upper: Vec<(u32, u32)>,
+    /// `(slot, final row position)` multipliers of `L`.
+    lower: Vec<(u32, u32)>,
+    targets: Vec<u32>,
+    /// Source row of every final row position.
+    perm: Vec<u32>,
+    /// Source rows with an `→ Error` edge (functional programs), whose
+    /// unit vectors are the right-hand sides, and the assembled index of
+    /// each such edge.
+    error_rows: Vec<u32>,
+    error_edges: Vec<u32>,
+    /// The solution column of each error row: columns are ordered by the
+    /// position of their unit entry, `error_start`.
+    error_column: Vec<u32>,
+    error_start: Vec<u32>,
+    /// How many solution columns have their unit entry at or above each
+    /// position; forward substitution from a row above it only subtracts
+    /// `l·(+0.0)` from the others, so it skips them.
+    forward_columns: Vec<u32>,
+}
+
+fn range((start, end): (u32, u32)) -> std::ops::Range<usize> {
+    start as usize..end as usize
+}
+
+impl Program {
+    /// Records the program of the chain `ws` holds (`t` transient
+    /// states), whose `factor` just succeeded and left its pivot rows in
+    /// `ws.pivots`.
+    fn record(topology: Topology, ws: &Workspace, t: usize) -> Program {
+        // `slot_of[r · t + c]`: the slot of source row `r`, column `c`.
+        let mut init = vec![0.0];
+        let mut slot_of = vec![NO_SLOT; t * t];
+        let slot = |slot_of: &mut [u32], init: &mut Vec<f64>, r: usize, c: usize| -> u32 {
+            if slot_of[r * t + c] == NO_SLOT {
+                slot_of[r * t + c] = init.len() as u32;
+                init.push(if r == c { 1.0 } else { 0.0 });
+            }
+            slot_of[r * t + c]
+        };
+        let (mut edge_slot, mut row_slots, mut row_start) = (Vec::new(), Vec::new(), Vec::new());
+        for from in 0..ws.residence.len() {
+            if from < t {
+                row_start.push(row_slots.len() as u32);
+                row_slots.push(slot(&mut slot_of, &mut init, from, from));
+            }
+            for &(to, _) in &ws.edges[ws.row_start[from]..ws.row_start[from + 1]] {
+                if from < t && to < t {
+                    let s = slot(&mut slot_of, &mut init, from, to);
+                    edge_slot.push(s);
+                    if from != to {
+                        row_slots.push(s);
+                    }
+                } else {
+                    edge_slot.push(NO_SLOT);
+                }
+            }
+        }
+        row_start.push(row_slots.len() as u32);
+
+        let mut columns = Vec::with_capacity(t);
+        let (mut candidates, mut upper, mut lower, mut targets) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut row_at: Vec<usize> = (0..t).collect();
+        for col in 0..t {
+            let first = candidates.len() as u32;
+            let d = row_at[col];
+            let d_slot = slot_of[d * t + col];
+            candidates.push((if d_slot == NO_SLOT { ZERO_SLOT } else { d_slot }, d as u32));
+            for &r in &row_at[col + 1..] {
+                if slot_of[r * t + col] != NO_SLOT {
+                    candidates.push((slot_of[r * t + col], r as u32));
+                }
+            }
+            let pr = row_at[ws.pivots[col]];
+            let pivot = candidates[first as usize..]
+                .iter()
+                .position(|&(_, r)| r as usize == pr)
+                .expect("the recorded pivot is a pattern entry") as u32;
+            row_at.swap(col, ws.pivots[col]);
+            let u_first = upper.len() as u32;
+            for c in col + 1..t {
+                if slot_of[pr * t + c] != NO_SLOT {
+                    upper.push((c as u32, slot_of[pr * t + c]));
+                }
+            }
+            let (l_first, t_first) = (lower.len() as u32, targets.len() as u32);
+            for &(s, r) in &candidates[first as usize..] {
+                if r as usize == pr || s == ZERO_SLOT {
+                    continue;
+                }
+                // Final positions are known once every swap is done.
+                lower.push((s, r));
+                for &(c, _) in &upper[u_first as usize..] {
+                    targets.push(slot(&mut slot_of, &mut init, r as usize, c as usize));
+                }
+            }
+            columns.push(Column {
+                diag: slot_of[pr * t + col],
+                candidates: (first, candidates.len() as u32),
+                pivot,
+                upper: (u_first, upper.len() as u32),
+                lower: (l_first, lower.len() as u32),
+                targets: t_first,
+            });
+        }
+        let mut position = vec![0u32; t];
+        for (i, &r) in row_at.iter().enumerate() {
+            position[r] = i as u32;
+        }
+        for (_, r) in &mut lower {
+            *r = position[*r as usize];
+        }
+        // The functional chain's `Error` state is absorbing state `t + 1`.
+        let (mut error_rows, mut error_edges) = (Vec::new(), Vec::new());
+        for s in 0..t {
+            for e in ws.row_start[s]..ws.row_start[s + 1] {
+                if topology.functional && ws.edges[e].0 == t + 1 {
+                    error_rows.push(s as u32);
+                    error_edges.push(e as u32);
+                }
+            }
+        }
+        let mut order: Vec<usize> = (0..error_rows.len()).collect();
+        order.sort_by_key(|&e| position[error_rows[e] as usize]);
+        let mut error_column = vec![0; order.len()];
+        for (c, &e) in order.iter().enumerate() {
+            error_column[e] = c as u32;
+        }
+        let error_start: Vec<u32> = order
+            .iter()
+            .map(|&e| position[error_rows[e] as usize])
+            .collect();
+        let forward_columns = (0..t as u32)
+            .map(|col| error_start.iter().filter(|&&s| s <= col).count() as u32)
+            .collect();
+        Program {
+            topology,
+            t,
+            init,
+            edge_slot,
+            row_slots,
+            row_start,
+            columns,
+            candidates,
+            upper,
+            lower,
+            targets,
+            perm: row_at.iter().map(|&r| r as u32).collect(),
+            error_rows,
+            error_edges,
+            error_column,
+            error_start,
+            forward_columns,
+        }
+    }
+
+    /// Factors the `N` lanes of `vals` in place, clearing `live[l]` for
+    /// a lane whose pivot differs from the recorded one or falls below
+    /// [`PIVOT_EPS`]. `scales` holds the row scales of scaled programs.
+    fn factor<const N: usize>(
+        &self,
+        vals: &mut [[f64; N]],
+        scales: &[[f64; N]],
+        live: &mut [bool; N],
+    ) {
+        let scaled = self.topology.scaled;
+        for col in &self.columns {
+            let candidates = &self.candidates[range(col.candidates)];
+            for (l, live) in live.iter_mut().enumerate() {
+                let weight = |&(s, r): &(u32, u32)| {
+                    let v = vals[s as usize][l].abs();
+                    if scaled {
+                        v / scales[r as usize][l]
+                    } else {
+                        v
+                    }
+                };
+                let (mut pivot, mut pivot_val) = (0, weight(&candidates[0]));
+                for (i, c) in candidates.iter().enumerate().skip(1) {
+                    let v = weight(c);
+                    if v > pivot_val {
+                        (pivot, pivot_val) = (i, v);
+                    }
+                }
+                *live &= pivot == col.pivot as usize && pivot_val >= PIVOT_EPS;
+            }
+            let diag = vals[col.diag as usize];
+            let upper = &self.upper[range(col.upper)];
+            let mut targets = self.targets[col.targets as usize..].iter();
+            for &(s, _) in &self.lower[range(col.lower)] {
+                let v = &mut vals[s as usize];
+                for l in 0..N {
+                    v[l] /= diag[l];
+                }
+                let f = *v;
+                for (&(_, src), &dst) in upper.iter().zip(targets.by_ref()) {
+                    let u = vals[src as usize];
+                    let d = &mut vals[dst as usize];
+                    for l in 0..N {
+                        d[l] -= f[l] * u[l];
+                    }
+                }
+            }
+        }
+    }
+
+    /// `Lu::solve` for the `m` right-hand sides in `xy` (`t × m`,
+    /// row-major, already permuted) over the factored `vals`, in place;
+    /// the same operations, in the same order per column, as
+    /// [`Workspace::solve`], but for the exact no-ops of the error rows'
+    /// unit vectors (`unit`) above their unit entries.
+    fn solve<const N: usize>(&self, vals: &[[f64; N]], xy: &mut [[f64; N]], m: usize, unit: bool) {
+        for (col, c) in self.columns.iter().enumerate() {
+            let live = if unit {
+                self.forward_columns[col] as usize
+            } else {
+                m
+            };
+            for &(s, i) in &self.lower[range(c.lower)] {
+                let f = vals[s as usize];
+                for e in 0..live {
+                    let y = xy[col * m + e];
+                    let acc = &mut xy[i as usize * m + e];
+                    for l in 0..N {
+                        acc[l] -= f[l] * y[l];
+                    }
+                }
+            }
+        }
+        for (i, c) in self.columns.iter().enumerate().rev() {
+            for &(j, s) in &self.upper[range(c.upper)] {
+                let u = vals[s as usize];
+                for e in 0..m {
+                    let x = xy[j as usize * m + e];
+                    let acc = &mut xy[i * m + e];
+                    for l in 0..N {
+                        acc[l] -= u[l] * x[l];
+                    }
+                }
+            }
+            let diag = vals[c.diag as usize];
+            for acc in &mut xy[i * m..(i + 1) * m] {
+                for l in 0..N {
+                    acc[l] /= diag[l];
+                }
+            }
+        }
+    }
+}
+
+/// Replay buffers for `N` lanes.
+#[derive(Default)]
+struct Lanes<const N: usize> {
+    vals: Vec<[f64; N]>,
+    scales: Vec<[f64; N]>,
+    residence: Vec<[f64; N]>,
+    to_error: Vec<[f64; N]>,
+    xy: Vec<[f64; N]>,
+}
+
+/// Everything a thread keeps between analyses.
+#[derive(Default)]
+struct Solver {
+    scalar: Workspace,
+    programs: Vec<Program>,
+    one: Lanes<1>,
+    batch: Lanes<LANES>,
 }
 
 thread_local! {
-    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+    static SOLVER: RefCell<Solver> = RefCell::new(Solver::default());
 }
 
-/// Solves both chains of `spec`; `None` means the caller must rerun the
-/// dense path (see the module docs). Errors match the dense path's.
+/// Solves both chains of `spec` exactly, or returns `None`: the dense
+/// path then answers, errors included (see the module docs).
 pub(super) fn analyze(
     spec: &ClrChainSpec,
     weights: Option<&[f64]>,
     scaled: bool,
-) -> Option<Result<TaskReliability, MarkovError>> {
-    WORKSPACE.with(|ws| match ws.borrow_mut().analyze(spec, weights, scaled) {
-        Ok(r) => Some(Ok(r)),
-        Err(Stop::Error(e)) => Some(Err(e)),
-        Err(Stop::Dense) => None,
+) -> Option<TaskReliability> {
+    SOLVER.with(|solver| {
+        let Solver {
+            scalar,
+            programs,
+            one,
+            ..
+        } = &mut *solver.borrow_mut();
+        let [r] = replay(scalar, programs, one, &[spec], weights, scaled);
+        r.or_else(|| replay_alone(scalar, one, spec, weights, scaled))
     })
 }
 
+/// Records a program from `spec` itself, for this analysis only, and
+/// replays it: the answer for a spec whose pivots differ from its
+/// topology's program.
+fn replay_alone(
+    ws: &mut Workspace,
+    one: &mut Lanes<1>,
+    spec: &ClrChainSpec,
+    weights: Option<&[f64]>,
+    scaled: bool,
+) -> Option<TaskReliability> {
+    let [r] = replay(ws, &mut Vec::new(), one, &[spec], weights, scaled);
+    r
+}
+
+/// [`analyze`] with plain pivoting and uniform intervals on up to
+/// [`LANES`] specs, replaying each topology's program on its lanes side
+/// by side; entries past `specs` are `None`.
+pub(super) fn analyze_lanes(specs: &[&ClrChainSpec]) -> [Option<TaskReliability>; LANES] {
+    let mut out = [None; LANES];
+    SOLVER.with(|solver| {
+        let Solver {
+            scalar,
+            programs,
+            one,
+            batch,
+        } = &mut *solver.borrow_mut();
+        let mut done = [false; LANES];
+        for first in 0..specs.len() {
+            if done[first] {
+                continue;
+            }
+            let topology = Topology::of(specs[first], false, false);
+            let mut group = [0; LANES];
+            let mut members = 0;
+            for (i, spec) in specs.iter().enumerate().skip(first) {
+                if !done[i] && Topology::of(spec, false, false) == topology {
+                    (group[members], done[i], members) = (i, true, members + 1);
+                }
+            }
+            let mut refs = [specs[first]; LANES];
+            for (r, &i) in refs.iter_mut().zip(&group[..members]) {
+                *r = specs[i];
+            }
+            let refs = &refs[..members];
+            if members == 1 {
+                let [r] = replay(scalar, programs, one, refs, None, false);
+                out[first] = r;
+            } else {
+                let results = replay(scalar, programs, batch, refs, None, false);
+                for (&i, r) in group[..members].iter().zip(results) {
+                    out[i] = r;
+                }
+            }
+        }
+        for (r, spec) in out.iter_mut().zip(specs) {
+            if r.is_none() {
+                *r = replay_alone(scalar, one, spec, None, false);
+            }
+        }
+    });
+    out
+}
+
+/// Replays the program of `specs`' topology (they share one) on lanes
+/// `0..specs.len()`, recording it from the first lane it can if the
+/// thread has none yet.
+fn replay<const N: usize>(
+    ws: &mut Workspace,
+    programs: &mut Vec<Program>,
+    lanes: &mut Lanes<N>,
+    specs: &[&ClrChainSpec],
+    weights: Option<&[f64]>,
+    scaled: bool,
+) -> [Option<TaskReliability>; N] {
+    let mut live: [bool; N] = std::array::from_fn(|l| l < specs.len());
+    let mut out = [None; N];
+    if replay_chain(
+        ws, programs, lanes, specs, weights, scaled, false, &mut live,
+    )
+    .is_none()
+    {
+        return out;
+    }
+    let avg_exec_time = lanes.xy[0];
+    let Some(p) = replay_chain(ws, programs, lanes, specs, weights, scaled, true, &mut live) else {
+        return out;
+    };
+    let columns = &programs[p].error_column;
+    for (l, spec) in specs.iter().enumerate() {
+        if live[l] {
+            let mut error = 0.0;
+            for (&c, p) in columns.iter().zip(&lanes.to_error) {
+                error += lanes.xy[c as usize][l] * p[l];
+            }
+            out[l] = Some(TaskReliability {
+                min_exec_time: spec.params.min_exec_time(),
+                avg_exec_time: avg_exec_time[l],
+                error_prob: clre_num::util::clamp_prob(error),
+            });
+        }
+    }
+    out
+}
+
+/// Replays the timing or functional chain of the live lanes, leaving
+/// the solution in `lanes.xy`; returns the program replayed, or `None`
+/// when no lane is left.
+#[allow(clippy::too_many_arguments)]
+fn replay_chain<const N: usize>(
+    ws: &mut Workspace,
+    programs: &mut Vec<Program>,
+    lanes: &mut Lanes<N>,
+    specs: &[&ClrChainSpec],
+    weights: Option<&[f64]>,
+    scaled: bool,
+    functional: bool,
+    live: &mut [bool; N],
+) -> Option<usize> {
+    let mut program = None;
+    for (l, spec) in specs.iter().enumerate() {
+        if !live[l] {
+            continue;
+        }
+        let Some(t) = ws.prepare(spec, weights, functional) else {
+            live[l] = false;
+            continue;
+        };
+        let p = match program {
+            Some(p) => p,
+            None => {
+                let topology = Topology::of(spec, functional, scaled);
+                let found = programs.iter().position(|p| p.topology == topology);
+                let Some(p) = found.or_else(|| {
+                    ws.fill_i_minus_q(t);
+                    ws.factor(t, scaled).then_some(())?;
+                    programs.push(Program::record(topology, ws, t));
+                    Some(programs.len() - 1)
+                }) else {
+                    live[l] = false;
+                    continue;
+                };
+                let prog = &programs[p];
+                lanes.vals.clear();
+                lanes.vals.extend(prog.init.iter().map(|&v| [v; N]));
+                lanes.residence.clear();
+                lanes.residence.resize(t, [0.0; N]);
+                lanes.to_error.clear();
+                lanes.to_error.resize(prog.error_rows.len(), [0.0; N]);
+                program = Some(p);
+                p
+            }
+        };
+        let prog = &programs[p];
+        debug_assert_eq!(prog.edge_slot.len(), ws.edges.len());
+        for (&s, &(_, p)) in prog.edge_slot.iter().zip(&ws.edges) {
+            if s != NO_SLOT {
+                let v = &mut lanes.vals[s as usize][l];
+                *v -= p;
+            }
+        }
+        for (r, &v) in lanes.residence.iter_mut().zip(&ws.residence) {
+            r[l] = v;
+        }
+        for (e, &edge) in lanes.to_error.iter_mut().zip(&prog.error_edges) {
+            e[l] = ws.edges[edge as usize].1;
+        }
+    }
+    let p = program?;
+    let prog = &programs[p];
+    let t = prog.t;
+    if scaled {
+        lanes.scales.clear();
+        for r in 0..t {
+            let slots = &prog.row_slots[range((prog.row_start[r], prog.row_start[r + 1]))];
+            let scale: [f64; N] = std::array::from_fn(|l| {
+                slots
+                    .iter()
+                    .fold(0.0f64, |s, &slot| s.max(lanes.vals[slot as usize][l].abs()))
+            });
+            for (live, s) in live.iter_mut().zip(scale) {
+                *live &= s >= PIVOT_EPS;
+            }
+            lanes.scales.push(scale);
+        }
+    }
+    prog.factor(&mut lanes.vals, &lanes.scales, live);
+
+    let m = if functional { prog.error_rows.len() } else { 1 };
+    lanes.xy.clear();
+    for (i, &src) in prog.perm.iter().enumerate() {
+        if functional {
+            lanes.xy.extend(
+                prog.error_start
+                    .iter()
+                    .map(|&start| [if start as usize == i { 1.0 } else { 0.0 }; N]),
+            );
+        } else {
+            lanes.xy.push(lanes.residence[src as usize]);
+        }
+    }
+    prog.solve(&lanes.vals, &mut lanes.xy, m, functional);
+
+    for (l, live) in live.iter_mut().enumerate() {
+        *live &= lanes.vals.iter().all(|v| v[l].is_finite())
+            && lanes.xy.iter().all(|v| v[l].is_finite());
+    }
+    live.iter().any(|&l| l).then_some(p)
+}
+
 impl Workspace {
-    fn analyze(
+    /// Assembles one chain of `spec` and returns its transient-state
+    /// count; `None` when a check of the builder fails or a residence is
+    /// `−0.0`, which the dense path answers.
+    fn prepare(
         &mut self,
         spec: &ClrChainSpec,
         weights: Option<&[f64]>,
-        scaled: bool,
-    ) -> Result<TaskReliability, Stop> {
-        spec.validate()?;
-        interval_weights(&spec.params, weights, &mut self.weights)?;
-
-        let t = self.assemble(spec, false);
-        self.validate(t)?;
-        if self.residence[..t].iter().any(|r| r.is_sign_negative()) {
-            return Err(Stop::Dense);
+        functional: bool,
+    ) -> Option<usize> {
+        spec.validate().ok()?;
+        interval_weights(&spec.params, weights, &mut self.weights).ok()?;
+        let t = self.assemble(spec, functional);
+        if !self.valid(t)
+            || (!functional && self.residence[..t].iter().any(|r| r.is_sign_negative()))
+        {
+            return None;
         }
-        self.fill_i_minus_q(t);
-        self.factor(t, scaled)?;
-        self.rhs.clear();
-        self.rhs.extend_from_slice(&self.residence[..t]);
-        self.solve(t, 1)?;
-        let avg_exec_time = self.xy[0];
-
-        let t = self.assemble(spec, true);
-        self.validate(t)?;
-        self.fill_i_minus_q(t);
-        self.factor(t, scaled)?;
-        // B[0, Error] = Σ_j N[0, j] · R[j, Error], ascending j, where
-        // column j of N solves (I − Q)·x = e_j.
-        let m = self.to_error.len();
-        self.rhs.clear();
-        self.rhs.resize(t * m, 0.0);
-        for (e, &(j, _)) in self.to_error.iter().enumerate() {
-            self.rhs[j * m + e] = 1.0;
-        }
-        self.solve(t, m)?;
-        let mut error = 0.0;
-        for (&n0j, &(_, p)) in self.xy.iter().zip(&self.to_error) {
-            error += n0j * p;
-        }
-        Ok(TaskReliability {
-            min_exec_time: spec.params.min_exec_time(),
-            avg_exec_time,
-            error_prob: clre_num::util::clamp_prob(error),
-        })
+        Some(t)
     }
 
     /// Appends one state: its residence and its edges, which must come in
@@ -166,7 +700,6 @@ impl Workspace {
         self.residence.clear();
         self.edges.clear();
         self.row_start.clear();
-        self.to_error.clear();
 
         for i in 0..k {
             let o = block * i;
@@ -239,44 +772,23 @@ impl Workspace {
             self.state(0.0, &[]);
         }
         self.row_start.push(self.edges.len());
-
-        if functional {
-            for s in 0..t {
-                let row = &self.edges[self.row_start[s]..self.row_start[s + 1]];
-                if let Some(&(_, p)) = row.iter().find(|&&(to, _)| to == err) {
-                    self.to_error.push((s, p));
-                }
-            }
-        }
         t
     }
 
-    /// `MarkovChainBuilder::build`'s checks, in its order; states from
-    /// `t` on are absorbing.
-    fn validate(&self, t: usize) -> Result<(), MarkovError> {
-        for (s, &res) in self.residence.iter().enumerate() {
-            if !res.is_finite() || res < 0.0 {
-                return Err(MarkovError::InvalidResidence {
-                    state: s,
-                    value: res,
-                });
-            }
-        }
-        for from in 0..self.residence.len() {
-            let row = &self.edges[self.row_start[from]..self.row_start[from + 1]];
-            for &(to, p) in row {
-                if !p.is_finite() || !(0.0..=1.0 + ROW_SUM_EPS).contains(&p) {
-                    return Err(MarkovError::InvalidProbability { from, to, value: p });
-                }
-            }
-            if from < t {
-                let sum: f64 = row.iter().map(|&(_, p)| p).sum();
-                if (sum - 1.0).abs() > ROW_SUM_EPS {
-                    return Err(MarkovError::RowSumNotOne { state: from, sum });
-                }
-            }
-        }
-        Ok(())
+    /// Whether the chain passes `MarkovChainBuilder::build`'s checks;
+    /// states from `t` on are absorbing.
+    fn valid(&self, t: usize) -> bool {
+        let residences =
+            (self.residence.iter()).fold(true, |ok, &r| ok & r.is_finite() & (r >= 0.0));
+        let edges = (self.edges.iter()).fold(true, |ok, &(_, p)| {
+            ok & p.is_finite() & (0.0..=1.0 + ROW_SUM_EPS).contains(&p)
+        });
+        let sums = self.row_start[..=t].windows(2).fold(true, |ok, row| {
+            let sum: f64 = self.edges[row[0]..row[1]].iter().map(|&(_, p)| p).sum();
+            // A NaN sum needs a non-finite edge, which fails above.
+            ok & ((sum - 1.0).abs() <= ROW_SUM_EPS)
+        });
+        residences & edges & sums
     }
 
     /// Writes the dense `I − Q` block as `Matrix::identity(t).sub(&q)`
@@ -295,56 +807,22 @@ impl Workspace {
         }
     }
 
-    /// `Lu::factor` (or `Lu::factor_scaled`) in place on `a`, skipping
-    /// the updates a zero multiplier or pivot-row entry makes exact
-    /// no-ops. Records the non-zeros of `U` by row and of `L` by column
-    /// as it goes.
-    ///
-    /// A non-finite entry never turns finite again (`inf − x` and
-    /// `NaN − x` stay non-finite, and skipped updates leave it alone), and
-    /// every entry ends up in `U` or as a multiplier in `L`, so checking
-    /// the factors sees every non-finite intermediate.
-    fn factor(&mut self, t: usize, scaled: bool) -> Result<(), Stop> {
-        if let Err(e) = self.eliminate(t, scaled) {
-            if self.a.iter().any(|v| !v.is_finite()) {
-                return Err(Stop::Dense);
-            }
-            return Err(Stop::Error(e.into()));
-        }
-        let finite = |entries: &[(usize, f64)]| entries.iter().all(|(_, v)| v.is_finite());
-        let diagonal = (0..t).all(|i| self.a[i * t + i].is_finite());
-        if !diagonal || !finite(&self.lower) || !finite(&self.upper) {
-            return Err(Stop::Dense);
-        }
-        // `L` entries were recorded against the original row they sit
-        // in; later pivots may have moved that row.
-        for (i, &src) in self.perm.iter().enumerate() {
-            self.position[src] = i;
-        }
-        for (row, _) in &mut self.lower {
-            *row = self.position[*row];
-        }
-        Ok(())
-    }
-
-    fn eliminate(&mut self, t: usize, scaled: bool) -> Result<(), clre_num::NumError> {
+    /// `Lu::factor` (or `Lu::factor_scaled`) in place on `a`, leaving
+    /// the pivot rows in `pivots`; `false` when a pivot is singular or an
+    /// entry ends non-finite, which a recorded program would not pass.
+    /// Skips the updates a zero multiplier or pivot-row entry makes exact
+    /// no-ops: only the pivots are kept, and replay computes the values.
+    fn factor(&mut self, t: usize, scaled: bool) -> bool {
         let a = &mut self.a;
-        self.perm.clear();
-        self.perm.extend(0..t);
-        self.position.clear();
-        self.position.resize(t, 0);
+        self.pivots.clear();
         self.scales.clear();
-        self.lower.clear();
-        self.lower_start.clear();
-        self.upper.clear();
-        self.upper_start.clear();
         if scaled {
             for r in 0..t {
                 let s = a[r * t..(r + 1) * t]
                     .iter()
                     .fold(0.0f64, |s, v| s.max(v.abs()));
                 if s < PIVOT_EPS {
-                    return Err(clre_num::NumError::Singular { pivot: r });
+                    return false;
                 }
                 self.scales.push(s);
             }
@@ -370,28 +848,25 @@ impl Workspace {
                 }
             }
             if pivot_val < PIVOT_EPS {
-                return Err(clre_num::NumError::Singular { pivot: col });
+                return false;
             }
+            self.pivots.push(pivot_row);
             if pivot_row != col {
                 for c in 0..t {
                     a.swap(col * t + c, pivot_row * t + c);
                 }
-                self.perm.swap(col, pivot_row);
                 if scaled {
                     self.scales.swap(col, pivot_row);
                 }
             }
-            // The pivot row is final from here on: it is row `col` of U.
-            self.upper_start.push(self.upper.len());
+            self.pivot_entries.clear();
             for c in (col + 1)..t {
                 let v = a[col * t + c];
                 if v != 0.0 {
-                    self.upper.push((c, v));
+                    self.pivot_entries.push((c, v));
                 }
             }
-            self.lower_start.push(self.lower.len());
             let diag = a[col * t + col];
-            let pivot = &self.upper[self.upper_start[col]..];
             for &r in &self.col_rows {
                 // After a swap, row `pivot_row` holds the old diagonal
                 // row, whose entry here may be zero.
@@ -401,63 +876,99 @@ impl Workspace {
                 }
                 let factor = v / diag;
                 a[r * t + col] = factor;
-                self.lower.push((self.perm[r], factor));
                 if factor == 0.0 {
                     continue;
                 }
-                for &(c, u) in pivot {
+                for &(c, u) in &self.pivot_entries {
                     a[r * t + c] -= factor * u;
                 }
             }
         }
-        self.upper_start.push(self.upper.len());
-        self.lower_start.push(self.lower.len());
-        Ok(())
+        a.iter().all(|v| v.is_finite())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clr::{analyze_dense, ClrChainParams};
+
+    /// Pivot rows of one chain of `spec` under the elimination.
+    fn pivots(spec: &ClrChainSpec, functional: bool) -> Vec<usize> {
+        let mut ws = Workspace::default();
+        let t = ws.prepare(spec, None, functional).expect("valid spec");
+        ws.fill_i_minus_q(t);
+        assert!(ws.factor(t, false));
+        ws.pivots.clone()
     }
 
-    /// `Lu::solve` for the `m` right-hand sides in `rhs` (`t × m`,
-    /// row-major) at once, over the recorded factors; leaves `x[0, ..]` in
-    /// `xy[..m]`. Each column sees exactly the single-vector solve's
-    /// operations in its order — forward substitution visits `L` by
-    /// column, which still subtracts from each row in ascending column
-    /// order — and solving them side by side only hides the latency of
-    /// the dependent subtractions and divisions.
-    fn solve(&mut self, t: usize, m: usize) -> Result<(), Stop> {
-        let xy = &mut self.xy;
-        xy.clear();
-        for &src in &self.perm {
-            xy.extend_from_slice(&self.rhs[src * m..(src + 1) * m]);
-        }
-        // Forward substitution: y = L⁻¹·P·rhs.
-        for col in 0..t {
-            let (done, rest) = xy.split_at_mut((col + 1) * m);
-            let y_col = &done[col * m..];
-            for &(i, l) in &self.lower[self.lower_start[col]..self.lower_start[col + 1]] {
-                let yi = &mut rest[(i - col - 1) * m..(i - col) * m];
-                for (acc, &y) in yi.iter_mut().zip(y_col) {
-                    *acc -= l * y;
-                }
-            }
-        }
-        // Back substitution in place: x = U⁻¹·y.
-        for i in (0..t).rev() {
-            let (head, solved) = xy.split_at_mut((i + 1) * m);
-            let xi = &mut head[i * m..];
-            for &(j, u) in &self.upper[self.upper_start[i]..self.upper_start[i + 1]] {
-                let xj = &solved[(j - i - 1) * m..(j - i) * m];
-                for (acc, &x) in xi.iter_mut().zip(xj) {
-                    *acc -= u * x;
-                }
-            }
-            let diag = self.a[i * t + i];
-            for v in xi.iter_mut() {
-                *v /= diag;
-            }
-        }
-        // As in `factor`, a non-finite value never turns finite again.
-        if xy.iter().any(|v| !v.is_finite()) {
-            return Err(Stop::Dense);
-        }
-        Ok(())
+    fn bits(r: &TaskReliability) -> [u64; 3] {
+        [
+            r.min_exec_time.to_bits(),
+            r.avg_exec_time.to_bits(),
+            r.error_prob.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn replay_of_a_differently_pivoted_spec_matches_dense() {
+        let params = ClrChainParams {
+            m_hw: 0.7,
+            m_impl_ssw: 0.05,
+            cov_det: 0.9,
+            m_tol: 0.97,
+            m_asw: 0.55,
+            intervals: 2,
+            t_det: 10.0e-6,
+            t_tol: 5.0e-6,
+            t_chk: 12.0e-6,
+            p_chk_err: 1.0e-4,
+            ..ClrChainParams::unprotected(300.0e-6, 100.0)
+        };
+        let recorded = ClrChainSpec::transient(params);
+        // Near-certain faults that only roll-back can stop: the second
+        // interval's `SSWTol` diagonal falls below the checkpoint row's
+        // fill, so that row becomes the pivot.
+        let swapped = ClrChainSpec::transient(ClrChainParams {
+            seu_rate: 1.0e6,
+            m_hw: 0.0,
+            m_impl_ssw: 0.0,
+            cov_det: 1.0,
+            m_tol: 0.9,
+            ..params
+        });
+        assert_ne!(pivots(&recorded, false), pivots(&swapped, false));
+
+        // A fresh thread starts with no programs.
+        std::thread::spawn(move || {
+            let mut solver = Solver::default();
+            let Solver {
+                scalar,
+                programs,
+                one,
+                batch,
+            } = &mut solver;
+            let [first] = replay(scalar, programs, one, &[&recorded], None, false);
+            assert_eq!(
+                bits(&first.expect("the recording spec replays")),
+                bits(&analyze_dense(&recorded, None, false).unwrap())
+            );
+            assert_eq!(programs.len(), 2, "one program per chain");
+            // The pivot guard leaves the swapped lane alone; its
+            // neighbour of the recorded topology still replays.
+            let lanes = replay(scalar, programs, batch, &[&swapped, &recorded], None, false);
+            assert!(lanes[0].is_none());
+            assert_eq!(bits(&lanes[1].unwrap()), bits(&first.unwrap()));
+            // Through the thread's own programs, recorded from
+            // `recorded`: the swapped spec replays a program of its own.
+            assert!(analyze(&recorded, None, false).is_some());
+            let dense = analyze_dense(&swapped, None, false).unwrap();
+            assert_eq!(
+                bits(&analyze(&swapped, None, false).expect("no dense fallback")),
+                bits(&dense)
+            );
+        })
+        .join()
+        .unwrap();
     }
 }

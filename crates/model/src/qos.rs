@@ -61,17 +61,23 @@ impl TaskMetrics {
     pub fn objective_vector(&self, set: &ObjectiveSet) -> Vec<f64> {
         set.objectives()
             .iter()
-            .map(|o| match o {
-                Objective::AvgExecTime => self.avg_exec_time,
-                Objective::ErrorProbability => self.error_prob,
-                Objective::Mttf => -self.eta, // maximize η ⇒ minimize −η
-                Objective::Energy => self.energy,
-                Objective::PeakPower => self.power,
-                Objective::PeakTemperature => self.peak_temp,
-                Objective::MinExecTime => self.min_exec_time,
-                Objective::Makespan => self.avg_exec_time,
-            })
+            .map(|&o| self.objective(o))
             .collect()
+    }
+
+    /// The value of one task-level objective (all-minimization), as in
+    /// [`TaskMetrics::objective_vector`].
+    pub fn objective(&self, objective: Objective) -> f64 {
+        match objective {
+            Objective::AvgExecTime => self.avg_exec_time,
+            Objective::ErrorProbability => self.error_prob,
+            Objective::Mttf => -self.eta, // maximize η ⇒ minimize −η
+            Objective::Energy => self.energy,
+            Objective::PeakPower => self.power,
+            Objective::PeakTemperature => self.peak_temp,
+            Objective::MinExecTime => self.min_exec_time,
+            Objective::Makespan => self.avg_exec_time,
+        }
     }
 }
 

@@ -246,9 +246,50 @@ pub fn ens_non_dominated_sort(points: &ObjectiveMatrix, violations: &[f64]) -> V
     deb
 }
 
-/// Indices of the non-dominated rows of `points` — the flat-buffer
-/// `non_dominated_indices`, same first-duplicate-wins semantics.
+/// Indices of the non-dominated rows of `points`, ascending — the
+/// flat-buffer `non_dominated_indices`, same first-duplicate-wins
+/// semantics: a row is dropped when another dominates it or when an
+/// earlier row equals it.
+///
+/// Rows are visited in ascending lexicographic order (`partial_cmp`, ties
+/// by index), and a row is kept unless a kept row dominates or equals it.
+/// A dominator is lexicographically smaller, and an equal row of lower
+/// index comes earlier, so every row that drops a row is visited before
+/// it; a dropped dominator leaves a kept one that dominates or equals it,
+/// and so dominates the row too. Matrices holding a NaN have no such
+/// order and take [`non_dominated_matrix_naive`].
 pub fn non_dominated_matrix(points: &ObjectiveMatrix) -> Vec<usize> {
+    if points.any_nan() {
+        return non_dominated_matrix_naive(points);
+    }
+    let mut order: Vec<usize> = (0..points.rows()).collect();
+    // Stable, so equal rows stay in index order.
+    order.sort_by(|&a, &b| {
+        points
+            .row(a)
+            .iter()
+            .zip(points.row(b))
+            .map(|(x, y)| x.partial_cmp(y).expect("no NaN"))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
+    let mut keep: Vec<usize> = Vec::new();
+    for i in order {
+        let p = points.row(i);
+        if !keep
+            .iter()
+            .any(|&k| points.row(k) == p || dominates_blocked(points.row(k), p))
+        {
+            keep.push(i);
+        }
+    }
+    keep.sort_unstable();
+    keep
+}
+
+/// The O(n²) scan behind [`non_dominated_matrix`]: every pair is
+/// compared. Kept as its oracle and for matrices holding a NaN.
+pub fn non_dominated_matrix_naive(points: &ObjectiveMatrix) -> Vec<usize> {
     let n = points.rows();
     let mut keep = Vec::new();
     'outer: for i in 0..n {

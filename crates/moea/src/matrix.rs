@@ -78,6 +78,22 @@ impl ObjectiveMatrix {
         self.rows += 1;
     }
 
+    /// Appends one row from its values, without a row buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` does not yield exactly `cols` values.
+    pub fn push_row_from(&mut self, row: impl IntoIterator<Item = f64>) {
+        let start = self.data.len();
+        self.data.extend(row);
+        assert_eq!(
+            self.data.len() - start,
+            self.cols,
+            "row length must equal cols"
+        );
+        self.rows += 1;
+    }
+
     /// Empties the matrix, optionally re-striding it, keeping the
     /// allocation for reuse.
     pub fn reset(&mut self, cols: usize) {

@@ -96,11 +96,11 @@ pub fn constrained_dominates_blocked(a: &[f64], va: f64, b: &[f64], vb: f64) -> 
     }
 }
 
-/// Returns the indices of the non-dominated points of `points`.
+/// Returns the indices of the non-dominated points of `points`, ascending.
 ///
-/// Duplicates are kept (the first occurrence wins; exact duplicates of a
-/// retained point are also retained, since neither strictly dominates the
-/// other).
+/// Of exact duplicates only the first occurrence is kept: neither
+/// duplicate dominates the other, so the later one is dropped as equal
+/// to an earlier point.
 ///
 /// # Examples
 ///
@@ -109,6 +109,10 @@ pub fn constrained_dominates_blocked(a: &[f64], va: f64, b: &[f64], vb: f64) -> 
 ///
 /// let pts = vec![vec![1.0, 4.0], vec![2.0, 2.0], vec![3.0, 3.0], vec![4.0, 1.0]];
 /// assert_eq!(non_dominated_indices(&pts), vec![0, 1, 3]);
+///
+/// // The duplicate at index 1 is dropped, not kept beside index 0.
+/// let dup = vec![vec![1.0, 2.0], vec![1.0, 2.0], vec![3.0, 0.5]];
+/// assert_eq!(non_dominated_indices(&dup), vec![0, 2]);
 /// ```
 pub fn non_dominated_indices(points: &[Vec<f64>]) -> Vec<usize> {
     kernels::non_dominated_matrix(&ObjectiveMatrix::from_rows(points))

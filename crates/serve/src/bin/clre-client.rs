@@ -27,9 +27,11 @@
 //! 1 error.
 
 use std::process::exit;
+use std::sync::Arc;
 
 use clre::methodology::{ClrEarly, StageBudget};
 use clre::remote::BackendChoice;
+use clre::tdse::build_library_on;
 use clre_exec::{ExecPool, Executor};
 use clre_serve::client::{Event, ServeClient, Submission};
 use clre_serve::server::{build_app, front_digest};
@@ -241,8 +243,16 @@ fn local(args: &Args) -> i32 {
     if let Some(backend) = backend {
         exec = exec.with_eval_backend(backend);
     }
-    let dse = match ClrEarly::with_scenario(&graph, &platform, &request.scenario) {
+    // The library sweep keeps to `--workers` as well, as the server's
+    // cold builds keep to its worker budget.
+    let built = request.scenario.tdse_config().and_then(|tdse| {
+        let (library, health) =
+            build_library_on(&graph, &platform, &tdse, &ExecPool::new(args.workers))?;
+        ClrEarly::from_library(&graph, &platform, tdse, Arc::new(library), health)
+    });
+    let dse = match built {
         Ok(dse) => dse
+            .with_objectives(request.scenario.system_objectives())
             .with_executor(exec)
             .with_remote(request.app.clone(), request.scenario),
         Err(e) => {

@@ -6,8 +6,8 @@
 
 use clrearly::markov::closed_form;
 use clrearly::markov::clr::{
-    analyze_robust_chaos_spec, analyze_spec, analyze_with_intervals_spec, ClrChainParams,
-    ClrChainSpec, RobustAnalysis, SolverFaultPlan, TaskReliability,
+    analyze_robust_batch, analyze_robust_chaos_spec, analyze_spec, analyze_with_intervals_spec,
+    ClrChainParams, ClrChainSpec, RobustAnalysis, SolverFaultPlan, TaskReliability, LANES,
 };
 use clrearly::markov::{MarkovChain, MarkovError, StateId};
 use clrearly::num::util::clamp_prob;
@@ -572,6 +572,69 @@ proptest! {
             Err(e) => prop_assert_eq!(fast.unwrap_err(), e),
         }
     }
+
+    #[test]
+    fn batched_replay_matches_dense_per_spec(
+        specs in arb_batch(), seed in 0u64..1_000_000, storm in prop::bool::ANY
+    ) {
+        // Without a storm the plan never fires, so the oracle's ladder is
+        // the fault-free one.
+        let plan = if storm {
+            SolverFaultPlan::new(seed, 300_000, 300_000)
+        } else {
+            SolverFaultPlan::new(seed, 0, 0)
+        };
+        let batch = analyze_robust_batch(&specs, storm.then_some(&plan));
+        prop_assert!(batch[specs.len()..].iter().all(Option::is_none));
+        for (spec, fast) in specs.iter().zip(batch) {
+            let fast = fast.expect("one outcome per spec");
+            match dense_robust(spec, &plan) {
+                Ok(Some(d)) => {
+                    let f = fast.expect("robust analysis");
+                    prop_assert_eq!((f.degraded, f.retried), (d.degraded, d.retried));
+                    prop_assert_eq!(bits(&f.reliability), bits(&d.reliability));
+                }
+                // The closed form decides, domain errors included: the
+                // oracle stops short of it.
+                Ok(None) => {
+                    let forced = SolverFaultPlan::new(seed, 1_000_000, 1_000_000);
+                    match analyze_robust_chaos_spec(spec, &forced) {
+                        Ok(closed) => {
+                            let f = fast.expect("degraded analysis");
+                            prop_assert!(f.degraded && f.retried);
+                            prop_assert_eq!(bits(&f.reliability), bits(&closed.reliability));
+                        }
+                        Err(e) => prop_assert_eq!(fast.unwrap_err(), e),
+                    }
+                }
+                Err(e) => prop_assert_eq!(fast.unwrap_err(), e),
+            }
+        }
+    }
+}
+
+/// Batches of 1–4 oracle specs. About half the lanes after the first
+/// take lane 0's topology (interval count and mechanism), so lanes share
+/// a replay; one lane in eight is made invalid (`m_tol > 1`).
+fn arb_batch() -> impl Strategy<Value = Vec<ClrChainSpec>> {
+    prop::collection::vec((arb_oracle_case(), 0u32..8), 1..LANES + 1).prop_map(|cases| {
+        let first = cases[0].0 .0;
+        cases
+            .into_iter()
+            .enumerate()
+            .map(|(i, ((mut spec, _), pick))| {
+                match pick {
+                    0..=3 if i > 0 => {
+                        spec.params.intervals = first.params.intervals;
+                        spec.mechanism = first.mechanism;
+                    }
+                    7 => spec.params.m_tol = 1.5,
+                    _ => {}
+                }
+                spec
+            })
+            .collect()
+    })
 }
 
 #[test]

@@ -318,4 +318,31 @@ proptest! {
             prop_assert_eq!(cached, naive, "target {}", target);
         }
     }
+
+    #[test]
+    fn sorted_pareto_filter_equals_naive_scan(
+        rows in prop::collection::vec(prop::collection::vec(arb_tie_coord(), 3), 0..40),
+        nasty in prop::collection::vec(prop::collection::vec(arb_nasty_coord(), 2), 0..12),
+    ) {
+        // Few distinct values: ties, duplicates and signed zeros abound,
+        // and the sorted filter runs (no NaN).
+        let m = ObjectiveMatrix::from_rows(&rows);
+        prop_assert_eq!(kernels::non_dominated_matrix(&m), kernels::non_dominated_matrix_naive(&m));
+        // NaN, infinities and signed zeros: a NaN sends the matrix to the
+        // naive scan, the rest to the sorted filter.
+        let m = ObjectiveMatrix::from_rows(&nasty);
+        prop_assert_eq!(kernels::non_dominated_matrix(&m), kernels::non_dominated_matrix_naive(&m));
+    }
+}
+
+/// Coordinates from a small set with both zeros, so that rows tie,
+/// repeat and differ only in the sign of a zero.
+fn arb_tie_coord() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(-0.0),
+        Just(0.0),
+        Just(1.0),
+        Just(2.0),
+        Just(f64::INFINITY)
+    ]
 }
