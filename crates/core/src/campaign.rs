@@ -59,8 +59,8 @@ use crate::methodology::{ClrEarly, FrontPoint, FrontResult, Layer, StageBudget};
 use crate::problem::SystemProblem;
 use crate::resilience::{
     quarantine_sidecar_path, read_quarantine_sidecar, remove_checkpoint_files,
-    write_quarantine_sidecar, AlgorithmTag, Checkpoint, CompletedStage, QuarantineRecord,
-    ResilientProblem, RunHealth, RunOutcome, RunSupervisor,
+    write_quarantine_sidecar, AlgorithmTag, Checkpoint, CheckpointWriter, CompletedStage,
+    QuarantineRecord, ResilientProblem, RunHealth, RunOutcome, RunSupervisor, StageIdentity,
 };
 use crate::tdse::{build_library, DvfsPolicy};
 use crate::DseError;
@@ -106,7 +106,7 @@ pub enum LibrarySource {
 pub struct StagePlan {
     /// Stage label: names the stage's [`FrontResult`], its executor
     /// telemetry records, and its checkpoint bookkeeping. Must be
-    /// whitespace-free (it is embedded in the checkpoint text format).
+    /// whitespace-free (trace records embed it as one token).
     pub label: String,
     /// The MOEA backend.
     pub algorithm: StageAlgorithm,
@@ -514,16 +514,6 @@ enum SupervisedDrive {
     },
 }
 
-/// Checkpoint identity of the stage being driven.
-struct CheckpointMeta<'b> {
-    method: &'b str,
-    algorithm: AlgorithmTag,
-    stage: u32,
-    budget: &'b StageBudget,
-    objective_count: usize,
-    completed: &'b [CompletedStage],
-}
-
 impl<'a> ClrEarly<'a> {
     /// Runs a campaign plan without supervision: every stage is driven
     /// through the shared [`EvolutionState`] path and the executor, and
@@ -693,8 +683,26 @@ impl<'a> ClrEarly<'a> {
         mut quarantine_seed: Vec<QuarantineRecord>,
     ) -> Result<RunOutcome, DseError> {
         let mut health = base_health;
+        // One writer per drive: its buffer is reused by every stage, and
+        // its first save prunes rotation slots a larger `keep` left.
+        let mut writer = CheckpointWriter::new(
+            supervisor.checkpoint_path(),
+            supervisor.config().keep_checkpoints,
+        );
         for index in completed.len()..plan.stages.len() {
             let stage = &plan.stages[index];
+            writer.begin_stage(
+                &StageIdentity {
+                    method: &plan.name,
+                    algorithm: stage.algorithm.tag(),
+                    stage: u32::try_from(index).expect("stage index fits u32"),
+                    population_size: budget.population,
+                    generations: budget.generations,
+                    seed: budget.seed,
+                    objective_count: self.objectives.len(),
+                },
+                &completed,
+            );
             let seeds = stage
                 .seed_from
                 .iter()
@@ -705,7 +713,7 @@ impl<'a> ClrEarly<'a> {
                 index,
                 budget,
                 supervisor,
-                &completed,
+                &mut writer,
                 seeds,
                 health.clone(),
                 resume.take(),
@@ -734,10 +742,7 @@ impl<'a> ClrEarly<'a> {
         let mut final_result = conclude_plain(plan, results);
         health.degraded_analyses += self.tdse_health.degraded_analyses;
         final_result.health = health;
-        remove_checkpoint_files(
-            supervisor.checkpoint_path(),
-            supervisor.config().keep_checkpoints,
-        );
+        remove_checkpoint_files(supervisor.checkpoint_path());
         Ok(RunOutcome::Complete(final_result))
     }
 
@@ -876,7 +881,7 @@ impl<'a> ClrEarly<'a> {
         index: usize,
         budget: &StageBudget,
         supervisor: &RunSupervisor,
-        completed: &[CompletedStage],
+        writer: &mut CheckpointWriter,
         seeds: Vec<Genome>,
         base_health: RunHealth,
         resume: Option<EvoSnapshot<Genome>>,
@@ -901,14 +906,7 @@ impl<'a> ClrEarly<'a> {
         let eval_health = resilient.health();
         let quarantine_log = resilient.quarantine_log();
         let exec = self.stage_exec(&stage.label);
-        let meta = CheckpointMeta {
-            method: &plan.name,
-            algorithm: stage.algorithm.tag(),
-            stage: u32::try_from(index).expect("stage index fits u32"),
-            budget,
-            objective_count: self.objectives.len(),
-            completed,
-        };
+        let stage_index = u32::try_from(index).expect("stage index fits u32");
         let drive = {
             let variation = ClrVariation::new(&codec);
             match stage.algorithm {
@@ -923,7 +921,8 @@ impl<'a> ClrEarly<'a> {
                     supervise::<_, Nsga2State<Genome>>(
                         &ga,
                         &exec,
-                        &meta,
+                        stage_index,
+                        writer,
                         supervisor,
                         &base_health,
                         &eval_health,
@@ -941,7 +940,8 @@ impl<'a> ClrEarly<'a> {
                     supervise::<_, Spea2State<Genome>>(
                         &ga,
                         &exec,
-                        &meta,
+                        stage_index,
+                        writer,
                         supervisor,
                         &base_health,
                         &eval_health,
@@ -1170,15 +1170,17 @@ fn conclude_plain(plan: &CampaignPlan, mut results: Vec<FrontResult>) -> FrontRe
 }
 
 /// The generic supervised drive loop: step-wise evolution over a
-/// panic-isolating problem, checkpointing through
-/// [`Checkpoint::save_rotated`] at the supervisor's cadence, with the
-/// crash-injection seam honoured before every generation. Works identically for NSGA-II and SPEA2
-/// states — this is the single copy of the supervision plumbing.
+/// panic-isolating problem, checkpointing stage `stage` through `writer`
+/// (whose prefix holds the stage identity and completed stages) at the
+/// supervisor's cadence, with the crash-injection seam honoured before
+/// every generation. Works identically for NSGA-II and SPEA2 states —
+/// this is the single copy of the supervision plumbing.
 #[allow(clippy::too_many_arguments)]
 fn supervise<A, S: EvolutionState<A, Genome = Genome>>(
     ga: &A,
     exec: &Executor,
-    meta: &CheckpointMeta<'_>,
+    stage: u32,
+    writer: &mut CheckpointWriter,
     supervisor: &RunSupervisor,
     base_health: &RunHealth,
     eval_health: &crate::resilience::HealthHandle,
@@ -1211,28 +1213,13 @@ fn supervise<A, S: EvolutionState<A, Genome = Genome>>(
     // Checkpoints carry nothing thread-dependent: the state's population
     // and RNG words are identical for any worker count, and the health
     // counters are totals, not per-worker data.
-    let save = |state: &S, health: RunHealth| -> Result<(), DseError> {
+    let mut save = |state: &S, health: RunHealth| -> Result<(), DseError> {
         // Every journal line inserted so far reaches disk before the
         // checkpoint that a resume would start from.
         if let Some(cache) = cache {
             cache.flush_sidecar();
         }
-        let cp = Checkpoint {
-            method: meta.method.to_owned(),
-            algorithm: meta.algorithm,
-            stage: meta.stage,
-            population_size: meta.budget.population,
-            generations: meta.budget.generations,
-            seed: meta.budget.seed,
-            objective_count: meta.objective_count,
-            completed: meta.completed.to_vec(),
-            state: state.snapshot(),
-            health,
-        };
-        cp.save_rotated(
-            supervisor.checkpoint_path(),
-            supervisor.config().keep_checkpoints,
-        )?;
+        writer.save(&health, &state.snapshot())?;
         write_quarantine_sidecar(
             &quarantine_sidecar_path(supervisor.checkpoint_path()),
             &quarantine_log.lock().expect("quarantine log poisoned"),
@@ -1255,7 +1242,7 @@ fn supervise<A, S: EvolutionState<A, Genome = Genome>>(
     }
 
     loop {
-        if supervisor.should_interrupt(meta.stage, state.generation()) {
+        if supervisor.should_interrupt(stage, state.generation()) {
             checkpoints += 1;
             let health = health_now(checkpoints);
             let generation = state.generation();

@@ -18,8 +18,8 @@
 //!   [`QUARANTINE_OBJECTIVE`] on every axis plus an equal constraint
 //!   violation, so Deb's constraint-domination ranks it behind every
 //!   healthy individual and selection breeds it out.
-//! * [`Checkpoint`] — a versioned, self-validating, plain-text snapshot
-//!   of a GA stage (generation index, evaluated population, RNG state
+//! * [`Checkpoint`] — a versioned, integrity-sealed binary snapshot of
+//!   a GA stage (generation index, evaluated population, RNG state
 //!   words, stage bookkeeping). Written atomically (temp file + rename)
 //!   by the supervised runs in [`crate::methodology`] and decoded by
 //!   [`ClrEarly::resume_supervised`](crate::ClrEarly::resume_supervised),
@@ -36,6 +36,7 @@
 
 use std::fmt::Write as _;
 use std::fs;
+use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -704,6 +705,14 @@ impl SupervisorConfig {
     /// Checkpoints to `path` every generation with one retry per failure,
     /// keeping only the newest checkpoint.
     ///
+    /// The per-generation cadence bounds what a hard kill loses to one
+    /// generation, and it is cheap: the identity and completed stages
+    /// are encoded once per stage, so a save writes only the health and
+    /// the live population. For `synthetic:50:1` `proposed` 60×30 with
+    /// two checkpoints kept, a second-stage save is a 25 KB record and
+    /// took 43–47 µs (medians, 2-vCPU VM), against 490–500 µs for the
+    /// 56 KB text record of the v2 format.
+    ///
     /// Every `with_*` method is a consuming builder: it returns the
     /// updated configuration (and is `#[must_use]` — dropping the result
     /// discards the setting).
@@ -788,20 +797,79 @@ pub fn rotated_checkpoint_path(path: &Path, n: usize) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Rotates existing checkpoint generations aside and prunes the oldest:
-/// `<path>.keep-2 → <path>.keep-1`, …, `<path> → <path>.1`; everything at
-/// slot `keep-1` and beyond is removed. With `keep == 1` this just prunes
-/// stale rotation files. Called by [`Checkpoint::save_rotated`] before
-/// installing a fresh checkpoint at `path`.
-fn rotate_checkpoints(path: &Path, keep: usize) {
-    // Prune slots that fall outside the retention window (also covers a
-    // `keep` that shrank between runs, up to a generous scan bound).
-    let scan_to = keep.max(8) + 8;
-    for n in (keep.max(1) - 1).max(1)..=scan_to {
-        let _ = fs::remove_file(rotated_checkpoint_path(path, n));
+/// The sibling `<path>.tmp` a checkpoint is written to before it is
+/// renamed into place.
+fn temp_checkpoint_path(path: &Path) -> PathBuf {
+    let mut os = path.as_os_str().to_owned();
+    os.push(".tmp");
+    PathBuf::from(os)
+}
+
+/// Removes the files next to `path` named `<name>.<suffix>` whose suffix
+/// `doomed` accepts. One directory listing finds them, so only files
+/// that exist are touched, however high a stale slot number runs.
+fn remove_siblings(path: &Path, doomed: impl Fn(&str) -> bool) {
+    let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+        return;
+    };
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let file = entry.file_name();
+        let suffix = file
+            .to_str()
+            .and_then(|f| f.strip_prefix(name)?.strip_prefix('.'));
+        if suffix.is_some_and(&doomed) {
+            let _ = fs::remove_file(entry.path());
+        }
     }
-    // Shift the survivors one slot older, oldest first.
-    for n in (1..keep.max(1) - 1).rev() {
+}
+
+/// Prunes the rotation slots outside the retention window: every
+/// `<path>.<n>` with `n ≥ keep`, as a `keep` that shrank between runs
+/// leaves them.
+fn prune_stale_slots(path: &Path, keep: usize) {
+    remove_siblings(path, |suffix| {
+        suffix.parse::<usize>().is_ok_and(|n| n >= keep)
+    });
+}
+
+/// Installs `bytes` at `path`, keeping `keep` generations.
+///
+/// The oldest retained slot `<path>.keep-1` is renamed to `<path>.tmp`
+/// and overwritten in place with `bytes`; then the other slots shift one
+/// older (`<path>.keep-2 → <path>.keep-1`, …, `<path> → <path>.1`) and
+/// the temp file is renamed into place. No rename lands on an existing
+/// file and nothing is unlinked: on ext4, renaming over an
+/// existing file flushes the renamed file's data and frees the replaced
+/// inode, which cost about 60 µs of a 75 µs install (25 KB record,
+/// 2 vCPUs), against about 14 µs for this sequence. The new record is
+/// complete before anything moves, so a kill at any point leaves
+/// `<path>` or `<path>.1` holding a whole checkpoint.
+fn install_rotated(path: &Path, keep: usize, bytes: &[u8]) -> Result<(), DseError> {
+    let tmp = temp_checkpoint_path(path);
+    if keep > 1 {
+        // Absent until the chain fills; then `tmp` is created fresh.
+        let _ = fs::rename(rotated_checkpoint_path(path, keep - 1), &tmp);
+    }
+    let written = fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        // Overwritten in place and cut to length after the write:
+        // truncating first would free the recycled file's blocks.
+        .truncate(false)
+        .open(&tmp)
+        .and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.set_len(bytes.len() as u64)
+        });
+    written.map_err(|e| bad(format!("writing {}: {e}", tmp.display())))?;
+    for n in (1..keep.saturating_sub(1)).rev() {
         let _ = fs::rename(
             rotated_checkpoint_path(path, n),
             rotated_checkpoint_path(path, n + 1),
@@ -810,15 +878,17 @@ fn rotate_checkpoints(path: &Path, keep: usize) {
     if keep > 1 {
         let _ = fs::rename(path, rotated_checkpoint_path(path, 1));
     }
+    fs::rename(&tmp, path).map_err(|e| bad(format!("installing {}: {e}", path.display())))
 }
 
-/// Removes the checkpoint at `path` and every rotation slot next to it
-/// (used once a supervised run completes).
-pub fn remove_checkpoint_files(path: &Path, keep: usize) {
+/// Removes the checkpoint at `path`, every rotation slot next to it and
+/// a temp file a killed run left behind (used once a supervised run
+/// completes).
+pub fn remove_checkpoint_files(path: &Path) {
     let _ = fs::remove_file(path);
-    for n in 1..=keep.max(8) + 8 {
-        let _ = fs::remove_file(rotated_checkpoint_path(path, n));
-    }
+    remove_siblings(path, |suffix| {
+        suffix == "tmp" || suffix.parse::<usize>().is_ok()
+    });
 }
 
 /// Drives a supervised run: owns the [`SupervisorConfig`] plus the
@@ -944,7 +1014,7 @@ pub enum AlgorithmTag {
 }
 
 impl AlgorithmTag {
-    /// The checkpoint-format token of this tag.
+    /// The display name of this tag.
     pub fn as_str(self) -> &'static str {
         match self {
             AlgorithmTag::Nsga2 => "nsga2",
@@ -952,11 +1022,19 @@ impl AlgorithmTag {
         }
     }
 
-    fn parse(tok: &str) -> Result<Self, DseError> {
-        match tok {
-            "nsga2" => Ok(AlgorithmTag::Nsga2),
-            "spea2" => Ok(AlgorithmTag::Spea2),
-            other => Err(bad(format!("unknown algorithm tag {other:?}"))),
+    /// The checkpoint-format byte of this tag.
+    fn code(self) -> u8 {
+        match self {
+            AlgorithmTag::Nsga2 => 0,
+            AlgorithmTag::Spea2 => 1,
+        }
+    }
+
+    fn from_code(code: u8) -> Result<Self, DseError> {
+        match code {
+            0 => Ok(AlgorithmTag::Nsga2),
+            1 => Ok(AlgorithmTag::Spea2),
+            other => Err(bad(format!("unknown algorithm tag {other}"))),
         }
     }
 }
@@ -1010,22 +1088,15 @@ pub struct Checkpoint {
     pub health: RunHealth,
 }
 
-const CHECKPOINT_HEADER: &str = "clrearly-checkpoint v2";
+/// The version line every checkpoint file opens with. The binary body
+/// follows it.
+const CHECKPOINT_MAGIC: &[u8] = b"clrearly-checkpoint v3\n";
 
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
+/// What the version line of every checkpoint version starts with.
+const VERSION_PREFIX: &[u8] = b"clrearly-checkpoint ";
 
-fn parse_f64(tok: &str) -> Result<f64, DseError> {
-    u64::from_str_radix(tok, 16)
-        .map(f64::from_bits)
-        .map_err(|_| bad(format!("malformed f64 bits {tok:?}")))
-}
-
-fn parse_u64(tok: &str) -> Result<u64, DseError> {
-    tok.parse()
-        .map_err(|_| bad(format!("malformed integer {tok:?}")))
-}
+/// Bytes of the FNV-1a integrity trailer that closes every checkpoint.
+const TRAILER_LEN: usize = 8;
 
 fn parse_usize(tok: &str) -> Result<usize, DseError> {
     tok.parse()
@@ -1066,261 +1137,425 @@ pub(crate) fn parse_genome(tokens: &mut std::str::SplitWhitespace<'_>) -> Result
     Ok(genome)
 }
 
-fn encode_health(out: &mut String, h: &RunHealth) {
-    let _ = writeln!(
-        out,
-        "health {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
+/// The identity fields of a checkpoint: what [`Checkpoint`] echoes of
+/// the run configuration, borrowed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StageIdentity<'a> {
+    pub(crate) method: &'a str,
+    pub(crate) algorithm: AlgorithmTag,
+    pub(crate) stage: u32,
+    pub(crate) population_size: usize,
+    pub(crate) generations: usize,
+    pub(crate) seed: u64,
+    pub(crate) objective_count: usize,
+}
+
+fn put_u64(out: &mut Vec<u8>, value: u64) {
+    out.extend_from_slice(&value.to_le_bytes());
+}
+
+fn put_usize(out: &mut Vec<u8>, value: usize) {
+    put_u64(out, value as u64);
+}
+
+/// One unsigned LEB128 varint: seven bits per byte, low bits first.
+fn put_varint(out: &mut Vec<u8>, mut value: u32) {
+    while value >= 0x80 {
+        out.push((value & 0x7f) as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+fn put_label(out: &mut Vec<u8>, label: &str) {
+    put_usize(out, label.len());
+    out.extend_from_slice(label.as_bytes());
+}
+
+fn put_genome(out: &mut Vec<u8>, genome: &Genome) {
+    put_usize(out, genome.len());
+    for g in genome {
+        put_varint(out, g.task.0);
+        put_varint(out, g.pe.0);
+        put_varint(out, g.choice);
+    }
+}
+
+/// The first encode half: the version line, the stage identity and the
+/// completed stages. None of it changes while a stage runs.
+fn encode_prefix(out: &mut Vec<u8>, id: &StageIdentity<'_>, completed: &[CompletedStage]) {
+    out.extend_from_slice(CHECKPOINT_MAGIC);
+    put_label(out, id.method);
+    out.push(id.algorithm.code());
+    out.extend_from_slice(&id.stage.to_le_bytes());
+    put_usize(out, id.population_size);
+    put_usize(out, id.generations);
+    put_u64(out, id.seed);
+    put_usize(out, id.objective_count);
+    put_usize(out, completed.len());
+    for s in completed {
+        put_label(out, &s.label);
+        put_usize(out, s.evaluations);
+        put_usize(out, s.genomes.len());
+        for g in &s.genomes {
+            put_genome(out, g);
+        }
+    }
+}
+
+/// The second encode half: the run health, then the live GA state.
+fn encode_live(out: &mut Vec<u8>, health: &RunHealth, state: &EvoSnapshot<Genome>) {
+    let h = health;
+    for count in [
         h.panics_isolated,
         h.errors_isolated,
         h.retries,
         h.quarantined,
         h.degraded_analyses,
         h.checkpoints_written,
-        h.resumed_from_generation
-            .map_or_else(|| "-".to_owned(), |g| g.to_string()),
-        h.cache_hits,
-        h.cache_misses,
-        h.cache_inserts,
-        h.timeouts,
-        h.backoff_ms,
+    ] {
+        put_usize(out, count);
+    }
+    match h.resumed_from_generation {
+        Some(generation) => {
+            out.push(1);
+            put_usize(out, generation);
+        }
+        None => out.push(0),
+    }
+    for count in [h.cache_hits, h.cache_misses, h.cache_inserts] {
+        put_u64(out, count);
+    }
+    put_usize(out, h.timeouts);
+    put_u64(out, h.backoff_ms);
+    for count in [
         h.injected,
         h.recovered,
         h.checkpoint_fallbacks,
         h.sidecar_lines_skipped,
-    );
-}
-
-fn parse_health(line: &str) -> Result<RunHealth, DseError> {
-    let mut toks = line.split_whitespace();
-    let mut next_count = |what: &str| -> Result<usize, DseError> {
-        parse_usize(
-            toks.next()
-                .ok_or_else(|| bad(format!("health missing {what}")))?,
-        )
-    };
-    let panics_isolated = next_count("panics")?;
-    let errors_isolated = next_count("errors")?;
-    let retries = next_count("retries")?;
-    let quarantined = next_count("quarantined")?;
-    let degraded_analyses = next_count("degraded")?;
-    let checkpoints_written = next_count("checkpoints")?;
-    let resumed_from_generation = match toks.next() {
-        Some("-") | None => None,
-        Some(tok) => Some(parse_usize(tok)?),
-    };
-    // Cache and fault/recovery counters entered the format later; a
-    // health line written by an earlier build simply lacks the trailing
-    // tokens (a cold cache, a fault-free run).
-    let mut opt_u64 = |missing: u64| -> Result<u64, DseError> {
-        match toks.next() {
-            Some(tok) => parse_u64(tok),
-            None => Ok(missing),
+    ] {
+        put_usize(out, count);
+    }
+    put_usize(out, state.generation);
+    put_usize(out, state.evaluations);
+    for word in state.rng_state {
+        put_u64(out, word);
+    }
+    for members in [&state.population, &state.archive] {
+        put_usize(out, members.len());
+        for ind in members {
+            put_u64(out, ind.violation.to_bits());
+            put_usize(out, ind.objectives.len());
+            for o in &ind.objectives {
+                put_u64(out, o.to_bits());
+            }
+            put_genome(out, &ind.genome);
         }
+    }
+}
+
+/// Closes a record: folds `out[from..]` into `digest` (the FNV-1a state
+/// of `out[..from]`) and appends the finished digest as the trailer.
+fn seal(out: &mut Vec<u8>, mut digest: Fnv, from: usize) {
+    digest.write_bytes(&out[from..]);
+    put_u64(out, digest.finish());
+}
+
+/// Checks the version line and the integrity trailer and returns the
+/// body between them. A flipped or truncated byte anywhere fails here,
+/// before a single field is parsed.
+fn verify_integrity(bytes: &[u8]) -> Result<&[u8], DseError> {
+    let Some(rest) = bytes.strip_prefix(CHECKPOINT_MAGIC) else {
+        return Err(match bytes.strip_prefix(VERSION_PREFIX) {
+            Some(tail) => {
+                let version: Vec<u8> = tail
+                    .iter()
+                    .take_while(|b| b.is_ascii_graphic())
+                    .take(16)
+                    .copied()
+                    .collect();
+                bad(format!(
+                    "unsupported checkpoint version {:?} (this build reads v3)",
+                    String::from_utf8_lossy(&version)
+                ))
+            }
+            None => bad("not a clrearly checkpoint"),
+        });
     };
-    let to_usize = |v: u64| usize::try_from(v).unwrap_or(usize::MAX);
-    let cache_hits = opt_u64(0)?;
-    let cache_misses = opt_u64(0)?;
-    let cache_inserts = opt_u64(0)?;
-    let timeouts = to_usize(opt_u64(0)?);
-    let backoff_ms = opt_u64(0)?;
-    let injected = to_usize(opt_u64(0)?);
-    let recovered = to_usize(opt_u64(0)?);
-    let checkpoint_fallbacks = to_usize(opt_u64(0)?);
-    let sidecar_lines_skipped = to_usize(opt_u64(0)?);
-    Ok(RunHealth {
-        panics_isolated,
-        errors_isolated,
-        retries,
-        quarantined,
-        degraded_analyses,
-        checkpoints_written,
-        resumed_from_generation,
-        cache_hits,
-        cache_misses,
-        cache_inserts,
-        timeouts,
-        backoff_ms,
-        injected,
-        recovered,
-        checkpoint_fallbacks,
-        sidecar_lines_skipped,
-    })
-}
-
-/// Encodes one individual as the whitespace-separated
-/// `<violation-hex> <arity> <objective-hex…> <genome>` payload (no
-/// leading keyword, no newline).
-fn encode_individual(out: &mut String, ind: &Individual<Genome>) {
-    let _ = write!(out, "{} {}", f64_hex(ind.violation), ind.objectives.len());
-    for &o in &ind.objectives {
-        let _ = write!(out, " {}", f64_hex(o));
+    let Some(body_len) = rest.len().checked_sub(TRAILER_LEN) else {
+        return Err(bad("truncated integrity trailer"));
+    };
+    let (body, trailer) = rest.split_at(body_len);
+    let recorded = u64::from_le_bytes(trailer.try_into().expect("trailer is 8 bytes"));
+    let actual = Fnv::hash_bytes(&bytes[..bytes.len() - TRAILER_LEN]);
+    if recorded != actual {
+        return Err(bad(format!(
+            "integrity digest mismatch (recorded {recorded:016x}, computed {actual:016x})"
+        )));
     }
-    out.push(' ');
-    encode_genome(out, &ind.genome);
+    Ok(body)
 }
 
-fn parse_individual(
-    toks: &mut std::str::SplitWhitespace<'_>,
-) -> Result<Individual<Genome>, DseError> {
-    let violation = parse_f64(
-        toks.next()
-            .ok_or_else(|| bad("individual missing violation"))?,
-    )?;
-    let obj_count = parse_usize(toks.next().ok_or_else(|| bad("individual missing arity"))?)?;
-    let mut objectives = Vec::with_capacity(obj_count);
-    for _ in 0..obj_count {
-        objectives.push(parse_f64(
-            toks.next().ok_or_else(|| bad("truncated objectives"))?,
-        )?);
+/// A bounds-checked little-endian reader over a verified checkpoint
+/// body. Every count is checked against the bytes left before anything
+/// is allocated for it, so a forged count fails instead of reserving
+/// memory.
+struct Reader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], DseError> {
+        if n > self.rest.len() {
+            return Err(bad(format!("truncated {what}")));
+        }
+        let (head, tail) = self.rest.split_at(n);
+        self.rest = tail;
+        Ok(head)
     }
-    let genome = parse_genome(toks)?;
-    if toks.next().is_some() {
-        return Err(bad("trailing tokens after individual"));
+
+    fn u8(&mut self, what: &str) -> Result<u8, DseError> {
+        Ok(self.take(1, what)?[0])
     }
-    Ok(Individual {
-        genome,
-        objectives,
-        violation,
-    })
-}
 
-fn parse_rng_words(line: &str) -> Result<[u64; 4], DseError> {
-    let mut rng_state = [0u64; 4];
-    let mut toks = line.split_whitespace();
-    for w in &mut rng_state {
-        let tok = toks.next().ok_or_else(|| bad("truncated rng state"))?;
-        *w =
-            u64::from_str_radix(tok, 16).map_err(|_| bad(format!("malformed rng word {tok:?}")))?;
+    fn u32(&mut self, what: &str) -> Result<u32, DseError> {
+        let bytes = self.take(4, what)?;
+        Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
     }
-    Ok(rng_state)
-}
 
-/// Atomically writes `text` to `path` via a sibling `<path>.tmp` +
-/// rename, so a crash mid-write never corrupts an existing good file.
-fn atomic_write(path: &Path, text: &str) -> Result<(), DseError> {
-    ensure_parent_dir(path)?;
-    let mut os = path.as_os_str().to_owned();
-    os.push(".tmp");
-    let tmp = PathBuf::from(os);
-    fs::write(&tmp, text).map_err(|e| bad(format!("writing {}: {e}", tmp.display())))?;
-    fs::rename(&tmp, path).map_err(|e| bad(format!("installing {}: {e}", path.display())))
-}
+    fn u64(&mut self, what: &str) -> Result<u64, DseError> {
+        let bytes = self.take(8, what)?;
+        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+    }
 
-impl Checkpoint {
-    /// Serializes to the versioned plain-text format. All floats are
-    /// stored as IEEE-754 bit patterns, so encode → decode round-trips
-    /// bit-exactly.
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{CHECKPOINT_HEADER}");
-        let _ = writeln!(out, "method {}", self.method);
-        let _ = writeln!(out, "algorithm {}", self.algorithm.as_str());
-        let _ = writeln!(out, "stage {}", self.stage);
-        let _ = writeln!(out, "population-size {}", self.population_size);
-        let _ = writeln!(out, "generations {}", self.generations);
-        let _ = writeln!(out, "seed {}", self.seed);
-        let _ = writeln!(out, "objectives {}", self.objective_count);
-        encode_health(&mut out, &self.health);
-        let _ = writeln!(out, "completed {}", self.completed.len());
-        for s in &self.completed {
-            debug_assert!(
-                !s.label.contains(char::is_whitespace),
-                "stage labels must be whitespace-free"
-            );
-            let _ = writeln!(
-                out,
-                "completed-stage {} {} {}",
-                s.label,
-                s.evaluations,
-                s.genomes.len()
-            );
-            for g in &s.genomes {
-                out.push_str("genome ");
-                encode_genome(&mut out, g);
-                out.push('\n');
+    fn usize(&mut self, what: &str) -> Result<usize, DseError> {
+        usize::try_from(self.u64(what)?).map_err(|_| bad(format!("{what} overflows usize")))
+    }
+
+    fn f64(&mut self, what: &str) -> Result<f64, DseError> {
+        Ok(f64::from_bits(self.u64(what)?))
+    }
+
+    /// A count of items that each take at least `min_bytes`, rejected
+    /// when the bytes left cannot hold that many.
+    fn count(&mut self, what: &str, min_bytes: usize) -> Result<usize, DseError> {
+        let n = self.u64(what)?;
+        let room = self.rest.len() / min_bytes;
+        match usize::try_from(n) {
+            Ok(n) if n <= room => Ok(n),
+            _ => Err(bad(format!(
+                "{what} {n} exceeds the {} bytes left",
+                self.rest.len()
+            ))),
+        }
+    }
+
+    fn varint(&mut self, what: &str) -> Result<u32, DseError> {
+        let mut value = 0u32;
+        for shift in (0..32).step_by(7) {
+            let byte = self.u8(what)?;
+            let bits = u32::from(byte & 0x7f);
+            if shift == 28 && bits > 0x0f {
+                return Err(bad(format!("{what} overflows u32")));
+            }
+            value |= bits << shift;
+            if byte & 0x80 == 0 {
+                return Ok(value);
             }
         }
-        let _ = writeln!(out, "generation {}", self.state.generation);
-        let _ = writeln!(out, "evaluations {}", self.state.evaluations);
-        let w = self.state.rng_state;
-        let _ = writeln!(
-            out,
-            "rng {:016x} {:016x} {:016x} {:016x}",
-            w[0], w[1], w[2], w[3]
-        );
-        for (key, members) in [
-            ("population", &self.state.population),
-            ("archive", &self.state.archive),
-        ] {
-            let _ = writeln!(out, "{key} {}", members.len());
-            for ind in members {
-                out.push_str("individual ");
-                encode_individual(&mut out, ind);
-                out.push('\n');
-            }
-        }
-        append_integrity_trailer(&mut out);
-        out
+        Err(bad(format!("{what} varint runs past 5 bytes")))
     }
 
-    /// Parses the text format produced by [`Checkpoint::encode`].
+    fn label(&mut self, what: &str) -> Result<String, DseError> {
+        let len = self.count(what, 1)?;
+        let bytes = self.take(len, what)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| bad(format!("{what} is not UTF-8")))
+    }
+
+    fn genome(&mut self) -> Result<Genome, DseError> {
+        // A gene is at least three one-byte varints.
+        let len = self.count("genome length", 3)?;
+        let mut genome = Vec::with_capacity(len);
+        for _ in 0..len {
+            genome.push(Gene {
+                task: TaskId::new(self.varint("gene task")?),
+                pe: PeId::new(self.varint("gene pe")?),
+                choice: self.varint("gene choice")?,
+            });
+        }
+        Ok(genome)
+    }
+
+    fn health(&mut self) -> Result<RunHealth, DseError> {
+        let panics_isolated = self.usize("panics")?;
+        let errors_isolated = self.usize("errors")?;
+        let retries = self.usize("retries")?;
+        let quarantined = self.usize("quarantined")?;
+        let degraded_analyses = self.usize("degraded analyses")?;
+        let checkpoints_written = self.usize("checkpoints written")?;
+        let resumed_from_generation = match self.u8("resume marker")? {
+            0 => None,
+            1 => Some(self.usize("resume generation")?),
+            other => return Err(bad(format!("malformed resume marker {other}"))),
+        };
+        Ok(RunHealth {
+            panics_isolated,
+            errors_isolated,
+            retries,
+            quarantined,
+            degraded_analyses,
+            checkpoints_written,
+            resumed_from_generation,
+            cache_hits: self.u64("cache hits")?,
+            cache_misses: self.u64("cache misses")?,
+            cache_inserts: self.u64("cache inserts")?,
+            timeouts: self.usize("timeouts")?,
+            backoff_ms: self.u64("backoff")?,
+            injected: self.usize("injected")?,
+            recovered: self.usize("recovered")?,
+            checkpoint_fallbacks: self.usize("checkpoint fallbacks")?,
+            sidecar_lines_skipped: self.usize("sidecar lines skipped")?,
+        })
+    }
+
+    fn members(&mut self, what: &str) -> Result<Vec<Individual<Genome>>, DseError> {
+        // Violation, objective count and genome length: 24 bytes at least.
+        let count = self.count(what, 24)?;
+        let mut members = Vec::with_capacity(count);
+        for _ in 0..count {
+            let violation = self.f64("violation")?;
+            let arity = self.count("objective count", 8)?;
+            let mut objectives = Vec::with_capacity(arity);
+            for _ in 0..arity {
+                objectives.push(self.f64("objective")?);
+            }
+            members.push(Individual {
+                genome: self.genome()?,
+                objectives,
+                violation,
+            });
+        }
+        Ok(members)
+    }
+}
+
+/// Writes the checkpoints of one supervised drive.
+///
+/// The identity and the completed stages do not change while a stage
+/// runs, so [`CheckpointWriter::begin_stage`] encodes and hashes them
+/// once into a buffer the drive reuses. Each [`CheckpointWriter::save`]
+/// truncates the buffer back to that prefix, appends the health and the
+/// live GA state, finishes the digest from the stored prefix state and
+/// installs the file. The bytes equal [`Checkpoint::encode`] of the same
+/// checkpoint.
+#[derive(Debug)]
+pub(crate) struct CheckpointWriter {
+    path: PathBuf,
+    keep: usize,
+    buf: Vec<u8>,
+    prefix_len: usize,
+    prefix_digest: Fnv,
+    pruned: bool,
+}
+
+impl CheckpointWriter {
+    /// A writer installing at `path` with `keep` generations retained.
+    pub(crate) fn new(path: &Path, keep: usize) -> Self {
+        CheckpointWriter {
+            path: path.to_path_buf(),
+            keep,
+            buf: Vec::new(),
+            prefix_len: 0,
+            prefix_digest: Fnv::new(),
+            pruned: false,
+        }
+    }
+
+    /// Encodes and hashes the prefix of the stage about to be driven.
+    pub(crate) fn begin_stage(&mut self, id: &StageIdentity<'_>, completed: &[CompletedStage]) {
+        self.buf.clear();
+        encode_prefix(&mut self.buf, id, completed);
+        self.prefix_len = self.buf.len();
+        self.prefix_digest = Fnv::new();
+        self.prefix_digest.write_bytes(&self.buf);
+    }
+
+    /// Writes one checkpoint of the current stage. The first save of the
+    /// drive also creates the directory and prunes stale rotation slots.
     ///
     /// # Errors
     ///
-    /// [`DseError::Checkpoint`] on any structural or lexical mismatch.
-    pub fn decode(text: &str) -> Result<Checkpoint, DseError> {
-        verify_integrity(text)?;
-        let mut lines = text.lines();
-        if lines.next() != Some(CHECKPOINT_HEADER) {
-            return Err(bad("not a clrearly v2 checkpoint"));
+    /// [`DseError::Checkpoint`] wrapping the I/O failure of the install.
+    pub(crate) fn save(
+        &mut self,
+        health: &RunHealth,
+        state: &EvoSnapshot<Genome>,
+    ) -> Result<(), DseError> {
+        self.buf.truncate(self.prefix_len);
+        encode_live(&mut self.buf, health, state);
+        seal(&mut self.buf, self.prefix_digest.clone(), self.prefix_len);
+        if !self.pruned {
+            ensure_parent_dir(&self.path)?;
+            prune_stale_slots(&self.path, self.keep);
+            self.pruned = true;
         }
-        // Fixed-order `key value...` lines; keyed parsing keeps mistakes
-        // loud instead of positional.
-        let mut field = |key: &str| -> Result<String, DseError> {
-            let line = lines.next().ok_or_else(|| bad(format!("missing {key}")))?;
-            line.strip_prefix(key)
-                .and_then(|rest| rest.strip_prefix(' '))
-                .map(str::to_owned)
-                .ok_or_else(|| bad(format!("expected `{key} …`, found {line:?}")))
-        };
-        let method = field("method")?;
-        let algorithm = AlgorithmTag::parse(&field("algorithm")?)?;
-        let stage =
-            u32::try_from(parse_u64(&field("stage")?)?).map_err(|_| bad("stage index overflow"))?;
-        let population_size = parse_usize(&field("population-size")?)?;
-        let generations = parse_usize(&field("generations")?)?;
-        let seed = parse_u64(&field("seed")?)?;
-        let objective_count = parse_usize(&field("objectives")?)?;
-        let health = parse_health(&field("health")?)?;
+        install_rotated(&self.path, self.keep, &self.buf)
+    }
+}
 
-        let completed_count = parse_usize(&field("completed")?)?;
+impl Checkpoint {
+    fn identity(&self) -> StageIdentity<'_> {
+        StageIdentity {
+            method: &self.method,
+            algorithm: self.algorithm,
+            stage: self.stage,
+            population_size: self.population_size,
+            generations: self.generations,
+            seed: self.seed,
+            objective_count: self.objective_count,
+        }
+    }
+
+    /// Serializes to the v3 record: the version line, then a
+    /// little-endian binary body (identity and completed stages, then
+    /// health, then the live GA state) closed by an FNV-1a trailer.
+    /// Floats are stored as their IEEE-754 bits, so encode → decode
+    /// round-trips bit-exactly.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_prefix(&mut out, &self.identity(), &self.completed);
+        encode_live(&mut out, &self.health, &self.state);
+        seal(&mut out, Fnv::new(), 0);
+        out
+    }
+
+    /// Parses the record produced by [`Checkpoint::encode`].
+    ///
+    /// # Errors
+    ///
+    /// [`DseError::Checkpoint`] for another format version, a failed
+    /// integrity digest, or any structural mismatch.
+    pub fn decode(bytes: &[u8]) -> Result<Checkpoint, DseError> {
+        let mut r = Reader {
+            rest: verify_integrity(bytes)?,
+        };
+        let method = r.label("method")?;
+        let algorithm = AlgorithmTag::from_code(r.u8("algorithm")?)?;
+        let stage = r.u32("stage")?;
+        let population_size = r.usize("population size")?;
+        let generations = r.usize("generations")?;
+        let seed = r.u64("seed")?;
+        let objective_count = r.usize("objective count")?;
+        // Label length, evaluations and genome count: 24 bytes at least.
+        let completed_count = r.count("completed stages", 24)?;
         let mut completed = Vec::with_capacity(completed_count);
         for _ in 0..completed_count {
-            let line = field("completed-stage")?;
-            let mut toks = line.split_whitespace();
-            let label = toks
-                .next()
-                .ok_or_else(|| bad("completed stage missing label"))?
-                .to_owned();
-            let evaluations = parse_usize(
-                toks.next()
-                    .ok_or_else(|| bad("stage missing evaluations"))?,
-            )?;
-            let genome_count = parse_usize(
-                toks.next()
-                    .ok_or_else(|| bad("stage missing genome count"))?,
-            )?;
-            if toks.next().is_some() {
-                return Err(bad("trailing tokens after completed stage"));
-            }
+            let label = r.label("stage label")?;
+            let evaluations = r.usize("stage evaluations")?;
+            let genome_count = r.count("stage genomes", 8)?;
             let mut genomes = Vec::with_capacity(genome_count);
             for _ in 0..genome_count {
-                let line = field("genome")?;
-                let mut toks = line.split_whitespace();
-                genomes.push(parse_genome(&mut toks)?);
-                if toks.next().is_some() {
-                    return Err(bad("trailing tokens after stage genome"));
-                }
+                genomes.push(r.genome()?);
             }
             completed.push(CompletedStage {
                 label,
@@ -1328,25 +1563,21 @@ impl Checkpoint {
                 genomes,
             });
         }
-
-        let generation = parse_usize(&field("generation")?)?;
-        let evaluations = parse_usize(&field("evaluations")?)?;
-        let rng_state = parse_rng_words(&field("rng")?)?;
-
-        let mut sections: Vec<Vec<Individual<Genome>>> = Vec::with_capacity(2);
-        for key in ["population", "archive"] {
-            let count = parse_usize(&field(key)?)?;
-            let mut members = Vec::with_capacity(count);
-            for _ in 0..count {
-                let line = field("individual")?;
-                let mut toks = line.split_whitespace();
-                members.push(parse_individual(&mut toks)?);
-            }
-            sections.push(members);
+        let health = r.health()?;
+        let generation = r.usize("generation")?;
+        let evaluations = r.usize("evaluations")?;
+        let mut rng_state = [0u64; 4];
+        for word in &mut rng_state {
+            *word = r.u64("rng state")?;
         }
-        let archive = sections.pop().expect("archive section");
-        let population = sections.pop().expect("population section");
-
+        let population = r.members("population")?;
+        let archive = r.members("archive")?;
+        if !r.rest.is_empty() {
+            return Err(bad(format!(
+                "{} trailing bytes after the archive",
+                r.rest.len()
+            )));
+        }
         Ok(Checkpoint {
             method,
             algorithm,
@@ -1367,7 +1598,7 @@ impl Checkpoint {
         })
     }
 
-    /// Atomically writes the checkpoint: the encoded text goes to a
+    /// Atomically writes the checkpoint: the encoded record goes to a
     /// sibling temp file first and is renamed into place, so a crash
     /// mid-write never corrupts an existing good checkpoint.
     ///
@@ -1375,14 +1606,15 @@ impl Checkpoint {
     ///
     /// [`DseError::Checkpoint`] wrapping the I/O failure.
     pub fn save(&self, path: &Path) -> Result<(), DseError> {
-        atomic_write(path, &self.encode())
+        ensure_parent_dir(path)?;
+        install_rotated(path, 1, &self.encode())
     }
 
-    /// [`Checkpoint::save`] with retention: the previous checkpoint
-    /// generations are rotated to `<path>.1 … <path>.keep-1` (oldest
-    /// pruned) before the new checkpoint is atomically installed at
-    /// `path`. With `keep == 1` this is exactly [`Checkpoint::save`]
-    /// (plus pruning of stale rotation files).
+    /// [`Checkpoint::save`] with retention: stale slots at `keep` and
+    /// beyond are pruned, the previous generations shift to `<path>.1 …
+    /// <path>.keep-1`, and the new checkpoint is atomically installed at
+    /// `path`. With `keep == 1` this is [`Checkpoint::save`] plus the
+    /// pruning.
     ///
     /// # Errors
     ///
@@ -1390,8 +1622,9 @@ impl Checkpoint {
     /// rotation failures of older generations are ignored (retention is
     /// best-effort, the newest checkpoint is the contract).
     pub fn save_rotated(&self, path: &Path, keep: usize) -> Result<(), DseError> {
-        rotate_checkpoints(path, keep);
-        self.save(path)
+        ensure_parent_dir(path)?;
+        prune_stale_slots(path, keep);
+        install_rotated(path, keep, &self.encode())
     }
 
     /// Reads and decodes a checkpoint file.
@@ -1401,9 +1634,8 @@ impl Checkpoint {
     /// [`DseError::Checkpoint`] if the file is missing, unreadable,
     /// malformed, or fails digest verification.
     pub fn load(path: &Path) -> Result<Checkpoint, DseError> {
-        let text = fs::read_to_string(path)
-            .map_err(|e| bad(format!("reading {}: {e}", path.display())))?;
-        Checkpoint::decode(&text)
+        let bytes = fs::read(path).map_err(|e| bad(format!("reading {}: {e}", path.display())))?;
+        Checkpoint::decode(&bytes)
     }
 
     /// [`Checkpoint::load`] with fallback through the rotation chain:
@@ -1447,44 +1679,6 @@ impl Checkpoint {
         }
         Err(first_err.unwrap_or_else(|| bad("no checkpoint in rotation chain")))
     }
-}
-
-/// Appends the `integrity <fnv1a64-hex>` trailer line: the digest covers
-/// every byte written so far, so any later flip or truncation is caught
-/// by [`verify_integrity`] before the body is parsed.
-fn append_integrity_trailer(out: &mut String) {
-    let digest = Fnv::hash_bytes(out.as_bytes());
-    let _ = writeln!(out, "integrity {digest:016x}");
-}
-
-/// Verifies the `integrity` trailer of a checkpoint file.
-///
-/// Legacy files that end without a trailer pass unchanged (pre-chaos
-/// checkpoints stay loadable). A trailer that is *present* but malformed
-/// or whose digest does not cover the preceding bytes is an error — a
-/// truncated or bit-flipped file must never decode silently.
-fn verify_integrity(text: &str) -> Result<(), DseError> {
-    // The trailer is the final newline-terminated line.
-    let body = text.strip_suffix('\n').unwrap_or(text);
-    let (prefix_len, last) = match body.rfind('\n') {
-        Some(i) => (i + 1, &body[i + 1..]),
-        None => (0, body),
-    };
-    let Some(rest) = last.strip_prefix("integrity") else {
-        return Ok(()); // legacy file, no trailer
-    };
-    let digest = rest
-        .strip_prefix(' ')
-        .filter(|hex| hex.len() == 16)
-        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-        .ok_or_else(|| bad("malformed integrity trailer"))?;
-    let actual = Fnv::hash_bytes(&text.as_bytes()[..prefix_len]);
-    if actual != digest {
-        return Err(bad(format!(
-            "integrity digest mismatch (recorded {digest:016x}, computed {actual:016x})"
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1575,29 +1769,119 @@ mod tests {
         assert_eq!(Checkpoint::decode(&cp.encode()).unwrap(), cp);
     }
 
+    /// Replaces the trailer of `bytes` with the digest of the rest, as a
+    /// forger who knows the format would.
+    fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+        bytes.truncate(bytes.len() - TRAILER_LEN);
+        seal(&mut bytes, Fnv::new(), 0);
+        bytes
+    }
+
+    /// Offset of the algorithm byte: the version line, then the
+    /// length-prefixed method label.
+    fn algorithm_offset(cp: &Checkpoint) -> usize {
+        CHECKPOINT_MAGIC.len() + 8 + cp.method.len()
+    }
+
     #[test]
     fn checkpoint_roundtrips_spea2_tag() {
         let mut cp = sample_checkpoint();
         cp.algorithm = AlgorithmTag::Spea2;
         assert_eq!(Checkpoint::decode(&cp.encode()).unwrap(), cp);
-        let corrupt = cp.encode().replace("algorithm spea2", "algorithm cmaes");
-        assert!(Checkpoint::decode(&corrupt).is_err());
+        let mut forged = cp.encode();
+        forged[algorithm_offset(&cp)] = 7;
+        let err = Checkpoint::decode(&reseal(forged)).unwrap_err();
+        assert!(err.to_string().contains("unknown algorithm tag 7"), "{err}");
     }
 
     #[test]
     fn decode_rejects_malformed_inputs() {
         let good = sample_checkpoint().encode();
-        assert!(Checkpoint::decode("").is_err());
-        assert!(Checkpoint::decode("other-format v9\n").is_err());
+        assert!(Checkpoint::decode(b"").is_err());
+        assert!(Checkpoint::decode(b"other-format v9\n").is_err());
         // Truncation anywhere must error, never panic.
-        for cut in [10, 40, 80, good.len() / 2, good.len() - 5] {
+        for cut in 0..good.len() {
             assert!(
-                Checkpoint::decode(&good[..cut]).is_err(),
+                matches!(
+                    Checkpoint::decode(&good[..cut]),
+                    Err(DseError::Checkpoint { .. })
+                ),
                 "cut at {cut} should fail"
             );
         }
-        let corrupt = good.replace("rng ", "rng zz ");
-        assert!(Checkpoint::decode(&corrupt).is_err());
+        // Bytes after the archive are refused even under a valid digest.
+        let mut padded = good.clone();
+        padded.insert(good.len() - TRAILER_LEN, 0);
+        let err = Checkpoint::decode(&reseal(padded)).unwrap_err();
+        assert!(err.to_string().contains("trailing bytes"), "{err}");
+    }
+
+    #[test]
+    fn forged_counts_fail_without_allocating() {
+        let cp = Checkpoint {
+            completed: Vec::new(),
+            ..sample_checkpoint()
+        };
+        let good = cp.encode();
+        let mut prefix = Vec::new();
+        encode_prefix(&mut prefix, &cp.identity(), &[]);
+        // The population count is the second-to-last field of a live
+        // half whose members are empty.
+        let mut bare = Vec::new();
+        let no_members = EvoSnapshot {
+            population: Vec::new(),
+            archive: Vec::new(),
+            ..cp.state.clone()
+        };
+        encode_live(&mut bare, &cp.health, &no_members);
+        let population = prefix.len() + bare.len() - 16;
+        // The completed-stage count closes the prefix; the first
+        // member's objective count and genome length follow its
+        // violation.
+        let fields = [
+            ("method label", CHECKPOINT_MAGIC.len()),
+            ("completed stages", prefix.len() - 8),
+            ("population", population),
+            ("objective count", population + 16),
+            ("genome length", population + 24 + 8 * cp.objective_count),
+        ];
+        for (what, at) in fields {
+            let mut forged = good.clone();
+            forged[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            let err = Checkpoint::decode(&reseal(forged)).unwrap_err();
+            assert!(
+                err.to_string().contains("bytes left"),
+                "{what} at {at}: {err}"
+            );
+        }
+        // Every 8-byte window set to u64::MAX under a valid digest: a
+        // defined outcome, never a panic or a runaway reservation.
+        for at in CHECKPOINT_MAGIC.len()..good.len() - TRAILER_LEN - 8 {
+            let mut forged = good.clone();
+            forged[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            let _ = Checkpoint::decode(&reseal(forged));
+        }
+    }
+
+    #[test]
+    fn writer_output_equals_encode_across_stages() {
+        let dir = std::env::temp_dir().join(format!("clre-writer-test-{}", std::process::id()));
+        let path = dir.join("run.ckpt");
+        let mut writer = CheckpointWriter::new(&path, 2);
+        let mut cp = sample_checkpoint();
+        for stage in 0..2u32 {
+            cp.stage = stage;
+            cp.completed.truncate(stage as usize);
+            writer.begin_stage(&cp.identity(), &cp.completed);
+            for generation in 0..3 {
+                cp.state.generation = generation;
+                cp.health.checkpoints_written = generation;
+                writer.save(&cp.health, &cp.state).unwrap();
+                assert_eq!(fs::read(&path).unwrap(), cp.encode());
+            }
+        }
+        assert_eq!(Checkpoint::load(&path).unwrap(), cp);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1650,31 +1934,6 @@ mod tests {
         assert_eq!(a.cache_hits, 10);
         assert_eq!(a.cache_misses, 5);
         assert!(!a.is_clean(), "cleanliness unaffected by cache counters");
-    }
-
-    #[test]
-    fn health_line_without_cache_counters_still_parses() {
-        // The pre-cache seven-field line must keep decoding (old
-        // checkpoints resume with a cold cache).
-        let h = parse_health("1 2 3 4 5 6 -").unwrap();
-        assert_eq!(h.panics_isolated, 1);
-        assert_eq!(h.checkpoints_written, 6);
-        assert_eq!((h.cache_hits, h.cache_misses, h.cache_inserts), (0, 0, 0));
-        // The cache-era ten-field line decodes with fault-free counters.
-        let h = parse_health("1 2 3 4 5 6 - 10 20 30").unwrap();
-        assert_eq!((h.cache_hits, h.timeouts, h.injected), (10, 0, 0));
-    }
-
-    #[test]
-    fn health_line_roundtrips_fault_counters() {
-        let h = sample_checkpoint().health;
-        let mut line = String::new();
-        encode_health(&mut line, &h);
-        let payload = line
-            .trim_end()
-            .strip_prefix("health ")
-            .expect("health keyword");
-        assert_eq!(parse_health(payload).unwrap(), h);
     }
 
     #[test]
@@ -1840,29 +2099,30 @@ mod tests {
     fn integrity_trailer_detects_corruption() {
         let cp = sample_checkpoint();
         let good = cp.encode();
-        assert!(
-            good.trim_end()
-                .lines()
-                .last()
-                .unwrap()
-                .starts_with("integrity "),
+        let (body, trailer) = good.split_at(good.len() - TRAILER_LEN);
+        assert_eq!(
+            trailer,
+            Fnv::hash_bytes(body).to_le_bytes(),
             "encode appends the integrity trailer"
         );
         assert_eq!(Checkpoint::decode(&good).unwrap(), cp);
         // A byte flip anywhere in the body fails the digest before the
         // body is even parsed.
-        let flipped = good.replacen("proposed", "pro-osed", 1);
+        let mut flipped = good.clone();
+        flipped[algorithm_offset(&cp) - 1] ^= 0x20;
         let err = Checkpoint::decode(&flipped).unwrap_err();
         assert!(err.to_string().contains("integrity"), "{err}");
         // Truncating into the trailer is malformed, never silently valid.
         assert!(Checkpoint::decode(&good[..good.len() - 3]).is_err());
-        // A legacy checkpoint written before the trailer still decodes.
-        let legacy: String = good
-            .lines()
-            .filter(|l| !l.starts_with("integrity "))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert_eq!(Checkpoint::decode(&legacy).unwrap(), cp);
+        // A v2 text checkpoint is refused by name, not misparsed.
+        let v2 = b"clrearly-checkpoint v2\nmethod proposed\nintegrity 0123456789abcdef\n";
+        let err = Checkpoint::decode(v2).unwrap_err();
+        assert!(matches!(err, DseError::Checkpoint { .. }));
+        assert!(
+            err.to_string()
+                .contains("unsupported checkpoint version \"v2\""),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1880,9 +2140,9 @@ mod tests {
         assert_eq!((loaded.state.generation, skipped), (6, 0));
         // Corrupt the primary: plain load hard-errors, fallback recovers
         // the rotated predecessor and counts the skip.
-        let mut text = fs::read_to_string(&path).unwrap();
-        text.truncate(text.len() / 2);
-        fs::write(&path, &text).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.truncate(bytes.len() / 2);
+        fs::write(&path, &bytes).unwrap();
         assert!(Checkpoint::load(&path).is_err());
         let (loaded, skipped) = Checkpoint::load_with_fallback(&path, 3).unwrap();
         assert_eq!((loaded.state.generation, skipped), (5, 1));
@@ -2039,9 +2299,10 @@ mod tests {
         }
         // Slot keep-1+1 and beyond were pruned.
         assert!(!rotated_checkpoint_path(&path, 3).exists());
-        remove_checkpoint_files(&path, keep);
+        remove_checkpoint_files(&path);
         assert!(!path.exists());
         assert!(!rotated_checkpoint_path(&path, 1).exists());
+        assert!(!rotated_checkpoint_path(&path, 2).exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -41,7 +41,7 @@ use std::time::Duration;
 use clre::cache::{EvalCache, Fnv};
 use clre::methodology::{ClrEarly, FrontResult};
 use clre::remote::BackendChoice;
-use clre::resilience::{RunOutcome, RunSupervisor, SupervisorConfig};
+use clre::resilience::{rotated_checkpoint_path, RunOutcome, RunSupervisor, SupervisorConfig};
 use clre::tdse::{build_library_on, TdseConfig};
 use clre::Scenario;
 use clre_exec::{ExecPool, Executor, FairGate, RunTelemetry};
@@ -456,7 +456,10 @@ fn drive_campaign(
     let supervisor =
         RunSupervisor::new(SupervisorConfig::new(&checkpoint).with_keep_checkpoints(2))
             .with_interrupt_flag(Arc::clone(&shared.stop));
-    let outcome = if resume && checkpoint.exists() {
+    // A hard kill can land between a save's two renames, leaving only
+    // the rotated slot: that still resumes, from one generation back.
+    let saved = checkpoint.exists() || rotated_checkpoint_path(&checkpoint, 1).exists();
+    let outcome = if resume && saved {
         dse.resume(&request.plan, &request.budget, &supervisor)
     } else {
         dse.run_supervised(&request.plan, &request.budget, &supervisor)

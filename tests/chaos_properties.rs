@@ -16,7 +16,7 @@ use clrearly::core::resilience::{
     read_quarantine_sidecar, rotated_checkpoint_path, write_quarantine_sidecar, Checkpoint,
     QuarantineRecord, RunOutcome, RunSupervisor, SupervisorConfig,
 };
-use clrearly::core::{CachedFitness, CampaignPlan, EvalCache};
+use clrearly::core::{CachedFitness, CampaignPlan, DseError, EvalCache};
 use clrearly::model::qos::SystemMetrics;
 use clrearly::model::{PeId, TaskId};
 use proptest::prelude::*;
@@ -78,6 +78,57 @@ fn checkpoint_fixture() -> &'static (Vec<u8>, Vec<u8>) {
     })
 }
 
+/// Bytes of a real two-stage checkpoint: `proposed` interrupted in its
+/// second stage, so the record carries a completed stage as well as the
+/// live GA state.
+fn two_stage_checkpoint() -> Vec<u8> {
+    let dir = scratch("two-stage");
+    let ckpt = dir.join("two-stage.ckpt");
+    let platform = apps::paper_platform();
+    let graph = apps::sobel(&platform, 42).expect("sobel app");
+    let dse = ClrEarly::new(&graph, &platform).expect("tDSE succeeds");
+    let sup = RunSupervisor::new(SupervisorConfig::new(&ckpt)).with_interrupt_at(1, 2);
+    match dse
+        .run_supervised(&CampaignPlan::proposed(), &StageBudget::smoke_test(), &sup)
+        .expect("interrupted run checkpoints")
+    {
+        RunOutcome::Interrupted { stage: 1, .. } => {}
+        other => panic!("interrupt seam must fire in stage 1, got {other:?}"),
+    }
+    let bytes = fs::read(&ckpt).expect("checkpoint");
+    let _ = fs::remove_dir_all(&dir);
+    bytes
+}
+
+/// Every truncation and every single-bit flip of a real two-stage
+/// checkpoint is a typed error: the integrity trailer (or the version
+/// line) catches it before any field is trusted, and nothing panics.
+#[test]
+fn every_truncation_and_bit_flip_of_a_checkpoint_is_a_typed_error() {
+    let good = two_stage_checkpoint();
+    let cp = Checkpoint::decode(&good).expect("pristine checkpoint decodes");
+    assert_eq!((cp.stage, cp.completed.len()), (1, 1));
+    for cut in 0..good.len() {
+        let err = Checkpoint::decode(&good[..cut]).expect_err("truncation must fail");
+        assert!(
+            matches!(err, DseError::Checkpoint { .. }),
+            "cut {cut}: {err}"
+        );
+    }
+    let mut damaged = good.clone();
+    for at in 0..good.len() {
+        for bit in 0..8 {
+            damaged[at] ^= 1 << bit;
+            let err = Checkpoint::decode(&damaged).expect_err("bit flip must fail");
+            assert!(
+                matches!(err, DseError::Checkpoint { .. }),
+                "flip {at}:{bit}: {err}"
+            );
+            damaged[at] ^= 1 << bit;
+        }
+    }
+}
+
 /// Bytes of a warm evaluation-cache sidecar with a handful of fitnesses.
 fn cache_fixture() -> &'static Vec<u8> {
     static FIXTURE: OnceLock<Vec<u8>> = OnceLock::new();
@@ -133,7 +184,7 @@ fn materialize_chain(tag: &str) -> PathBuf {
 /// undamaged chain — damage never invents a third state.
 fn assert_recovered_from_chain(cp: &Checkpoint) {
     let (primary, rotation) = checkpoint_fixture();
-    let encoded = cp.encode().into_bytes();
+    let encoded = cp.encode();
     assert!(
         encoded == *primary || encoded == *rotation,
         "recovered checkpoint matches no slot of the original chain"

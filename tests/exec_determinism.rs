@@ -216,6 +216,63 @@ fn supervised_run_rotates_checkpoints_and_prunes_on_completion() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A run whose `keep` shrank since the last run on the same path: its
+/// first save prunes the stale slots the larger `keep` left (found by
+/// listing the directory, not by probing slot numbers), and completion
+/// leaves no checkpoint file at all.
+#[test]
+fn shrunken_keep_prunes_stale_slots_on_first_save() {
+    let platform = apps::paper_platform();
+    let graph = apps::sobel(&platform, 42).unwrap();
+    let budget = StageBudget::smoke_test();
+    let dir = scratch_dir("shrunken-keep");
+    let ckpt = dir.join("run.ckpt");
+    let dse = ClrEarly::new(&graph, &platform).unwrap();
+    let interrupted = |keep: usize, generation: usize| {
+        let sup = RunSupervisor::new(SupervisorConfig::new(&ckpt).with_keep_checkpoints(keep))
+            .with_interrupt_at(0, generation);
+        match dse
+            .run_supervised(&CampaignPlan::fc(), &budget, &sup)
+            .unwrap()
+        {
+            RunOutcome::Interrupted { .. } => {}
+            RunOutcome::Complete(_) => panic!("expected an interrupted run"),
+        }
+    };
+    let slots = || {
+        (1..=8)
+            .filter(|&n| rotated_checkpoint_path(&ckpt, n).exists())
+            .collect::<Vec<_>>()
+    };
+
+    interrupted(5, 6);
+    assert_eq!(slots(), vec![1, 2, 3, 4], "a keep-5 run fills four slots");
+
+    // Interrupting at generation 0 makes the parking save the first one.
+    interrupted(2, 0);
+    assert!(ckpt.exists(), "newest checkpoint missing");
+    assert_eq!(slots(), vec![1], "slots 2..=4 pruned by the first save");
+
+    let resumed = dse
+        .resume_supervised(
+            &budget,
+            &RunSupervisor::new(SupervisorConfig::new(&ckpt).with_keep_checkpoints(2)),
+        )
+        .unwrap()
+        .expect_complete();
+    assert!(resumed.health.is_clean());
+    assert!(!ckpt.exists(), "checkpoint not cleaned up");
+    assert_eq!(slots(), Vec::<usize>::new(), "no slot survives completion");
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name())
+        .filter(|name| name.to_string_lossy().starts_with("run.ckpt"))
+        .collect();
+    assert!(leftovers.is_empty(), "left behind: {leftovers:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A problem that cannot evaluate one genome in eight, for exercising the
 /// quarantine triage path under the parallel engine.
 struct FlakyEvaluator;
