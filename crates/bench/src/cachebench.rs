@@ -14,10 +14,9 @@
 //! All three runs must produce bit-identical fronts — the benchmark reports
 //! `fronts_identical` and refuses to claim a speedup without it.
 //!
-//! [`eval_cache`] returns the report as JSON (hand-formatted — the
-//! workspace deliberately carries no serde implementation) and writes it
-//! to `BENCH_eval_cache.json` for CI to archive as a perf-trajectory
-//! artifact.
+//! [`eval_cache`] returns the report as JSON (a [`BenchReport`]) and
+//! writes it to `BENCH_eval_cache.json` for CI to archive as a
+//! perf-trajectory artifact.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,6 +26,7 @@ use clre::methodology::{ClrEarly, StageBudget};
 use clre::{CampaignPlan, EvalCache, FrontResult};
 
 use crate::exec_config::ExecConfig;
+use crate::report::{BenchReport, JsonObject};
 use crate::RunScale;
 
 /// Task count of the acceptance workload.
@@ -42,23 +42,20 @@ fn timed_run(dse: &ClrEarly, budget: &StageBudget) -> (FrontResult, f64) {
     (result, t0.elapsed().as_secs_f64())
 }
 
-fn json_counts(c: CacheCounts) -> String {
-    format!(
-        "{{\"hits\": {}, \"misses\": {}, \"inserts\": {}, \"hit_rate\": {:.4}}}",
-        c.hits,
-        c.misses,
-        c.inserts,
-        c.hit_rate()
-    )
+fn json_counts(c: CacheCounts) -> JsonObject {
+    JsonObject::new()
+        .field("hits", c.hits)
+        .field("misses", c.misses)
+        .field("inserts", c.inserts)
+        .field("hit_rate", format_args!("{:.4}", c.hit_rate()))
 }
 
-fn json_phase(secs: f64, evaluations: usize) -> String {
-    format!(
-        "{{\"secs\": {:.3}, \"evaluations\": {}, \"evals_per_sec\": {:.1}}}",
-        secs,
-        evaluations,
-        evaluations as f64 / secs.max(1e-9)
-    )
+fn json_phase(secs: f64, evaluations: usize) -> JsonObject {
+    let rate = evaluations as f64 / secs.max(1e-9);
+    JsonObject::new()
+        .field("secs", format_args!("{secs:.3}"))
+        .field("evaluations", evaluations)
+        .field("evals_per_sec", format_args!("{rate:.1}"))
 }
 
 /// Runs the benchmark at `scale` and returns the JSON report (also
@@ -94,22 +91,22 @@ pub fn eval_cache(scale: RunScale, config: &ExecConfig) -> String {
         0.0
     };
 
-    let json = format!(
-        "{{\n  \"bench\": \"eval_cache\",\n  \"application_tasks\": {TASKS},\n  \"method\": \"fcCLR\",\n  \"population\": {},\n  \"generations\": {},\n  \"workers\": {},\n  \"uncached\": {},\n  \"cached_cold\": {},\n  \"cached_warm\": {},\n  \"warm_speedup_vs_uncached\": {:.2},\n  \"fitness\": {},\n  \"fronts_identical\": {}\n}}\n",
-        budget.population,
-        budget.generations,
-        config.workers(),
-        json_phase(secs_uncached, front_uncached.evaluations),
-        json_phase(secs_cold, front_cold.evaluations),
-        json_phase(secs_warm, front_warm.evaluations),
-        speedup,
-        json_counts(fitness),
-        identical,
-    );
-    if let Err(e) = std::fs::write("BENCH_eval_cache.json", &json) {
-        return format!("{json}# write failed: {e}\n");
-    }
-    json
+    BenchReport::new("eval_cache")
+        .field("application_tasks", TASKS)
+        .field("method", "\"fcCLR\"")
+        .field("population", budget.population)
+        .field("generations", budget.generations)
+        .field("workers", config.workers())
+        .field(
+            "uncached",
+            json_phase(secs_uncached, front_uncached.evaluations),
+        )
+        .field("cached_cold", json_phase(secs_cold, front_cold.evaluations))
+        .field("cached_warm", json_phase(secs_warm, front_warm.evaluations))
+        .field("warm_speedup_vs_uncached", format_args!("{speedup:.2}"))
+        .field("fitness", json_counts(fitness))
+        .field("fronts_identical", identical)
+        .write("BENCH_eval_cache.json")
 }
 
 #[cfg(test)]

@@ -24,8 +24,8 @@
 //! same seed reproduces the same faults — scenario 2 is run twice at one
 //! worker to assert digest *and* telemetry-counter reproducibility.
 //!
-//! [`chaos`] returns the report as JSON (hand-formatted, like the other
-//! bench reports) and writes it to `BENCH_chaos.json` for CI to archive.
+//! [`chaos`] returns the report as JSON (a [`BenchReport`]) and writes
+//! it to `BENCH_chaos.json` for CI to archive.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -44,6 +44,7 @@ use clre_exec::{ExecPool, Executor};
 use clre_model::{Platform, TaskGraph};
 use clre_serve::server::front_digest;
 
+use crate::report::{BenchReport, JsonObject};
 use crate::RunScale;
 
 /// Task count of the chaos workload (kept small: every scenario runs the
@@ -92,22 +93,20 @@ struct Scenario {
     health: RunHealth,
 }
 
-fn json_scenario(s: &Scenario) -> String {
+fn json_scenario(s: &Scenario) -> JsonObject {
     let h = &s.health;
-    format!(
-        "{{\"front_digest\": \"{:016x}\", \"timeouts\": {}, \"backoff_ms\": {}, \"injected\": {}, \"recovered\": {}, \"panics_isolated\": {}, \"errors_isolated\": {}, \"retries\": {}, \"checkpoint_fallbacks\": {}, \"sidecar_lines_skipped\": {}, \"quarantined\": {}}}",
-        s.digest,
-        h.timeouts,
-        h.backoff_ms,
-        h.injected,
-        h.recovered,
-        h.panics_isolated,
-        h.errors_isolated,
-        h.retries,
-        h.checkpoint_fallbacks,
-        h.sidecar_lines_skipped,
-        h.quarantined,
-    )
+    JsonObject::new()
+        .text("front_digest", format_args!("{:016x}", s.digest))
+        .field("timeouts", h.timeouts)
+        .field("backoff_ms", h.backoff_ms)
+        .field("injected", h.injected)
+        .field("recovered", h.recovered)
+        .field("panics_isolated", h.panics_isolated)
+        .field("errors_isolated", h.errors_isolated)
+        .field("retries", h.retries)
+        .field("checkpoint_fallbacks", h.checkpoint_fallbacks)
+        .field("sidecar_lines_skipped", h.sidecar_lines_skipped)
+        .field("quarantined", h.quarantined)
 }
 
 /// Clean supervised fcCLR: the reference digest.
@@ -281,28 +280,27 @@ pub fn chaos(scale: RunScale) -> String {
 
     let _ = fs::remove_dir_all(&dir);
 
-    let json = format!(
-        "{{\n  \"bench\": \"chaos\",\n  \"application_tasks\": {TASKS},\n  \"population\": {},\n  \"generations\": {},\n  \"chaos_seed\": {CHAOS_SEED},\n  \"baseline\": {},\n  \"fc_storm_w1\": {},\n  \"fc_storm_w1_replay\": {},\n  \"fc_storm_w4\": {},\n  \"proposed_clean\": {},\n  \"proposed_storm\": {},\n  \"solver_faults\": {{\"candidates\": {}, \"solver_retries\": {}, \"degraded_analyses\": {}, \"library_bit_identical\": {}}},\n  \"storm_exercised_all_seams\": {},\n  \"reproducible\": {},\n  \"fronts_identical\": {}\n}}\n",
-        budget.population,
-        budget.generations,
-        json_scenario(&base),
-        json_scenario(&storm_w1),
-        json_scenario(&replay),
-        json_scenario(&storm_w4),
-        json_scenario(&proposed_clean),
-        json_scenario(&proposed_storm),
-        faulted_lib.1.candidates_evaluated,
-        faulted_lib.1.solver_retries,
-        faulted_lib.1.degraded_analyses,
-        clean_lib.0 == faulted_lib.0,
-        exercised,
-        reproducible,
-        recoverable_identical,
-    );
-    if let Err(e) = fs::write("BENCH_chaos.json", &json) {
-        return format!("{json}# write failed: {e}\n");
-    }
-    json
+    let solver_faults = JsonObject::new()
+        .field("candidates", faulted_lib.1.candidates_evaluated)
+        .field("solver_retries", faulted_lib.1.solver_retries)
+        .field("degraded_analyses", faulted_lib.1.degraded_analyses)
+        .field("library_bit_identical", clean_lib.0 == faulted_lib.0);
+    BenchReport::new("chaos")
+        .field("application_tasks", TASKS)
+        .field("population", budget.population)
+        .field("generations", budget.generations)
+        .field("chaos_seed", CHAOS_SEED)
+        .field("baseline", json_scenario(&base))
+        .field("fc_storm_w1", json_scenario(&storm_w1))
+        .field("fc_storm_w1_replay", json_scenario(&replay))
+        .field("fc_storm_w4", json_scenario(&storm_w4))
+        .field("proposed_clean", json_scenario(&proposed_clean))
+        .field("proposed_storm", json_scenario(&proposed_storm))
+        .field("solver_faults", solver_faults)
+        .field("storm_exercised_all_seams", exercised)
+        .field("reproducible", reproducible)
+        .field("fronts_identical", recoverable_identical)
+        .write("BENCH_chaos.json")
 }
 
 /// Scratch path helper shared with the property tests.

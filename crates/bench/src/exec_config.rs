@@ -112,7 +112,7 @@ impl ExecConfig {
     }
 
     /// The selected backend's name (`inprocess` when none is attached).
-    pub fn backend_name(&self) -> &'static str {
+    fn backend_name(&self) -> &'static str {
         self.backend_name
             .unwrap_or_else(|| BackendChoice::InProcess.name())
     }

@@ -17,11 +17,10 @@
 //! [`BackendHealth`] item counter — the report refuses to claim
 //! subprocess coverage unless child processes actually evaluated items.
 //!
-//! [`islands`] returns the report as JSON (hand-formatted — the
-//! workspace deliberately carries no serde implementation) and writes it
-//! to `BENCH_islands.json` for CI to archive; `experiments perfgate`
-//! accepts that file and gates both the digest agreement and the
-//! campaign wall-clock trend.
+//! [`islands`] returns the report as JSON (a [`BenchReport`]) and writes
+//! it to `BENCH_islands.json` for CI to archive; `experiments perfgate`
+//! gates each cell's backend agreement, its in-process front digest and
+//! its campaign wall-clock trend against the committed baseline.
 //!
 //! [`EvalBackend`]: clre_exec::EvalBackend
 //! [`ThreadBackend`]: clre_exec::ThreadBackend
@@ -35,6 +34,7 @@ use clre::{AppSpec, CampaignPlan, Scenario};
 use clre_serve::server::front_digest;
 
 use crate::exec_config::ExecConfig;
+use crate::report::{BenchReport, JsonObject};
 use crate::RunScale;
 
 /// Task count of the island workload (small: nine campaigns run per
@@ -119,18 +119,24 @@ pub fn islands(scale: RunScale, config: &ExecConfig) -> String {
             let digest_match = threaded.digest == reference.digest
                 && sub.as_ref().is_none_or(|s| s.digest == reference.digest);
             all_match &= digest_match;
-            cells.push(format!(
-                "    {{\"plan\": \"{label}\", \"islands\": {n}, \
-                 \"inprocess_digest\": \"{:016x}\", \"threads_digest\": \"{:016x}\", \
-                 \"subprocess_digest\": {}, \"digest_match\": {digest_match}, \
-                 \"points\": {}, \"campaign_us\": {}}}",
-                reference.digest,
-                threaded.digest,
-                sub.as_ref()
-                    .map_or("null".to_owned(), |s| format!("\"{:016x}\"", s.digest)),
-                reference.points,
-                reference.micros,
-            ));
+            cells.push(
+                JsonObject::new()
+                    .text("plan", label)
+                    .field("islands", n)
+                    .text(
+                        "inprocess_digest",
+                        format_args!("{:016x}", reference.digest),
+                    )
+                    .text("threads_digest", format_args!("{:016x}", threaded.digest))
+                    .field(
+                        "subprocess_digest",
+                        sub.as_ref()
+                            .map_or("null".to_owned(), |s| format!("\"{:016x}\"", s.digest)),
+                    )
+                    .field("digest_match", digest_match)
+                    .field("points", reference.points)
+                    .field("campaign_us", reference.micros),
+            );
         }
     }
 
@@ -141,20 +147,16 @@ pub fn islands(scale: RunScale, config: &ExecConfig) -> String {
         .and_then(ExecConfig::backend_health)
         .is_some_and(|h| h.items > 0);
 
-    let json = format!(
-        "{{\n  \"bench\": \"islands\",\n  \"application_tasks\": {TASKS},\n  \
-         \"population\": {},\n  \"generations\": {},\n  \"workers\": {workers},\n  \
-         \"subprocess_available\": {},\n  \"subprocess_exercised\": {exercised},\n  \
-         \"cells\": [\n{}\n  ],\n  \"all_digests_match\": {all_match}\n}}\n",
-        budget.population,
-        budget.generations,
-        subprocess.is_some(),
-        cells.join(",\n"),
-    );
-    if let Err(e) = std::fs::write("BENCH_islands.json", &json) {
-        return format!("{json}# write failed: {e}\n");
-    }
-    json
+    BenchReport::new("islands")
+        .field("application_tasks", TASKS)
+        .field("population", budget.population)
+        .field("generations", budget.generations)
+        .field("workers", workers)
+        .field("subprocess_available", subprocess.is_some())
+        .field("subprocess_exercised", exercised)
+        .cells("cells", cells)
+        .field("all_digests_match", all_match)
+        .write("BENCH_islands.json")
 }
 
 #[cfg(test)]

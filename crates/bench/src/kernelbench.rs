@@ -36,9 +36,9 @@
 //! hard case for order-sensitive kernels) plus a sprinkling of
 //! constraint-violating points to exercise constrained dominance.
 //! Timings are min-of-reps wall clock. [`moea_kernels`] returns the
-//! report as JSON (hand-formatted — the workspace deliberately carries
-//! no serde implementation) and writes it to `BENCH_moea_kernels.json`
-//! for CI to archive as a perf-trajectory artifact.
+//! report as JSON (a [`BenchReport`]) and writes it to
+//! `BENCH_moea_kernels.json` for CI to archive as a perf-trajectory
+//! artifact.
 
 use std::time::Instant;
 
@@ -47,6 +47,7 @@ use clre_moea::kernels;
 use clre_moea::matrix::DistanceMatrix;
 use clre_moea::ObjectiveMatrix;
 
+use crate::report::{BenchReport, JsonObject};
 use crate::RunScale;
 
 /// The benchmarked cloud sizes.
@@ -150,7 +151,7 @@ struct Cell {
 }
 
 impl Cell {
-    fn json(&self) -> String {
+    fn json(&self) -> JsonObject {
         let (naive_us, speedup) = match self.truncate_naive_us {
             Some(us) => (
                 us.to_string(),
@@ -158,34 +159,30 @@ impl Cell {
             ),
             None => ("null".to_owned(), "null".to_owned()),
         };
-        format!(
-            "{{\"n\": {}, \"m\": {}, \"sort_naive_us\": {}, \"sort_ens_us\": {}, \
-             \"sort_speedup\": {:.2}, \"fronts_identical\": {}, \"crowding_us\": {}, \
-             \"truncate_cached_us\": {}, \"truncate_naive_us\": {}, \
-             \"truncate_speedup\": {}, \"truncation_identical\": {}, \
-             \"truncation_oracle_points\": {}, \"hv_us\": {}, \"hv_points\": {}, \
-             \"dist_refill_us\": {}, \"dist_update_us\": {}, \"dist_speedup\": {:.2}, \
-             \"truncate_incremental_us\": {}, \"dist_identical\": {}}}",
-            self.n,
-            self.m,
-            self.sort_naive_us,
-            self.sort_ens_us,
-            self.sort_naive_us as f64 / self.sort_ens_us.max(1) as f64,
-            self.fronts_identical,
-            self.crowding_us,
-            self.truncate_cached_us,
-            naive_us,
-            speedup,
-            self.truncation_identical,
-            self.truncation_oracle_points,
-            self.hv_us,
-            self.hv_points,
-            self.dist_refill_us,
-            self.dist_update_us,
-            self.dist_refill_us as f64 / self.dist_update_us.max(1) as f64,
-            self.truncate_incremental_us,
-            self.dist_identical,
-        )
+        let ratio = |slow: u64, fast: u64| format!("{:.2}", slow as f64 / fast.max(1) as f64);
+        JsonObject::new()
+            .field("n", self.n)
+            .field("m", self.m)
+            .field("sort_naive_us", self.sort_naive_us)
+            .field("sort_ens_us", self.sort_ens_us)
+            .field("sort_speedup", ratio(self.sort_naive_us, self.sort_ens_us))
+            .field("fronts_identical", self.fronts_identical)
+            .field("crowding_us", self.crowding_us)
+            .field("truncate_cached_us", self.truncate_cached_us)
+            .field("truncate_naive_us", naive_us)
+            .field("truncate_speedup", speedup)
+            .field("truncation_identical", self.truncation_identical)
+            .field("truncation_oracle_points", self.truncation_oracle_points)
+            .field("hv_us", self.hv_us)
+            .field("hv_points", self.hv_points)
+            .field("dist_refill_us", self.dist_refill_us)
+            .field("dist_update_us", self.dist_update_us)
+            .field(
+                "dist_speedup",
+                ratio(self.dist_refill_us, self.dist_update_us),
+            )
+            .field("truncate_incremental_us", self.truncate_incremental_us)
+            .field("dist_identical", self.dist_identical)
     }
 }
 
@@ -330,15 +327,15 @@ pub fn moea_kernels(scale: RunScale) -> String {
         .iter()
         .filter(|c| c.n == 1600)
         .all(|c| c.sort_ens_us <= c.sort_naive_us);
-    let body: Vec<String> = cells.iter().map(|c| format!("    {}", c.json())).collect();
-    let json = format!(
-        "{{\n  \"bench\": \"moea_kernels\",\n  \"reps\": {reps},\n  \"naive_truncate_cap\": {naive_truncate_cap},\n  \"cases\": [\n{}\n  ],\n  \"fronts_identical\": {fronts_identical},\n  \"truncation_identical\": {truncation_identical},\n  \"dist_identical\": {dist_identical},\n  \"ens_beats_naive_at_1600\": {ens_beats_naive_at_1600}\n}}\n",
-        body.join(",\n"),
-    );
-    if let Err(e) = std::fs::write("BENCH_moea_kernels.json", &json) {
-        return format!("{json}# write failed: {e}\n");
-    }
-    json
+    BenchReport::new("moea_kernels")
+        .field("reps", reps)
+        .field("naive_truncate_cap", naive_truncate_cap)
+        .cells("cases", cells.iter().map(Cell::json))
+        .field("fronts_identical", fronts_identical)
+        .field("truncation_identical", truncation_identical)
+        .field("dist_identical", dist_identical)
+        .field("ens_beats_naive_at_1600", ens_beats_naive_at_1600)
+        .write("BENCH_moea_kernels.json")
 }
 
 #[cfg(test)]

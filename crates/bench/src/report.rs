@@ -1,4 +1,5 @@
-//! Tiny plain-text table/series formatting for experiment reports.
+//! Report formatting: plain-text tables and figure series for the
+//! paper experiments, and the one JSON layout every bench writes.
 
 /// A left-aligned plain-text table.
 ///
@@ -105,6 +106,144 @@ pub fn pct(p: f64) -> String {
     }
 }
 
+/// A flat JSON object on one line, `{"key": value, ...}`: a report cell,
+/// or a nested summary such as a chaos scenario's counters.
+#[derive(Debug, Clone, Default)]
+pub struct JsonObject(Vec<String>);
+
+impl JsonObject {
+    /// An empty object.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends `"key": value` with the value written as is (a number,
+    /// `true`/`false`, `null` or a nested [`JsonObject`]).
+    #[must_use]
+    pub fn field(mut self, key: &str, value: impl std::fmt::Display) -> Self {
+        self.0.push(format!("\"{key}\": {value}"));
+        self
+    }
+
+    /// Appends `"key": "value"`.
+    #[must_use]
+    pub fn text(self, key: &str, value: impl std::fmt::Display) -> Self {
+        self.field(key, format_args!("\"{value}\""))
+    }
+}
+
+impl std::fmt::Display for JsonObject {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{{{}}}", self.0.join(", "))
+    }
+}
+
+/// A bench report in the layout `experiments perfgate` reads: the
+/// `"bench"` name first, then one top-level field per line in the order
+/// given, with each cell of a cell array on its own line.
+///
+/// # Examples
+///
+/// ```
+/// use clre_bench::report::{BenchReport, JsonObject};
+///
+/// let json = BenchReport::new("demo")
+///     .field("reps", 3)
+///     .cells("cells", [JsonObject::new().text("plan", "fcCLR").field("us", 40)])
+///     .field("ok", true)
+///     .render();
+/// assert_eq!(
+///     json,
+///     "{\n  \"bench\": \"demo\",\n  \"reps\": 3,\n  \"cells\": [\n    \
+///      {\"plan\": \"fcCLR\", \"us\": 40}\n  ],\n  \"ok\": true\n}\n"
+/// );
+/// ```
+#[derive(Debug, Clone)]
+pub struct BenchReport(JsonObject);
+
+impl BenchReport {
+    /// A report whose `"bench"` header names it.
+    pub fn new(bench: &str) -> Self {
+        BenchReport(JsonObject::new().text("bench", bench))
+    }
+
+    /// Appends a top-level `"key": value` (written as is).
+    #[must_use]
+    pub fn field(self, key: &str, value: impl std::fmt::Display) -> Self {
+        BenchReport(self.0.field(key, value))
+    }
+
+    /// Appends a top-level array of cells, one per line.
+    #[must_use]
+    pub fn cells(self, key: &str, cells: impl IntoIterator<Item = JsonObject>) -> Self {
+        let lines: Vec<String> = cells.into_iter().map(|c| format!("    {c}")).collect();
+        self.field(key, format_args!("[\n{}\n  ]", lines.join(",\n")))
+    }
+
+    /// The report text.
+    pub fn render(&self) -> String {
+        format!("{{\n  {}\n}}\n", self.0 .0.join(",\n  "))
+    }
+
+    /// Writes the report to `path` and returns its text. A write failure
+    /// is appended to the returned text rather than aborting the bench.
+    pub fn write(&self, path: &str) -> String {
+        let json = self.render();
+        match std::fs::write(path, &json) {
+            Ok(()) => json,
+            Err(e) => format!("{json}# write failed: {e}\n"),
+        }
+    }
+}
+
+/// The cells of a report [`BenchReport`] wrote: each cell's fields as
+/// `(key, value)` pairs, string values without their quotes.
+pub(crate) type Cells<'a> = Vec<Vec<(&'a str, &'a str)>>;
+
+/// Reads back a report's `"bench"` name and its cells. Cell lines are
+/// the ones [`BenchReport::cells`] indents by four spaces.
+///
+/// # Errors
+///
+/// A missing `"bench"` header or a cell line that is not a flat
+/// one-line object.
+pub(crate) fn parse_report(text: &str) -> Result<(&str, Cells<'_>), String> {
+    let bench = text
+        .lines()
+        .find_map(|l| l.strip_prefix("  \"bench\": \"")?.split('"').next())
+        .ok_or("no \"bench\" header")?;
+    let cells = text
+        .lines()
+        .filter(|l| l.starts_with("    {"))
+        .map(|l| parse_object(l).ok_or_else(|| format!("malformed cell: {}", l.trim())))
+        .collect::<Result<_, _>>()?;
+    Ok((bench, cells))
+}
+
+/// Splits one `{"key": value, ...}` line into its fields.
+fn parse_object(line: &str) -> Option<Vec<(&str, &str)>> {
+    let mut rest = line
+        .trim()
+        .trim_end_matches(',')
+        .strip_prefix('{')?
+        .strip_suffix('}')?;
+    let mut fields = Vec::new();
+    while !rest.is_empty() {
+        let (key, after) = rest.strip_prefix('"')?.split_once("\": ")?;
+        let (value, after) = match after.strip_prefix('"') {
+            Some(quoted) => quoted.split_once('"')?,
+            None => after.split_at(after.find(',').unwrap_or(after.len())),
+        };
+        fields.push((key, value));
+        rest = match after.strip_prefix(", ") {
+            Some(next) => next,
+            None if after.is_empty() => after,
+            None => return None,
+        };
+    }
+    Some(fields)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,6 +272,40 @@ mod tests {
         let lines: Vec<&str> = s.lines().collect();
         assert!(lines[0].starts_with("m,1.0"));
         assert!(lines[1].starts_with("m,2.0"));
+    }
+
+    #[test]
+    fn parse_report_reads_back_what_bench_report_writes() {
+        let json = BenchReport::new("islands")
+            .field("workers", 2)
+            .cells(
+                "cells",
+                [
+                    JsonObject::new()
+                        .text("plan", "fcCLR")
+                        .field("islands", 1)
+                        .field("subprocess_digest", "null"),
+                    JsonObject::new().text("plan", "a, b").field("islands", 4),
+                ],
+            )
+            .field("nested", JsonObject::new().field("x", 1))
+            .render();
+        let (bench, cells) = parse_report(&json).unwrap();
+        assert_eq!(bench, "islands");
+        assert_eq!(
+            cells,
+            vec![
+                vec![
+                    ("plan", "fcCLR"),
+                    ("islands", "1"),
+                    ("subprocess_digest", "null")
+                ],
+                vec![("plan", "a, b"), ("islands", "4")],
+            ]
+        );
+        assert!(parse_report("{}").unwrap_err().contains("bench"));
+        let torn = json.replace("\"islands\": 4", "\"islands\" 4");
+        assert!(parse_report(&torn).unwrap_err().contains("malformed cell"));
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! * `agnostic_baseline_complete` — the Agnostic baseline completed
 //!   under every scenario (each new axis has its layer-blind referent).
 //!
-//! [`scenarios`] returns the report as JSON (hand-formatted, like the
-//! other bench reports) and writes it to `BENCH_scenarios.json` for CI
+//! [`scenarios`] returns the report as JSON (a [`BenchReport`]) and
+//! writes it to `BENCH_scenarios.json` for CI
 //! to archive and for `experiments perfgate` to diff against the
 //! committed `BENCH_scenarios.baseline.json`.
 
@@ -39,6 +39,7 @@ use clre::{CampaignPlan, FrontResult};
 use clre_model::{Platform, TaskGraph};
 use clre_serve::front_digest;
 
+use crate::report::{BenchReport, JsonObject};
 use crate::RunScale;
 
 /// Task count of the scenario workload (kept small: four scenarios each
@@ -122,21 +123,25 @@ fn run_cell(
     }
 }
 
-fn json_cell(c: &Cell) -> String {
-    format!(
-        "{{\"scenario\": \"{}\", \"catalog\": {}, \"candidates\": {}, \"chain_analysis_us\": {}, \"objectives\": {}, \"proposed_digest\": \"{:016x}\", \"proposed_points\": {}, \"proposed_evaluations\": {}, \"agnostic_digest\": \"{:016x}\", \"agnostic_points\": {}, \"agnostic_evaluations\": {}}}",
-        c.name,
-        c.catalog,
-        c.candidates,
-        c.chain_analysis_us,
-        c.objectives,
-        c.proposed.digest,
-        c.proposed.points,
-        c.proposed.evaluations,
-        c.agnostic.digest,
-        c.agnostic.points,
-        c.agnostic.evaluations,
-    )
+fn json_cell(c: &Cell) -> JsonObject {
+    JsonObject::new()
+        .text("scenario", &c.name)
+        .field("catalog", c.catalog)
+        .field("candidates", c.candidates)
+        .field("chain_analysis_us", c.chain_analysis_us)
+        .field("objectives", c.objectives)
+        .text(
+            "proposed_digest",
+            format_args!("{:016x}", c.proposed.digest),
+        )
+        .field("proposed_points", c.proposed.points)
+        .field("proposed_evaluations", c.proposed.evaluations)
+        .text(
+            "agnostic_digest",
+            format_args!("{:016x}", c.agnostic.digest),
+        )
+        .field("agnostic_points", c.agnostic.points)
+        .field("agnostic_evaluations", c.agnostic.evaluations)
 }
 
 /// Runs the scenario matrix at `scale` and returns the JSON report
@@ -172,21 +177,19 @@ pub fn scenarios(scale: RunScale) -> String {
     let lifetime_adds_mttf_objective = cells[1].objectives == 3;
     let agnostic_baseline_complete = cells.iter().all(|c| c.agnostic.points > 0);
 
-    let body: Vec<String> = cells
-        .iter()
-        .map(|c| format!("    {}", json_cell(c)))
-        .collect();
     let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let json = format!(
-        "{{\n  \"bench\": \"scenarios\",\n  \"nproc\": {nproc},\n  \"application_tasks\": {TASKS},\n  \"population\": {},\n  \"generations\": {},\n  \"mission_hours\": {MISSION_HOURS},\n  \"cells\": [\n{}\n  ],\n  \"transient_matches_default\": {transient_matches_default},\n  \"scenario_fronts_distinct\": {scenario_fronts_distinct},\n  \"lifetime_adds_mttf_objective\": {lifetime_adds_mttf_objective},\n  \"agnostic_baseline_complete\": {agnostic_baseline_complete}\n}}\n",
-        budget.population,
-        budget.generations,
-        body.join(",\n"),
-    );
-    if let Err(e) = std::fs::write("BENCH_scenarios.json", &json) {
-        return format!("{json}# write failed: {e}\n");
-    }
-    json
+    BenchReport::new("scenarios")
+        .field("nproc", nproc)
+        .field("application_tasks", TASKS)
+        .field("population", budget.population)
+        .field("generations", budget.generations)
+        .field("mission_hours", MISSION_HOURS)
+        .cells("cells", cells.iter().map(json_cell))
+        .field("transient_matches_default", transient_matches_default)
+        .field("scenario_fronts_distinct", scenario_fronts_distinct)
+        .field("lifetime_adds_mttf_objective", lifetime_adds_mttf_objective)
+        .field("agnostic_baseline_complete", agnostic_baseline_complete)
+        .write("BENCH_scenarios.json")
 }
 
 #[cfg(test)]

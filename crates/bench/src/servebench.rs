@@ -13,8 +13,8 @@
 //!   wait on another tenant's in-flight build). Tenants on distinct
 //!   applications share no library and read `false`.
 //!
-//! [`serve`] returns the report as JSON (hand-formatted, like the other
-//! bench reports) and writes it to `BENCH_serve.json` for CI to archive.
+//! [`serve`] returns the report as JSON (a [`BenchReport`]) and writes
+//! it to `BENCH_serve.json` for CI to archive.
 
 use std::time::Instant;
 
@@ -24,6 +24,7 @@ use clre_serve::client::{Event, ServeClient, Submission};
 use clre_serve::server::{build_app, front_digest, ServeConfig, Server};
 use clre_serve::wire::{AppSpec, SubmitRequest};
 
+use crate::report::{BenchReport, JsonObject};
 use crate::RunScale;
 
 /// Task count of the benchmark workload (all tenants share it — sharing
@@ -78,18 +79,14 @@ struct TenantRun {
 }
 
 impl TenantRun {
-    fn json(&self) -> String {
-        format!(
-            "{{\"tenant\": \"{}\", \"plan\": \"{}\", \"submit_to_first_trace_us\": {}, \
-             \"submit_to_done_us\": {}, \"front_digest\": \"{:016x}\", \
-             \"digest_matches_in_process\": {}}}",
-            self.tenant,
-            self.plan,
-            self.submit_to_first_trace_us,
-            self.submit_to_done_us,
-            self.digest,
-            self.digest_matches,
-        )
+    fn json(&self) -> JsonObject {
+        JsonObject::new()
+            .text("tenant", self.tenant)
+            .text("plan", self.plan)
+            .field("submit_to_first_trace_us", self.submit_to_first_trace_us)
+            .field("submit_to_done_us", self.submit_to_done_us)
+            .text("front_digest", format_args!("{:016x}", self.digest))
+            .field("digest_matches_in_process", self.digest_matches)
     }
 }
 
@@ -155,16 +152,12 @@ fn stat_sum(stats: &str, suffix: &str) -> u64 {
 /// (also written to `BENCH_serve.json`; a write failure is reported
 /// inside the JSON rather than aborting the bench).
 pub fn serve(scale: RunScale) -> String {
-    let json = report(scale, [APP_SEED; 3]);
-    if let Err(e) = std::fs::write("BENCH_serve.json", &json) {
-        return format!("{json}# write failed: {e}\n");
-    }
-    json
+    report(scale, [APP_SEED; 3]).write("BENCH_serve.json")
 }
 
-/// The JSON report of the three tenants run concurrently through one
-/// server, tenant `i` on the synthetic application seeded `app_seeds[i]`.
-fn report(scale: RunScale, app_seeds: [u64; 3]) -> String {
+/// The report of the three tenants run concurrently through one server,
+/// tenant `i` on the synthetic application seeded `app_seeds[i]`.
+fn report(scale: RunScale, app_seeds: [u64; 3]) -> BenchReport {
     let budget = budget(scale);
     let requests: Vec<SubmitRequest> = tenants()
         .into_iter()
@@ -210,14 +203,16 @@ fn report(scale: RunScale, app_seeds: [u64; 3]) -> String {
     let memo_hits = stat_sum(&stats, "library.memo_hits");
     let memo_waits = stat_sum(&stats, "library.waits");
     let digest_parity = runs.iter().all(|r| r.digest_matches);
-    let body: Vec<String> = runs.iter().map(|r| format!("    {}", r.json())).collect();
-    format!(
-        "{{\n  \"bench\": \"serve\",\n  \"application_tasks\": {TASKS},\n  \"population\": {},\n  \"generations\": {},\n  \"workers\": {WORKERS},\n  \"tenants\": [\n{}\n  ],\n  \"library_memo_hits\": {memo_hits},\n  \"library_waits\": {memo_waits},\n  \"cross_tenant_sharing\": {},\n  \"digest_parity\": {digest_parity}\n}}\n",
-        budget.population,
-        budget.generations,
-        body.join(",\n"),
-        memo_hits + memo_waits > 0,
-    )
+    BenchReport::new("serve")
+        .field("application_tasks", TASKS)
+        .field("population", budget.population)
+        .field("generations", budget.generations)
+        .field("workers", WORKERS)
+        .cells("tenants", runs.iter().map(TenantRun::json))
+        .field("library_memo_hits", memo_hits)
+        .field("library_waits", memo_waits)
+        .field("cross_tenant_sharing", memo_hits + memo_waits > 0)
+        .field("digest_parity", digest_parity)
 }
 
 #[cfg(test)]
@@ -240,7 +235,7 @@ mod tests {
 
     #[test]
     fn tenants_on_distinct_apps_read_no_sharing() {
-        let json = report(RunScale::Tiny, [APP_SEED, APP_SEED + 1, APP_SEED + 2]);
+        let json = report(RunScale::Tiny, [APP_SEED, APP_SEED + 1, APP_SEED + 2]).render();
         assert!(
             json.contains("\"digest_parity\": true"),
             "server fronts diverged from in-process baselines:\n{json}"

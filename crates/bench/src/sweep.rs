@@ -44,6 +44,8 @@ pub struct CellData {
 pub struct SweepLedger {
     path: Option<PathBuf>,
     cells: HashMap<String, CellData>,
+    /// How many cells this ledger may compute (cached replays are free);
+    /// past it, [`SweepLedger::cell_with`] returns `None` for new keys.
     halt_after: Option<usize>,
     computed: usize,
     halted: bool,
@@ -89,15 +91,6 @@ impl SweepLedger {
         Ok(ledger)
     }
 
-    /// Limits how many cells this ledger may *compute* (cached replays
-    /// are free). Once the budget is spent, [`SweepLedger::cell_with`]
-    /// returns `None` for uncached keys.
-    #[must_use]
-    pub fn with_halt_after(mut self, cells: usize) -> Self {
-        self.halt_after = Some(cells);
-        self
-    }
-
     /// Whether a cell was refused because the compute budget ran out.
     pub fn halted(&self) -> bool {
         self.halted
@@ -121,7 +114,7 @@ impl SweepLedger {
     ///
     /// Panics if `key` contains whitespace (it must survive a
     /// whitespace-split journal line) or if the journal append fails.
-    pub fn cell_with(&mut self, key: &str, compute: impl FnOnce() -> CellData) -> Option<CellData> {
+    fn cell_with(&mut self, key: &str, compute: impl FnOnce() -> CellData) -> Option<CellData> {
         assert!(
             !key.contains(char::is_whitespace),
             "sweep cell key {key:?} must be whitespace-free"
@@ -228,11 +221,6 @@ pub fn configure(path: &Path, halt_after: Option<usize>) -> io::Result<()> {
     ledger.halt_after = halt_after;
     *ACTIVE.lock().expect("sweep ledger poisoned") = Some(ledger);
     Ok(())
-}
-
-/// Deactivates the process-wide ledger (cells compute unmemoized again).
-pub fn deactivate() {
-    *ACTIVE.lock().expect("sweep ledger poisoned") = None;
 }
 
 /// Whether the active ledger refused a cell for lack of compute budget.
@@ -365,7 +353,8 @@ mod tests {
         let mut warm = SweepLedger::open(&path).unwrap();
         warm.cell_with("t/a", || sample(1.0)).unwrap();
 
-        let mut ledger = SweepLedger::open(&path).unwrap().with_halt_after(1);
+        let mut ledger = SweepLedger::open(&path).unwrap();
+        ledger.halt_after = Some(1);
         assert!(!ledger.halted());
         // Cached replay is free; one compute fits the budget; then halt.
         assert!(ledger.cell_with("t/a", || panic!("cached")).is_some());

@@ -520,23 +520,6 @@ pub fn scaling(scale: RunScale, config: &ExecConfig) -> String {
     table.to_string()
 }
 
-/// Convenience for benches/tests: one (CLR, Agnostic) hypervolume pair.
-pub fn clr_vs_agnostic_hv(tasks: usize, budget: &StageBudget, config: &ExecConfig) -> (f64, f64) {
-    let (platform, graph) =
-        apps::synthetic_app(tasks, 7 + tasks as u64).expect("synthetic app builds");
-    let dse = config.apply(ClrEarly::new(&graph, &platform).expect("tDSE succeeds"));
-    let clr = dse
-        .run(&CampaignPlan::proposed(), budget)
-        .expect("proposed runs");
-    let agn = dse
-        .run(&CampaignPlan::agnostic(), budget)
-        .expect("agnostic runs");
-    let a = clr.objectives();
-    let b = agn.objectives();
-    let r = reference_point([a.as_slice(), b.as_slice()]);
-    (hypervolume(&a, &r), hypervolume(&b, &r))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

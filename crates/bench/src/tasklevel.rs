@@ -3,7 +3,7 @@
 use clre::apps;
 use clre::tdse::{build_library, candidates_for_type, TdseConfig};
 use clre_model::qos::ObjectiveSet;
-use clre_model::{PeTypeId, TaskGraph, TaskType, TaskTypeId};
+use clre_model::{TaskGraph, TaskType, TaskTypeId};
 use clre_moea::pareto::non_dominated_indices;
 use clre_profile::SyntheticCharacterizer;
 
@@ -94,7 +94,7 @@ pub fn fig6b() -> String {
 }
 
 /// The six cumulative objective sets of Table IV with their row labels.
-pub fn table4_sets() -> Vec<(&'static str, ObjectiveSet)> {
+fn table4_sets() -> Vec<(&'static str, ObjectiveSet)> {
     vec![
         ("I: AvgExT", ObjectiveSet::set_i()),
         ("II: +ErrProb", ObjectiveSet::set_ii()),
@@ -177,20 +177,6 @@ pub fn fig9() -> String {
     table.to_string()
 }
 
-/// Convenience for tests: Pareto-library sizes per type for one run.
-pub fn library_sizes(objs: &ObjectiveSet) -> Vec<usize> {
-    let (platform, graph) = apps::synthetic_app(10, 7).expect("synthetic app builds");
-    let lib = build_library(
-        &graph,
-        &platform,
-        &TdseConfig::new().with_objectives(objs.clone()),
-    )
-    .expect("library builds");
-    (0..graph.task_types().len())
-        .map(|ty| lib.pareto_count(TaskTypeId::new(ty as u32)))
-        .collect()
-}
-
 /// Checkpoint-interval study (after Das et al. CASES'13, the paper's
 /// ref \[16\]): sweeping the number of inter-checkpoint intervals for one
 /// task at the undervolted operating point. More checkpoints cut the
@@ -241,13 +227,6 @@ pub fn chkpt() -> String {
         ]);
     }
     table.to_string()
-}
-
-/// Exposes the sobel-platform processor PE type id (used by benches).
-pub fn sobel_proc_type() -> PeTypeId {
-    apps::sobel_platform()
-        .pe_type_by_name("embedded-proc")
-        .expect("platform has the processor type")
 }
 
 #[cfg(test)]
@@ -344,6 +323,20 @@ mod tests {
             rows[5][4] < rows[1][4],
             "MTTF should fall with checkpoints: {rows:?}"
         );
+    }
+
+    /// Pareto-library sizes per type for one run.
+    fn library_sizes(objs: &ObjectiveSet) -> Vec<usize> {
+        let (platform, graph) = apps::synthetic_app(10, 7).expect("synthetic app builds");
+        let lib = build_library(
+            &graph,
+            &platform,
+            &TdseConfig::new().with_objectives(objs.clone()),
+        )
+        .expect("library builds");
+        (0..graph.task_types().len())
+            .map(|ty| lib.pareto_count(TaskTypeId::new(ty as u32)))
+            .collect()
     }
 
     #[test]

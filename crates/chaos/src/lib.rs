@@ -148,7 +148,7 @@ impl FaultPlan {
     /// The fault (if any) this plan injects for the evaluation of `key`,
     /// independent of attempt. Kinds are checked in a fixed order
     /// (panic, error, poison, stall); the first firing kind wins.
-    pub fn decide(&self, key: &str) -> Option<InjectedFault> {
+    fn decide(&self, key: &str) -> Option<InjectedFault> {
         if self.fires(0, key, self.panic_ppm) {
             return Some(InjectedFault::Panic(format!(
                 "chaos: injected panic [{key}]"

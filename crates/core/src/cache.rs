@@ -227,11 +227,6 @@ impl EvalCache {
         self.entry_ceiling.store(ceiling, Ordering::Relaxed);
     }
 
-    /// The current fitness entry ceiling (`0` = unbounded).
-    pub fn entry_ceiling(&self) -> usize {
-        self.entry_ceiling.load(Ordering::Relaxed)
-    }
-
     /// Per-shard slot budget derived from the ceiling; `None` = unbounded.
     fn shard_cap(&self) -> Option<usize> {
         match self.entry_ceiling.load(Ordering::Relaxed) {
@@ -863,7 +858,7 @@ mod tests {
     fn lru_eviction_bounds_entries_and_counts() {
         let cache = EvalCache::new();
         cache.set_entry_ceiling(SHARDS); // one slot per shard
-        assert_eq!(cache.entry_ceiling(), SHARDS);
+        assert_eq!(cache.entry_ceiling.load(Ordering::Relaxed), SHARDS);
         for i in 0..200u32 {
             cache.insert_fitness(7, &genome(i), fitness_value(1.0));
         }
@@ -891,7 +886,7 @@ mod tests {
         // test is counter accuracy: inserts - evictions must equal the
         // number of resident entries, exactly.
         cache.set_entry_ceiling(1);
-        assert_eq!(cache.entry_ceiling(), 1);
+        assert_eq!(cache.entry_ceiling.load(Ordering::Relaxed), 1);
 
         for i in 0..64u32 {
             cache.insert_fitness(7, &genome(i), fitness_value(f64::from(i + 1)));

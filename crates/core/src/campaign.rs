@@ -145,77 +145,6 @@ impl StagePlan {
         }
     }
 
-    /// Sets the implementation library this stage searches (builder
-    /// style).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use clre::campaign::{LibrarySource, StagePlan};
-    /// use clre::encoding::ChoiceMode;
-    ///
-    /// let stage = StagePlan::nsga2("ablation", ChoiceMode::ParetoFiltered, 5)
-    ///     .with_library(LibrarySource::RandomSubset(9));
-    /// assert_eq!(stage.library, LibrarySource::RandomSubset(9));
-    /// ```
-    #[must_use]
-    pub fn with_library(mut self, library: LibrarySource) -> Self {
-        self.library = library;
-        self
-    }
-
-    /// Sets the NSGA-II tournament size override (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stage is not an NSGA-II stage or `k == 0`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use clre::campaign::{StageAlgorithm, StagePlan};
-    /// use clre::encoding::ChoiceMode;
-    ///
-    /// let stage = StagePlan::nsga2("pfCLR", ChoiceMode::ParetoFiltered, 2)
-    ///     .with_tournament(3);
-    /// assert_eq!(
-    ///     stage.algorithm,
-    ///     StageAlgorithm::Nsga2 { tournament: Some(3) }
-    /// );
-    /// ```
-    #[must_use]
-    pub fn with_tournament(mut self, k: usize) -> Self {
-        assert!(k > 0, "tournament size must be at least 1");
-        match &mut self.algorithm {
-            StageAlgorithm::Nsga2 { tournament } => *tournament = Some(k),
-            StageAlgorithm::Spea2 => panic!("SPEA2 stages have no tournament size"),
-        }
-        self
-    }
-
-    /// Sets the budget-fairness divisor (builder style): the stage runs
-    /// `(budget.generations / divisor).max(1)` generations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `divisor == 0`.
-    #[must_use]
-    pub fn with_generations_divisor(mut self, divisor: usize) -> Self {
-        assert!(divisor > 0, "divisor must be at least 1");
-        self.generations_divisor = divisor;
-        self
-    }
-
-    /// Declares a seeding edge from an earlier stage (builder style): the
-    /// front genomes of stage `index` seed this stage's initial
-    /// population, the pf → fc hand-off of the proposed flow. May be
-    /// called repeatedly; seeds concatenate in edge order.
-    #[must_use]
-    pub fn with_seed_from(mut self, index: usize) -> Self {
-        self.seed_from.push(index);
-        self
-    }
-
     /// This stage's generation budget under `budget`.
     pub fn generations(&self, budget: &StageBudget) -> usize {
         (budget.generations / self.generations_divisor).max(1)
@@ -346,7 +275,10 @@ impl CampaignPlan {
     ///
     /// let plan = CampaignPlan::named("pf-then-fc")
     ///     .with_stage(StagePlan::nsga2("pf", ChoiceMode::ParetoFiltered, 2))
-    ///     .with_stage(StagePlan::nsga2("fc", ChoiceMode::Full, 4).with_seed_from(0));
+    ///     .with_stage(StagePlan {
+    ///         seed_from: vec![0],
+    ///         ..StagePlan::nsga2("fc", ChoiceMode::Full, 4)
+    ///     });
     /// assert_eq!(plan.stages.len(), 2);
     /// assert_eq!(plan.stages[1].seed_from, vec![0]);
     /// ```

@@ -214,7 +214,7 @@ impl<'a> Codec<'a> {
     ///
     /// Returns [`DseError::InvalidGenome`] describing the first violated
     /// invariant.
-    pub fn validate_genome(&self, genome: &Genome) -> Result<(), DseError> {
+    fn validate_genome(&self, genome: &Genome) -> Result<(), DseError> {
         let n = self.graph.task_count();
         if genome.len() != n {
             return Err(DseError::InvalidGenome {

@@ -139,11 +139,6 @@ impl ImplLibrary {
         self.candidates.len()
     }
 
-    /// Number of PE types the library was grouped against.
-    pub fn pe_type_count(&self) -> usize {
-        self.full.first().map_or(0, Vec::len)
-    }
-
     /// All candidates of a task type.
     ///
     /// # Panics
@@ -352,7 +347,7 @@ mod tests {
         assert_eq!(lib.pareto_count(TaskTypeId::new(0)), 3);
         assert_eq!(lib.full_count(TaskTypeId::new(0)), 4);
         assert_eq!(lib.type_count(), 1);
-        assert_eq!(lib.pe_type_count(), 2);
+        assert_eq!(lib.full[0].len(), 2, "grouped against both PE types");
     }
 
     #[test]

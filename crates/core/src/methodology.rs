@@ -444,7 +444,7 @@ impl<'a> ClrEarly<'a> {
 /// ([`CampaignPlan::islands`]); island plans with a non-default epoch
 /// count are not name-resumable and must be resumed through
 /// [`ClrEarly::resume`] with the explicit plan.
-pub fn plan_by_name(name: &str) -> Option<CampaignPlan> {
+fn plan_by_name(name: &str) -> Option<CampaignPlan> {
     let base = |m: &str| {
         Some(match m {
             "fcCLR" => CampaignPlan::fc(),

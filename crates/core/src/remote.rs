@@ -191,7 +191,7 @@ pub fn encode_genome_text(genome: &Genome) -> String {
 /// # Errors
 ///
 /// [`DseError::Checkpoint`] describing the first malformed token.
-pub fn decode_genome_text(item: &str) -> Result<Genome, DseError> {
+fn decode_genome_text(item: &str) -> Result<Genome, DseError> {
     let mut tokens = item.split_whitespace();
     let genome = parse_genome(&mut tokens)?;
     match tokens.next() {

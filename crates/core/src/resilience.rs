@@ -368,7 +368,7 @@ impl BackoffPolicy {
     /// evaluation keyed by `key`: `base·2^attempt` clamped to the cap,
     /// jittered into `[delay/2, delay]` by an FNV-1a hash of
     /// `(seed, key, attempt)`.
-    pub fn delay_ms(&self, key: u64, attempt: usize) -> u64 {
+    fn delay_ms(&self, key: u64, attempt: usize) -> u64 {
         let exp = u32::try_from(attempt.min(20)).unwrap_or(20);
         let raw = self
             .base_ms

@@ -1,6 +1,6 @@
 //! Fixed log-spaced latency histogram for evaluation timings.
 
-/// Number of buckets; see [`LatencyHistogram::bucket_floor_nanos`].
+/// Number of buckets; see [`LatencyHistogram`] for their bounds.
 pub const BUCKETS: usize = 24;
 
 /// A latency histogram with fixed log-spaced (power-of-two) buckets.
@@ -44,20 +44,6 @@ impl LatencyHistogram {
             0
         } else {
             ((micros.ilog2() as usize) + 1).min(BUCKETS - 1)
-        }
-    }
-
-    /// The inclusive lower bound of bucket `i`, in nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i ≥ BUCKETS`.
-    pub fn bucket_floor_nanos(i: usize) -> u64 {
-        assert!(i < BUCKETS, "bucket index out of range");
-        if i == 0 {
-            0
-        } else {
-            1_000u64 << (i - 1)
         }
     }
 
@@ -123,11 +109,9 @@ mod tests {
 
     #[test]
     fn floors_match_bucket_assignment() {
-        assert_eq!(LatencyHistogram::bucket_floor_nanos(0), 0);
-        assert_eq!(LatencyHistogram::bucket_floor_nanos(1), 1_000);
-        assert_eq!(LatencyHistogram::bucket_floor_nanos(2), 2_000);
+        // Bucket `i ≥ 1` starts at 2^(i-1) µs.
         for i in 1..BUCKETS {
-            let floor = LatencyHistogram::bucket_floor_nanos(i);
+            let floor = 1_000u64 << (i - 1);
             assert_eq!(LatencyHistogram::bucket(floor), i, "floor of bucket {i}");
             assert_eq!(LatencyHistogram::bucket(floor - 1), i - 1);
         }

@@ -203,7 +203,7 @@ impl RunTelemetry {
     /// Updates the newest record's cumulative quarantine/degraded-mode
     /// counters (the resilient runtime learns them only after the batch
     /// returns). No-op on an empty store.
-    pub fn annotate_last(&mut self, quarantined: usize, degraded: usize) {
+    fn annotate_last(&mut self, quarantined: usize, degraded: usize) {
         if let Some(last) = self.records.last_mut() {
             last.quarantined = quarantined;
             last.degraded = degraded;
@@ -213,26 +213,18 @@ impl RunTelemetry {
     /// Updates the newest record's cumulative evaluation-cache counters
     /// (stamped after the batch, like [`RunTelemetry::annotate_last`]).
     /// No-op on an empty store.
-    pub fn annotate_cache_last(&mut self, hits: u64, misses: u64) {
+    fn annotate_cache_last(&mut self, hits: u64, misses: u64) {
         if let Some(last) = self.records.last_mut() {
             last.cache_hits = hits;
             last.cache_misses = misses;
         }
     }
 
-    /// Updates the newest record's selection-kernel timing (the MOEA
-    /// layer measures it on the driving thread and reports it after the
-    /// generation's batch is recorded). No-op on an empty store.
-    pub fn annotate_selection_last(&mut self, micros: u64) {
-        if let Some(last) = self.records.last_mut() {
-            last.selection_us = micros;
-        }
-    }
-
-    /// Updates the newest record's selection timing including the
-    /// sort/truncate/distance split ([`RunTelemetry::annotate_selection_last`]
-    /// plus the three trailing trace-v1 tokens). No-op on an empty store.
-    pub fn annotate_selection_split_last(
+    /// Updates the newest record's selection-kernel timing and its
+    /// sort/truncate/distance split (the MOEA layer measures them on the
+    /// driving thread and reports them after the generation's batch is
+    /// recorded). No-op on an empty store.
+    fn annotate_selection_split_last(
         &mut self,
         total_us: u64,
         sort_us: u64,
@@ -250,7 +242,7 @@ impl RunTelemetry {
     /// Updates the newest record's cumulative fault/recovery counters
     /// (stamped after the batch, like the other annotations). No-op on an
     /// empty store.
-    pub fn annotate_faults_last(
+    fn annotate_faults_last(
         &mut self,
         timeouts: usize,
         backoff_ms: u64,
@@ -318,20 +310,8 @@ impl RunTelemetry {
 
     /// Total wall-clock nanoseconds spent evaluating, summed over
     /// batches.
-    pub fn total_wall_nanos(&self) -> u64 {
+    fn total_wall_nanos(&self) -> u64 {
         self.records.iter().map(|r| r.wall_nanos).sum()
-    }
-
-    /// Wall-clock nanoseconds per phase label, in first-seen order.
-    pub fn per_phase_wall_nanos(&self) -> Vec<(String, u64)> {
-        let mut phases: Vec<(String, u64)> = Vec::new();
-        for r in &self.records {
-            match phases.iter_mut().find(|(p, _)| *p == r.phase) {
-                Some((_, nanos)) => *nanos += r.wall_nanos,
-                None => phases.push((r.phase.clone(), r.wall_nanos)),
-            }
-        }
-        phases
     }
 
     /// The machine-readable trace: one line per record plus a trailing
@@ -543,16 +523,6 @@ impl Executor {
         }
     }
 
-    /// Updates the newest trace record's selection-kernel timing;
-    /// no-op without a sink.
-    pub fn annotate_selection(&self, micros: u64) {
-        if let Some(sink) = &self.sink {
-            sink.lock()
-                .expect("telemetry sink poisoned")
-                .annotate_selection_last(micros);
-        }
-    }
-
     /// Updates the newest trace record's selection timing plus its
     /// sort/truncate/distance split; no-op without a sink.
     pub fn annotate_selection_split(
@@ -636,7 +606,7 @@ mod tests {
         let _ = exec.evaluate_batch(1, &items, |x| x * 2);
         exec.annotate_health(3, 7);
         exec.annotate_cache(40, 12);
-        exec.annotate_selection(55);
+        exec.annotate_selection_split(55, 30, 20, 5);
         exec.annotate_faults(2, 9, 5, 4);
 
         let t = sink.lock().unwrap();
@@ -652,13 +622,13 @@ mod tests {
         assert_eq!(t.records()[1].cache_misses, 12);
         assert_eq!(t.records()[0].selection_us, 0);
         assert_eq!(t.records()[1].selection_us, 55);
+        assert_eq!(t.records()[1].dist_us, 5);
         assert_eq!(t.records()[0].timeouts, 0);
         assert_eq!(t.records()[1].timeouts, 2);
         assert_eq!(t.records()[1].backoff_ms, 9);
         assert_eq!(t.records()[1].injected, 5);
         assert_eq!(t.records()[1].recovered, 4);
         assert_eq!(t.records()[1].worker_deaths, 0);
-        assert_eq!(t.per_phase_wall_nanos().len(), 1);
     }
 
     #[test]
@@ -726,7 +696,7 @@ mod tests {
         assert_eq!(out, vec![3, 6, 9]);
         exec.annotate_health(9, 9);
         exec.annotate_cache(9, 9);
-        exec.annotate_selection(9);
+        exec.annotate_selection_split(9, 9, 9, 9);
         assert!(exec.telemetry().is_none());
     }
 

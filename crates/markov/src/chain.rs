@@ -73,11 +73,6 @@ impl MarkovChain {
         self.names.len()
     }
 
-    /// Number of transient states.
-    pub fn transient_count(&self) -> usize {
-        self.transient.len()
-    }
-
     /// The state's name.
     ///
     /// # Panics
@@ -85,15 +80,6 @@ impl MarkovChain {
     /// Panics if `s` is out of range.
     pub fn state_name(&self, s: StateId) -> &str {
         &self.names[s.index()]
-    }
-
-    /// Whether `s` is absorbing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    pub fn is_absorbing(&self, s: StateId) -> bool {
-        self.absorbing[s.index()]
     }
 
     /// The absorbing states in declaration order.
@@ -133,17 +119,7 @@ impl MarkovChain {
         q
     }
 
-    /// The fundamental matrix `N = (I − Q)⁻¹`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::NotAbsorbing`] if some transient state can
-    /// never reach absorption (singular `I − Q`).
-    pub fn fundamental_matrix(&self) -> Result<Matrix, MarkovError> {
-        self.fundamental_matrix_via(false)
-    }
-
-    /// `N` from plain LU or, with `scaled`, from scaled partial pivoting —
+    /// The fundamental matrix `N = (I − Q)⁻¹` from plain LU or, with `scaled`, from scaled partial pivoting —
     /// the more robust (and slightly costlier) factorization used as the
     /// retry path when the plain solver fails or returns non-finite values
     /// on badly row-scaled `I − Q` blocks.
@@ -188,72 +164,6 @@ impl MarkovChain {
             a.solve(&r)?
         };
         Ok(t[row])
-    }
-
-    /// Variance of the total residence time accumulated before absorption
-    /// when starting in `start`.
-    ///
-    /// With `t = N·r` the vector of expected remaining times,
-    /// conditioning on the first transition gives the second moment
-    /// `m₂ = N·(r∘r + 2·r∘(Q·t))` (`∘` is the element-wise product), so
-    /// `Var = m₂[start] − t[start]²`. Computed with two LU solves, no
-    /// explicit inverse.
-    ///
-    /// # Errors
-    ///
-    /// As for [`MarkovChain::expected_time_to_absorption`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use clre_markov::MarkovChain;
-    ///
-    /// # fn main() -> Result<(), clre_markov::MarkovError> {
-    /// // Geometric number of unit-time flips with p = 1/4:
-    /// // mean 4, variance (1−p)/p² = 12.
-    /// let mut b = MarkovChain::builder();
-    /// let flip = b.state("flip", 1.0);
-    /// let head = b.absorbing("head");
-    /// b.transition(flip, head, 0.25);
-    /// b.transition(flip, flip, 0.75);
-    /// let c = b.build()?;
-    /// assert!((c.time_to_absorption_variance(flip)? - 12.0).abs() < 1e-9);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn time_to_absorption_variance(&self, start: StateId) -> Result<f64, MarkovError> {
-        let row = self.transient_row(start)?;
-        let q = self.q_matrix();
-        let a = Matrix::identity(q.rows()).sub(&q)?;
-        let r: Vec<f64> = self.transient.iter().map(|&s| self.residence[s]).collect();
-        // t = N·r via one solve.
-        let t = a.solve(&r)?;
-        // m2 = N·(r∘r + 2·r∘(Q·t)) via a second solve.
-        let qt = q.mul_vec(&t)?;
-        let rhs: Vec<f64> = r
-            .iter()
-            .zip(&qt)
-            .map(|(&ri, &qti)| ri * ri + 2.0 * ri * qti)
-            .collect();
-        let m2 = a.solve(&rhs)?;
-        Ok((m2[row] - t[row] * t[row]).max(0.0))
-    }
-
-    /// Expected number of visits to each transient state before absorption
-    /// when starting in `start` (the `start` row of `N`).
-    ///
-    /// # Errors
-    ///
-    /// As for [`MarkovChain::expected_time_to_absorption`].
-    pub fn expected_visits(&self, start: StateId) -> Result<Vec<(StateId, f64)>, MarkovError> {
-        let row = self.transient_row(start)?;
-        let n = self.fundamental_matrix()?;
-        Ok(self
-            .transient
-            .iter()
-            .enumerate()
-            .map(|(j, &s)| (StateId(s), n.get(row, j)))
-            .collect())
     }
 
     /// Probability of being absorbed in each absorbing state when starting
@@ -508,16 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn expected_visits_match_fundamental_matrix() {
-        let (c, ids) = drunkard();
-        let visits = c.expected_visits(ids[2]).unwrap();
-        let total: f64 = visits.iter().map(|(_, v)| v).sum();
-        // Unit residence everywhere ⇒ total visits == expected time.
-        assert!((total - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn variance_of_deterministic_path_is_zero() {
+    fn deterministic_path_time_is_the_residence_sum() {
         let mut b = MarkovChain::builder();
         let s0 = b.state("s0", 2.0);
         let s1 = b.state("s1", 3.0);
@@ -526,24 +427,6 @@ mod tests {
         b.transition(s1, end, 1.0);
         let c = b.build().unwrap();
         assert!((c.expected_time_to_absorption(s0).unwrap() - 5.0).abs() < 1e-12);
-        assert!(c.time_to_absorption_variance(s0).unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn variance_matches_two_outcome_branch() {
-        // One step of time 0, then absorb into A (time 1 more via s1) w.p.
-        // 0.5 or absorb immediately w.p. 0.5: total time ∈ {0, 1} with
-        // equal probability → mean 0.5, variance 0.25.
-        let mut b = MarkovChain::builder();
-        let s0 = b.state("s0", 0.0);
-        let s1 = b.state("s1", 1.0);
-        let end = b.absorbing("end");
-        b.transition(s0, s1, 0.5);
-        b.transition(s0, end, 0.5);
-        b.transition(s1, end, 1.0);
-        let c = b.build().unwrap();
-        assert!((c.expected_time_to_absorption(s0).unwrap() - 0.5).abs() < 1e-12);
-        assert!((c.time_to_absorption_variance(s0).unwrap() - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -641,10 +524,7 @@ mod tests {
     fn metadata_accessors() {
         let (c, ids) = drunkard();
         assert_eq!(c.state_count(), 5);
-        assert_eq!(c.transient_count(), 3);
         assert_eq!(c.state_name(ids[0]), "home");
-        assert!(c.is_absorbing(ids[0]));
-        assert!(!c.is_absorbing(ids[1]));
         assert_eq!(c.absorbing_states(), vec![ids[0], ids[4]]);
         assert_eq!(ids[1].to_string(), "S1");
     }

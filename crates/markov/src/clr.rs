@@ -228,7 +228,7 @@ impl FaultMechanism {
 
     /// The `(tag, payload)` words [`ClrChainSpec::digest`] folds in:
     /// `(0, 0)` for transient, `(1, perm_rate bits)` for permanent/aging.
-    pub fn encode_words(&self) -> (u64, u64) {
+    fn encode_words(&self) -> (u64, u64) {
         match self {
             FaultMechanism::Transient => (0, 0),
             FaultMechanism::PermanentAging { perm_rate } => (1, perm_rate.to_bits()),

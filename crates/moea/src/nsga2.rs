@@ -51,30 +51,6 @@ impl Nsga2Config {
         self
     }
 
-    /// Sets the crossover probability (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1]`.
-    #[must_use]
-    pub fn with_crossover_prob(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.crossover_prob = p;
-        self
-    }
-
-    /// Sets the mutation probability (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p ∉ [0, 1]`.
-    #[must_use]
-    pub fn with_mutation_prob(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.mutation_prob = p;
-        self
-    }
-
     /// Sets the tournament size (builder style).
     ///
     /// # Panics
@@ -823,11 +799,5 @@ mod tests {
     #[should_panic(expected = "population must hold")]
     fn tiny_population_rejected() {
         Nsga2Config::new(1, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "probability out of range")]
-    fn bad_probability_rejected() {
-        let _ = Nsga2Config::new(10, 10).with_crossover_prob(1.5);
     }
 }

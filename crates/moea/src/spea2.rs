@@ -64,18 +64,6 @@ impl Spea2Config {
         self.seed = seed;
         self
     }
-
-    /// Sets the archive size (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `size == 0`.
-    #[must_use]
-    pub fn with_archive_size(mut self, size: usize) -> Self {
-        assert!(size > 0, "archive must hold at least 1");
-        self.archive_size = size;
-        self
-    }
 }
 
 /// The SPEA2 optimizer; same [`Problem`]/[`Variation`] interface as
@@ -622,7 +610,8 @@ mod tests {
 
     #[test]
     fn archive_respects_size_bound() {
-        let cfg = Spea2Config::new(30, 15).with_seed(2).with_archive_size(12);
+        let mut cfg = Spea2Config::new(30, 15).with_seed(2);
+        cfg.archive_size = 12;
         let res = Spea2::new(Schaffer, Gaussian, cfg).run();
         assert!(res.archive().len() <= 12);
     }

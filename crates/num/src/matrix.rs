@@ -101,29 +101,6 @@ impl Matrix {
         })
     }
 
-    /// Builds a matrix from a flat row-major vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::RaggedRows`] if `data.len() != rows * cols` or
-    /// either dimension is zero.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # fn main() -> Result<(), clre_num::NumError> {
-    /// let m = clre_num::Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0])?;
-    /// assert_eq!(m, clre_num::Matrix::identity(2));
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, NumError> {
-        if rows == 0 || cols == 0 || data.len() != rows * cols {
-            return Err(NumError::RaggedRows);
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
     /// Returns the shape as `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
@@ -192,27 +169,6 @@ impl Matrix {
         self.data
     }
 
-    /// Returns the transpose.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # fn main() -> Result<(), clre_num::NumError> {
-    /// let m = clre_num::Matrix::from_rows(&[&[1.0, 2.0, 3.0]])?;
-    /// assert_eq!(m.transpose().shape(), (3, 1));
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t.set(c, r, self.get(r, c));
-            }
-        }
-        t
-    }
-
     /// Matrix product `self · rhs`.
     ///
     /// # Errors
@@ -237,31 +193,6 @@ impl Matrix {
                     out.data[i * rhs.cols + j] += a * rhs.get(k, j);
                 }
             }
-        }
-        Ok(out)
-    }
-
-    /// Matrix-vector product `self · v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumError::DimensionMismatch`] if `v.len() != self.cols`.
-    #[allow(clippy::needless_range_loop)] // dense kernel reads clearest indexed
-    pub fn mul_vec(&self, v: &[f64]) -> Result<Vec<f64>, NumError> {
-        if v.len() != self.cols {
-            return Err(NumError::DimensionMismatch {
-                left: self.shape(),
-                right: (v.len(), 1),
-                op: "mul_vec",
-            });
-        }
-        let mut out = vec![0.0; self.rows];
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for c in 0..self.cols {
-                acc += self.get(i, c) * v[c];
-            }
-            *o = acc;
         }
         Ok(out)
     }
@@ -457,13 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_checks_len() {
-        assert!(Matrix::from_vec(2, 2, vec![0.0; 3]).is_err());
-        assert!(Matrix::from_vec(0, 2, vec![]).is_err());
-        assert!(Matrix::from_vec(2, 2, vec![0.0; 4]).is_ok());
-    }
-
-    #[test]
     fn mul_matches_hand_computation() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]).unwrap();
@@ -482,13 +406,6 @@ mod tests {
             a.mul(&b),
             Err(NumError::DimensionMismatch { op: "mul", .. })
         ));
-    }
-
-    #[test]
-    fn mul_vec_works() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        assert_eq!(a.mul_vec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-        assert!(a.mul_vec(&[1.0]).is_err());
     }
 
     #[test]
@@ -513,13 +430,6 @@ mod tests {
         assert_eq!((&a + &b).unwrap(), a.scale(2.0));
         assert_eq!((&a - &b).unwrap(), Matrix::zeros(2, 2));
         assert_eq!((&a * &b).unwrap(), a);
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().get(2, 1), 6.0);
     }
 
     #[test]

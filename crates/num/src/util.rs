@@ -1,5 +1,5 @@
 //! Small numeric utilities shared across the workspace: compensated
-//! summation, approximate comparison, and clamped probabilities.
+//! summation and clamped probabilities.
 
 /// Kahan–Babuška compensated sum of an iterator of `f64`.
 ///
@@ -29,22 +29,6 @@ pub fn kahan_sum<I: IntoIterator<Item = f64>>(xs: I) -> f64 {
     sum + comp
 }
 
-/// Returns `true` when `a` and `b` agree to within `tol` absolutely or
-/// relatively (whichever is looser).
-///
-/// # Examples
-///
-/// ```
-/// use clre_num::util::approx_eq;
-///
-/// assert!(approx_eq(1.0, 1.0 + 1e-12, 1e-9));
-/// assert!(!approx_eq(1.0, 1.1, 1e-9));
-/// ```
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    let diff = (a - b).abs();
-    diff <= tol || diff <= tol * a.abs().max(b.abs())
-}
-
 /// Clamps `p` into the closed probability interval `[0, 1]`.
 ///
 /// Markov-chain arithmetic can produce values like `1.0 + 2e-16`; clamping
@@ -67,17 +51,6 @@ pub fn clamp_prob(p: f64) -> f64 {
     }
 }
 
-/// Linear interpolation between `a` and `b` at parameter `t ∈ [0, 1]`.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(clre_num::util::lerp(0.0, 10.0, 0.25), 2.5);
-/// ```
-pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
-    a + (b - a) * t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,21 +71,9 @@ mod tests {
     }
 
     #[test]
-    fn approx_eq_relative_mode() {
-        assert!(approx_eq(1e12, 1e12 + 1.0, 1e-9));
-        assert!(!approx_eq(1e12, 1.001e12, 1e-9));
-    }
-
-    #[test]
     fn clamp_prob_bounds() {
         assert_eq!(clamp_prob(0.5), 0.5);
         assert_eq!(clamp_prob(2.0), 1.0);
         assert_eq!(clamp_prob(-1.0), 0.0);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        assert_eq!(lerp(2.0, 8.0, 0.0), 2.0);
-        assert_eq!(lerp(2.0, 8.0, 1.0), 8.0);
     }
 }

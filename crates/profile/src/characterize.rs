@@ -1,4 +1,3 @@
-use clre_model::application::SysSw;
 use clre_model::platform::PeKind;
 use clre_model::{BaseImpl, Platform};
 use serde::{Deserialize, Serialize};
@@ -6,16 +5,14 @@ use serde::{Deserialize, Serialize};
 /// Deterministic synthetic characterization of task types.
 ///
 /// Plays the role of running Gem5/McPAT over each task type's source code:
-/// given a task-type index and a platform, it produces one or more
-/// [`BaseImpl`]s per PE type with cycle counts and switched capacitances
+/// given a task-type index and a platform, it produces one bare-metal
+/// [`BaseImpl`] per PE type with cycle counts and switched capacitances
 /// drawn from a seeded hash — reproducible across runs and machines, with
 /// no RNG state to thread through callers.
 ///
 /// Accelerator (reconfigurable-region) implementations get a 2–4×
 /// cycle-count reduction but higher switched capacitance, mirroring the
-/// usual FPGA-offload trade-off. When `impl_variants > 1`, processors also
-/// receive an RTOS-hosted variant with a small implicit system-software
-/// masking factor (the OS recovers some crashes transparently).
+/// usual FPGA-offload trade-off.
 ///
 /// # Examples
 ///
@@ -33,30 +30,12 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SyntheticCharacterizer {
     seed: u64,
-    impl_variants: u32,
 }
 
 impl SyntheticCharacterizer {
     /// Creates a characterizer producing one implementation per PE type.
     pub fn new(seed: u64) -> Self {
-        SyntheticCharacterizer {
-            seed,
-            impl_variants: 1,
-        }
-    }
-
-    /// Sets the number of implementation variants per processor PE type
-    /// (builder style). Variant 0 is bare-metal; subsequent variants are
-    /// RTOS-hosted with growing cycle overhead and implicit SSW masking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `variants == 0`.
-    #[must_use]
-    pub fn with_impl_variants(mut self, variants: u32) -> Self {
-        assert!(variants > 0, "at least one variant is required");
-        self.impl_variants = variants;
-        self
+        SyntheticCharacterizer { seed }
     }
 
     /// The seed this characterizer was built with.
@@ -66,7 +45,7 @@ impl SyntheticCharacterizer {
 
     /// Characterizes task type `type_index` on every PE type of `platform`.
     ///
-    /// Returns one [`BaseImpl`] per `(PE type, variant)` pair; the result is
+    /// Returns one [`BaseImpl`] per PE type; the result is
     /// a pure function of `(seed, type_index, platform shape)`.
     pub fn impls_for_type(&self, type_index: u32, platform: &Platform) -> Vec<BaseImpl> {
         let mut out = Vec::new();
@@ -95,32 +74,15 @@ impl SyntheticCharacterizer {
                     );
                 }
                 PeKind::Processor => {
-                    for variant in 0..self.impl_variants {
-                        let (suffix, overhead, sys_sw, implicit) = if variant == 0 {
-                            ("bare", 1.0, SysSw::BareMetal, 0.0)
-                        } else {
-                            // Each RTOS variant is a different algorithm /
-                            // language binding: more cycles, more implicit
-                            // masking from the managed runtime.
-                            (
-                                "rtos",
-                                1.0 + 0.15 * variant as f64,
-                                SysSw::Rtos,
-                                (0.04 * variant as f64).min(0.2),
-                            )
-                        };
-                        out.push(
-                            BaseImpl::new(
-                                format!("tt{type_index}-{}-{suffix}{variant}", pt.name()),
-                                clre_model::PeTypeId::new(pt_idx as u32),
-                                base_cycles * overhead,
-                                base_cap,
-                            )
-                            .with_sys_sw(sys_sw)
-                            .with_implicit_ssw_masking(implicit)
-                            .with_memory_bytes(base_mem * overhead),
-                        );
-                    }
+                    out.push(
+                        BaseImpl::new(
+                            format!("tt{type_index}-{}-bare0", pt.name()),
+                            clre_model::PeTypeId::new(pt_idx as u32),
+                            base_cycles,
+                            base_cap,
+                        )
+                        .with_memory_bytes(base_mem),
+                    );
                 }
             }
         }
@@ -186,25 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn variants_add_rtos_impls_on_processors_only() {
-        let p = paper_platform();
-        let impls = SyntheticCharacterizer::new(1)
-            .with_impl_variants(3)
-            .impls_for_type(0, &p);
-        // 2 processor types × 3 variants + 1 PR type × 1 = 7.
-        assert_eq!(impls.len(), 7);
-        let rtos = impls.iter().filter(|i| i.sys_sw() == SysSw::Rtos).count();
-        assert_eq!(rtos, 4);
-        // RTOS variants carry implicit masking; bare-metal does not.
-        for i in &impls {
-            match i.sys_sw() {
-                SysSw::Rtos => assert!(i.implicit_ssw_masking() > 0.0),
-                SysSw::BareMetal => assert_eq!(i.implicit_ssw_masking(), 0.0),
-            }
-        }
-    }
-
-    #[test]
     fn accelerator_is_faster_but_hungrier() {
         let p = paper_platform();
         let impls = SyntheticCharacterizer::new(11).impls_for_type(2, &p);
@@ -228,11 +171,5 @@ mod tests {
                 assert!(imp.memory_bytes() > 8.0 * 1024.0 && imp.memory_bytes() < 256.0 * 1024.0);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one variant")]
-    fn zero_variants_panics() {
-        let _ = SyntheticCharacterizer::new(0).with_impl_variants(0);
     }
 }

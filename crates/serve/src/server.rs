@@ -653,7 +653,7 @@ static TERM: AtomicBool = AtomicBool::new(false);
 
 /// Whether a `SIGTERM` has been received since
 /// [`install_sigterm_handler`] was installed.
-pub fn sigterm_received() -> bool {
+fn sigterm_received() -> bool {
     TERM.load(Ordering::SeqCst)
 }
 

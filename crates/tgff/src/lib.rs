@@ -97,49 +97,6 @@ impl TgffConfig {
         self.type_count = count;
         self
     }
-
-    /// Sets the application period in seconds (builder style).
-    #[must_use]
-    pub fn with_period(mut self, period: f64) -> Self {
-        self.period = period;
-        self
-    }
-
-    /// Sets the maximum graph width (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width == 0`.
-    #[must_use]
-    pub fn with_max_width(mut self, width: usize) -> Self {
-        assert!(width > 0, "width must be positive");
-        self.max_width = width;
-        self
-    }
-
-    /// Sets the maximum in-degree (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `deg == 0`.
-    #[must_use]
-    pub fn with_max_in_degree(mut self, deg: usize) -> Self {
-        assert!(deg > 0, "in-degree must be positive");
-        self.max_in_degree = deg;
-        self
-    }
-
-    /// Sets the edge data-volume range in bytes (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` or `lo < 0`.
-    #[must_use]
-    pub fn with_edge_volume_range(mut self, lo: f64, hi: f64) -> Self {
-        assert!(lo >= 0.0 && lo <= hi, "invalid volume range");
-        self.edge_volume_range = (lo, hi);
-        self
-    }
 }
 
 /// Generates a connected, layered DAG application.
@@ -281,7 +238,9 @@ mod tests {
 
     #[test]
     fn respects_width_and_degree_bounds() {
-        let cfg = TgffConfig::new(60).with_max_width(3).with_max_in_degree(2);
+        let mut cfg = TgffConfig::new(60);
+        cfg.max_width = 3;
+        cfg.max_in_degree = 2;
         let g = generate(&cfg, 9, one_impl).unwrap();
         // In-degree bound: layered edges ≤ 2, plus at most 1 skip edge.
         for t in g.tasks() {
@@ -316,14 +275,16 @@ mod tests {
 
     #[test]
     fn edges_carry_volumes_in_range() {
-        let cfg = TgffConfig::new(30).with_edge_volume_range(100.0, 200.0);
+        let mut cfg = TgffConfig::new(30);
+        cfg.edge_volume_range = (100.0, 200.0);
         let g = generate(&cfg, 5, one_impl).unwrap();
         assert!(!g.edges().is_empty());
         for &v in g.edge_volumes() {
             assert!((100.0..=200.0).contains(&v), "volume {v} out of range");
         }
         // Degenerate range pins every volume.
-        let cfg = TgffConfig::new(10).with_edge_volume_range(42.0, 42.0);
+        let mut cfg = TgffConfig::new(10);
+        cfg.edge_volume_range = (42.0, 42.0);
         let g = generate(&cfg, 5, one_impl).unwrap();
         for &v in g.edge_volumes() {
             assert_eq!(v, 42.0);
@@ -332,7 +293,8 @@ mod tests {
 
     #[test]
     fn period_and_name_propagate() {
-        let cfg = TgffConfig::new(4).with_period(2.5e-3);
+        let mut cfg = TgffConfig::new(4);
+        cfg.period = 2.5e-3;
         let g = generate(&cfg, 1, one_impl).unwrap();
         assert_eq!(g.period(), 2.5e-3);
         assert_eq!(g.name(), "tgff-4");
