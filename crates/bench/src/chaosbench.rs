@@ -35,7 +35,8 @@ use std::time::Duration;
 use clre::cache::cache_sidecar_path;
 use clre::methodology::{ClrEarly, StageBudget};
 use clre::resilience::{
-    quarantine_sidecar_path, BackoffPolicy, RunHealth, RunOutcome, RunSupervisor, SupervisorConfig,
+    quarantine_sidecar_path, BackoffPolicy, QuarantineRecord, QuarantineSidecar, RunHealth,
+    RunOutcome, RunSupervisor, SupervisorConfig,
 };
 use clre::tdse::{build_library_with_health, TdseConfig};
 use clre::{CampaignPlan, EvalCache};
@@ -169,13 +170,17 @@ fn fc_storm(
     if cache_sidecar.exists() {
         corrupt_file(&cache_sidecar, CHAOS_SEED, 2).expect("cache sidecar corruptible");
     }
-    // A torn quarantine sidecar: one malformed line amid a valid record.
+    // A torn quarantine sidecar: one malformed line after a valid record.
     let quarantine = quarantine_sidecar_path(&ckpt);
-    fs::write(
-        &quarantine,
-        "quarantine-v1 error=fabricated for chaos genome=g:0|p:0|c:0\n@@torn-line\n",
-    )
-    .expect("quarantine sidecar writable");
+    QuarantineSidecar::new(quarantine.clone())
+        .append(&[QuarantineRecord {
+            error: "fabricated for chaos".to_owned(),
+            genome: "g:0|p:0|c:0".to_owned(),
+        }])
+        .expect("quarantine sidecar writable");
+    let mut torn = fs::read(&quarantine).expect("quarantine sidecar readable");
+    torn.extend_from_slice(b"@@torn-line\n");
+    fs::write(&quarantine, torn).expect("quarantine sidecar writable");
 
     // Phase 3: cold resume — a fresh driver and a fresh cache bound to
     // the damaged sidecar, same storm, no further interrupts.

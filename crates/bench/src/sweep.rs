@@ -3,7 +3,7 @@
 //!
 //! Every `(experiment, task-count, method)` grid cell of the system
 //! sweeps is keyed, computed through the Campaign runner, and journalled
-//! to a sidecar file as one self-contained line. A killed `experiments`
+//! to a sidecar [`RecordLog`] as one sealed line. A killed `experiments`
 //! run restarted with the same `--ledger` file replays the finished
 //! cells from the journal — bit-exact, since objectives round-trip as
 //! IEEE-754 bit patterns — and resumes computing at the first missing
@@ -11,19 +11,21 @@
 //! compute; it is the deterministic stand-in for `kill -9` used by the
 //! CI sweep-resume leg.
 //!
-//! The journal is tolerant of torn tails: a process killed mid-write
-//! leaves at most one malformed final line, which the loader skips.
-//! Re-recorded cells simply append; the latest occurrence of a key wins.
+//! A process killed mid-write leaves a torn final line: the loader skips
+//! it and cuts it off before the next cell is journalled. Each cell
+//! reaches the file before the next one starts. Re-recorded cells simply
+//! append; the latest occurrence of a key wins.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::fs;
-use std::io::{self, Write as _};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 use std::sync::Mutex;
 
-/// First line of every ledger file.
-pub const LEDGER_HEADER: &str = "clrearly-sweep v1";
+use clre::journal::{seal, RecordLog};
+
+/// First line of every ledger file (v2: every cell line is sealed).
+pub const LEDGER_HEADER: &str = "clrearly-sweep v2";
 
 /// Report line appended when a sweep stops early because the cell budget
 /// ran out (see [`configure`]).
@@ -42,7 +44,8 @@ pub struct CellData {
 /// A sweep ledger bound to a sidecar journal file.
 #[derive(Debug, Default)]
 pub struct SweepLedger {
-    path: Option<PathBuf>,
+    /// The journal; `None` for an in-memory ledger.
+    log: Option<RecordLog>,
     cells: HashMap<String, CellData>,
     /// How many cells this ledger may compute (cached replays are free);
     /// past it, [`SweepLedger::cell_with`] returns `None` for new keys.
@@ -53,57 +56,28 @@ pub struct SweepLedger {
 
 impl SweepLedger {
     /// Opens (or creates) the journal at `path` and loads every finished
-    /// cell. Malformed lines — at most the torn tail of a killed run —
-    /// are skipped; for duplicate keys the latest line wins.
+    /// cell. Malformed lines — the torn tail of a killed run, or
+    /// corruption — are skipped; for duplicate keys the latest line wins.
     ///
     /// # Errors
     ///
     /// I/O failure, or a first line that is not [`LEDGER_HEADER`] (the
     /// file is some other format — refuse rather than misparse).
     pub fn open(path: &Path) -> io::Result<Self> {
-        let mut ledger = SweepLedger {
-            path: Some(path.to_path_buf()),
+        let mut cells = HashMap::new();
+        let (log, _skipped) = RecordLog::open(path, LEDGER_HEADER, |line| {
+            parse_cell(line).map(|(k, d)| cells.insert(k, d)).is_some()
+        })?;
+        Ok(SweepLedger {
+            log: Some(log),
+            cells,
             ..SweepLedger::default()
-        };
-        match fs::read_to_string(path) {
-            Ok(text) => {
-                let mut lines = text.lines();
-                match lines.next() {
-                    None => {}
-                    Some(first) if first == LEDGER_HEADER => {
-                        for line in lines {
-                            if let Some((key, data)) = parse_cell(line) {
-                                ledger.cells.insert(key, data);
-                            }
-                        }
-                    }
-                    Some(first) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("not a sweep ledger (header {first:?})"),
-                        ));
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        Ok(ledger)
+        })
     }
 
     /// Whether a cell was refused because the compute budget ran out.
     pub fn halted(&self) -> bool {
         self.halted
-    }
-
-    /// Number of cells computed (not replayed) through this ledger.
-    pub fn computed(&self) -> usize {
-        self.computed
-    }
-
-    /// The finished cell for `key`, if the journal has one.
-    pub fn lookup(&self, key: &str) -> Option<&CellData> {
-        self.cells.get(key)
     }
 
     /// Replays `key` from the journal, or computes it via `compute` and
@@ -128,36 +102,19 @@ impl SweepLedger {
         }
         let data = compute();
         self.computed += 1;
-        self.append(key, &data)
-            .unwrap_or_else(|e| panic!("sweep ledger append failed: {e}"));
+        if let Some(log) = &mut self.log {
+            log.append(&seal(encode_cell(key, &data)))
+                .and_then(|()| log.flush())
+                .unwrap_or_else(|e| panic!("sweep ledger append failed: {e}"));
+        }
         self.cells.insert(key.to_owned(), data.clone());
         Some(data)
     }
-
-    /// Appends one finished cell to the journal (writing the header
-    /// first when the file is new or empty). In-memory ledgers (no
-    /// path) skip the write.
-    fn append(&self, key: &str, data: &CellData) -> io::Result<()> {
-        let Some(path) = &self.path else {
-            return Ok(());
-        };
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            fs::create_dir_all(dir)?;
-        }
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        if file.metadata()?.len() == 0 {
-            writeln!(file, "{LEDGER_HEADER}")?;
-        }
-        writeln!(file, "{}", encode_cell(key, data))?;
-        Ok(())
-    }
 }
 
-/// One journal line: `cell <key> <evaluations> <points> <arity> <hex>*`
-/// with every objective as an IEEE-754 bit pattern (exact round-trip).
+/// One journal record body (sealed on append):
+/// `cell <key> <evaluations> <points> <arity> <hex>*` with every
+/// objective as an IEEE-754 bit pattern (exact round-trip).
 fn encode_cell(key: &str, data: &CellData) -> String {
     let arity = data.objectives.first().map_or(0, Vec::len);
     let mut line = format!(
@@ -249,6 +206,8 @@ pub fn cell(key: &str, compute: impl FnOnce() -> CellData) -> Option<CellData> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
+    use std::path::PathBuf;
 
     fn sample(seed: f64) -> CellData {
         CellData {
@@ -263,6 +222,20 @@ mod tests {
         dir.join(name)
     }
 
+    /// The sealed line a ledger journals for one cell, newline included.
+    fn journal_line(key: &str, data: &CellData) -> String {
+        static FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = temp_path(&format!("line-{}-{n}.sweep", std::process::id()));
+        let _ = fs::remove_file(&path);
+        let mut ledger = SweepLedger::open(&path).unwrap();
+        ledger.cell_with(key, || data.clone()).unwrap();
+        drop(ledger);
+        let text = fs::read_to_string(&path).unwrap();
+        fs::remove_file(&path).unwrap();
+        format!("{}\n", text.lines().nth(1).unwrap())
+    }
+
     #[test]
     fn cells_roundtrip_through_the_journal() {
         let path = temp_path("roundtrip.sweep");
@@ -275,11 +248,11 @@ mod tests {
         };
         assert_eq!(ledger.cell_with("t/a", || a.clone()), Some(a.clone()));
         assert_eq!(ledger.cell_with("t/b", || b.clone()), Some(b.clone()));
-        assert_eq!(ledger.computed(), 2);
+        assert_eq!(ledger.computed, 2);
 
         let reopened = SweepLedger::open(&path).unwrap();
-        assert_eq!(reopened.lookup("t/a"), Some(&a));
-        assert_eq!(reopened.lookup("t/b"), Some(&b));
+        assert_eq!(reopened.cells.get("t/a"), Some(&a));
+        assert_eq!(reopened.cells.get("t/b"), Some(&b));
         let text = fs::read_to_string(&path).unwrap();
         assert!(text.starts_with(LEDGER_HEADER));
     }
@@ -295,25 +268,23 @@ mod tests {
             .cell_with("t/a", || panic!("must replay, not recompute"))
             .unwrap();
         assert_eq!(hit, sample(2.0));
-        assert_eq!(reopened.computed(), 0);
+        assert_eq!(reopened.computed, 0);
     }
 
     #[test]
     fn torn_tail_and_duplicates_are_handled() {
         let path = temp_path("torn.sweep");
         let mut text = format!("{LEDGER_HEADER}\n");
-        text.push_str(&encode_cell("t/a", &sample(1.0)));
-        text.push('\n');
-        text.push_str(&encode_cell("t/a", &sample(9.0)));
-        text.push('\n');
+        text.push_str(&journal_line("t/a", &sample(1.0)));
+        text.push_str(&journal_line("t/a", &sample(9.0)));
         // A kill mid-write leaves a truncated final line.
-        let torn = encode_cell("t/b", &sample(3.0));
+        let torn = journal_line("t/b", &sample(3.0));
         text.push_str(&torn[..torn.len() / 2]);
         fs::write(&path, text).unwrap();
 
         let ledger = SweepLedger::open(&path).unwrap();
-        assert_eq!(ledger.lookup("t/a"), Some(&sample(9.0)), "latest wins");
-        assert_eq!(ledger.lookup("t/b"), None, "torn tail skipped");
+        assert_eq!(ledger.cells.get("t/a"), Some(&sample(9.0)), "latest wins");
+        assert_eq!(ledger.cells.get("t/b"), None, "torn tail skipped");
     }
 
     #[test]
@@ -333,15 +304,44 @@ mod tests {
     #[test]
     fn torn_duplicate_never_replaces_a_good_cell() {
         let path = temp_path("torn-duplicate.sweep");
-        let line = encode_cell("t/a", &sample(9.0));
+        let line = journal_line("t/a", &sample(9.0));
         for cut in 0..line.len() {
             let mut text = format!("{LEDGER_HEADER}\n");
-            text.push_str(&encode_cell("t/a", &sample(1.0)));
-            text.push('\n');
+            text.push_str(&journal_line("t/a", &sample(1.0)));
             text.push_str(&line[..cut]);
             fs::write(&path, text).unwrap();
             let ledger = SweepLedger::open(&path).unwrap();
-            assert_eq!(ledger.lookup("t/a"), Some(&sample(1.0)), "cut at {cut}");
+            assert_eq!(ledger.cells.get("t/a"), Some(&sample(1.0)), "cut at {cut}");
+        }
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn every_cut_of_the_last_cell_replays_nothing_or_all_and_the_next_cell_survives() {
+        let path = temp_path("cuts.sweep");
+        let first = journal_line("t/a", &sample(1.0));
+        let last = journal_line("t/b", &sample(2.0));
+        let prefix = format!("{LEDGER_HEADER}\n{first}");
+        for cut in 0..=last.len() {
+            fs::write(&path, format!("{prefix}{}", &last[..cut])).unwrap();
+            let mut ledger = SweepLedger::open(&path).unwrap();
+            assert_eq!(ledger.cells.get("t/a"), Some(&sample(1.0)));
+            let whole = cut == last.len();
+            assert_eq!(
+                ledger.cells.get("t/b").cloned(),
+                whole.then(|| sample(2.0)),
+                "cut at {cut}"
+            );
+            ledger.cell_with("t/c", || sample(3.0)).unwrap();
+            drop(ledger);
+
+            let mut replay = SweepLedger::open(&path).unwrap();
+            replay.halt_after = Some(0);
+            assert_eq!(
+                replay.cell_with("t/c", || panic!("must replay")),
+                Some(sample(3.0)),
+                "the cell journalled after a cut at {cut} was lost"
+            );
         }
         fs::remove_file(&path).unwrap();
     }

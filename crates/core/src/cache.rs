@@ -22,15 +22,14 @@
 //!
 //! # Persistence
 //!
-//! [`EvalCache::bind_sidecar`] attaches an append-only journal (header
-//! [`CACHE_HEADER`]) next to the campaign checkpoint: existing fitness
-//! entries are loaded (warm start), and every subsequent first-insert
-//! appends one self-contained line. Like the sweep ledger, the file is
-//! torn-tail tolerant — a process killed mid-write leaves at most one
-//! malformed line, which the loader skips; a corrupted or foreign file
-//! degrades to a cold cache without error. An older sidecar's
-//! `analysis`/`analysis2` lines no longer parse; they are counted in
-//! [`EvalCache::sidecar_skipped`].
+//! [`EvalCache::bind_sidecar`] attaches an append-only journal (a
+//! [`RecordLog`] with header [`CACHE_HEADER`]) next to the campaign
+//! checkpoint: existing fitness entries are loaded (warm start), up to
+//! the entry ceiling, and every subsequent first-insert appends one
+//! sealed line. A torn tail or a corrupt line is skipped; a foreign
+//! file degrades to a cold cache without error. An older sidecar's
+//! `analysis`/`analysis2` lines no longer parse; they are counted with
+//! the skipped lines [`EvalCache::bind_sidecar`] returns.
 //!
 //! Journal lines are encoded only while a journal is bound: an unbound
 //! cache (every in-memory `ClrEarly`) checks one atomic flag per
@@ -69,15 +68,15 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::fs;
-use std::io::{self, BufWriter, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use clre_model::qos::SystemMetrics;
 
 use crate::encoding::Genome;
+use crate::journal::{seal, RecordLog};
 
 /// First line of every cache sidecar file.
 pub const CACHE_HEADER: &str = "clrearly-cache v1";
@@ -174,15 +173,10 @@ type FitnessShard = Mutex<HashMap<u64, FitnessSlot>>;
 pub struct EvalCache {
     fitness: Vec<FitnessShard>,
     fitness_stats: Stats,
-    /// The bound journal. `BufWriter` flushes on drop, so a cache that
-    /// goes out of scope leaves its whole journal on disk.
-    sidecar: Mutex<Option<BufWriter<fs::File>>>,
-    /// Whether `sidecar` holds a journal; read without the lock so an
-    /// unbound cache skips encoding entirely. Set (`Release`) only after
-    /// the journal is stored, so a reader that sees it (`Acquire`) finds
-    /// the journal in place.
-    bound: AtomicBool,
-    sidecar_skipped: AtomicU64,
+    /// The journal, bound at most once; an unbound cache skips encoding
+    /// after one atomic load. A dropped log flushes, so a cache that goes
+    /// out of scope leaves its whole journal on disk.
+    sidecar: OnceLock<Mutex<RecordLog>>,
     /// Monotonic recency clock; bumped on every hit and insert, stamped
     /// into the touched slot.
     tick: AtomicU64,
@@ -204,9 +198,7 @@ impl EvalCache {
         EvalCache {
             fitness: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             fitness_stats: Stats::default(),
-            sidecar: Mutex::new(None),
-            bound: AtomicBool::new(false),
-            sidecar_skipped: AtomicU64::new(0),
+            sidecar: OnceLock::new(),
             tick: AtomicU64::new(0),
             entry_ceiling: AtomicUsize::new(0),
         }
@@ -340,110 +332,82 @@ impl EvalCache {
     }
 
     /// Binds this cache to an append-only sidecar journal: loads every
-    /// fitness entry already journalled at `path` (warm start), then
-    /// appends one line per future fitness first-insert.
+    /// fitness entry already journalled at `path` (warm start, evicting
+    /// past the entry ceiling as inserts would), then appends one line
+    /// per future fitness first-insert.
     ///
     /// Degrades rather than fails: a missing file is created; malformed
-    /// lines — at most the torn tail of a killed run, or wholesale
-    /// corruption — are skipped; a file with a foreign header is left
-    /// untouched and the cache simply stays unbound (cold, in-memory
-    /// only).
+    /// lines — the torn tail of a killed run, or wholesale corruption —
+    /// are skipped; a file with a foreign header is left untouched and
+    /// the cache simply stays unbound (cold, in-memory only). A bound
+    /// cache keeps its journal and ignores later binds.
+    ///
+    /// Returns the number of journal lines skipped: torn tails,
+    /// corruption, integrity-digest mismatches, or records of a kind this
+    /// build does not persist. Each skip degrades one entry to a
+    /// recomputation, never to a wrong answer.
     ///
     /// # Errors
     ///
     /// Only genuine I/O failures (permissions, disk) are reported.
-    pub fn bind_sidecar(&self, path: &Path) -> io::Result<()> {
-        match fs::read_to_string(path) {
-            Ok(text) => {
-                let mut lines = text.lines();
-                match lines.next() {
-                    Some(first) if first != CACHE_HEADER => {
-                        // Foreign file: never append into it.
-                        return Ok(());
-                    }
-                    _ => {}
-                }
-                for line in lines {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    if !self.load_line(line) {
-                        self.sidecar_skipped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+    pub fn bind_sidecar(&self, path: &Path) -> io::Result<usize> {
+        if self.is_bound() {
+            return Ok(0);
+        }
+        match RecordLog::open(path, CACHE_HEADER, |line| self.load_line(line)) {
+            Ok((log, skipped)) => {
+                let _ = self.sidecar.set(Mutex::new(log));
+                Ok(skipped)
             }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => Ok(0),
+            Err(e) => Err(e),
         }
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            fs::create_dir_all(dir)?;
-        }
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        if file.metadata()?.len() == 0 {
-            writeln!(file, "{CACHE_HEADER}")?;
-        }
-        // Replacing an earlier journal drops (and so flushes) it.
-        *self.sidecar.lock().expect("cache sidecar poisoned") = Some(BufWriter::new(file));
-        self.bound.store(true, Ordering::Release);
-        Ok(())
     }
 
-    /// Whether a sidecar journal is currently bound.
+    /// Whether a sidecar journal is bound.
     pub fn is_bound(&self) -> bool {
-        self.bound.load(Ordering::Acquire)
+        self.sidecar.get().is_some()
     }
 
     /// Writes the bound journal's buffered lines through to its file. A
     /// no-op when unbound; failures are swallowed like append failures.
     pub(crate) fn flush_sidecar(&self) {
-        let mut guard = self.sidecar.lock().expect("cache sidecar poisoned");
-        if let Some(journal) = guard.as_mut() {
-            let _ = journal.flush();
+        if let Some(journal) = self.sidecar.get() {
+            let _ = journal.lock().expect("cache sidecar poisoned").flush();
         }
     }
 
-    /// Number of sidecar lines skipped while loading: torn tails,
-    /// wholesale corruption, integrity-digest mismatches, or records of a
-    /// kind this build does not persist. Each skip
-    /// degrades exactly one entry to a recomputation, never to a wrong
-    /// answer.
-    pub fn sidecar_skipped(&self) -> u64 {
-        self.sidecar_skipped.load(Ordering::Relaxed)
-    }
-
-    /// Inserts one journal line without re-appending it; returns whether
-    /// the line was loadable. Malformed or digest-mismatching lines are
-    /// skipped (torn-tail tolerance).
+    /// Inserts one verified journal record without re-appending it and
+    /// returns whether it parsed. Past the entry ceiling the shard evicts
+    /// its least-recently-loaded entries; loads count neither as inserts
+    /// nor as evictions.
     fn load_line(&self, line: &str) -> bool {
-        let Some(entry) = verify_line(line).and_then(parse_fitness) else {
+        let Some(entry) = parse_fitness(line) else {
             return false;
         };
         let digest = fitness_digest(entry.problem, &entry.genome);
         let tick = self.next_tick();
-        self.fitness[Self::shard(digest)]
+        let mut shard = self.fitness[Self::shard(digest)]
             .lock()
-            .expect("fitness cache poisoned")
-            .entry(digest)
-            .or_insert(FitnessSlot { entry, tick });
+            .expect("fitness cache poisoned");
+        shard.entry(digest).or_insert(FitnessSlot { entry, tick });
+        if let Some(cap) = self.shard_cap() {
+            evict_lru(&mut shard, cap, digest);
+        }
         true
     }
 
     /// Appends the line `encode` builds to the bound sidecar. Unbound
-    /// caches never call `encode`; bound ones call it outside the lock.
-    /// Append failure is deliberately swallowed: the cache is an
-    /// accelerator, a full disk must not fail the evaluation itself.
+    /// caches never call `encode`; bound ones encode and seal outside
+    /// the lock. Append failure is deliberately swallowed: the cache is
+    /// an accelerator, a full disk must not fail the evaluation itself.
     fn append_line(&self, encode: impl FnOnce() -> String) {
-        if !self.is_bound() {
-            return;
-        }
-        let mut line = encode();
-        line.push('\n');
-        let mut guard = self.sidecar.lock().expect("cache sidecar poisoned");
-        if let Some(journal) = guard.as_mut() {
-            let _ = journal.write_all(line.as_bytes());
+        if let Some(journal) = self.sidecar.get() {
+            let record = seal(encode());
+            let _ = journal
+                .lock()
+                .expect("cache sidecar poisoned")
+                .append(&record);
         }
     }
 }
@@ -470,10 +434,7 @@ fn evict_lru(shard: &mut HashMap<u64, FitnessSlot>, cap: usize, keep: u64) -> u6
 /// The sidecar journal path for a given checkpoint path: `cache.txt` next
 /// to the checkpoint (mirroring the quarantine sidecar convention).
 pub fn cache_sidecar_path(checkpoint_path: &Path) -> PathBuf {
-    match checkpoint_path.parent() {
-        Some(dir) => dir.join("cache.txt"),
-        None => PathBuf::from("cache.txt"),
-    }
+    checkpoint_path.with_file_name("cache.txt")
 }
 
 /// Digest of one fitness key: the problem digest folded with every gene's
@@ -489,33 +450,6 @@ fn fitness_digest(problem: u64, genome: &Genome) -> u64 {
     fnv.finish()
 }
 
-/// Appends the per-line integrity token `i=<fnv1a64-hex>`, the digest of
-/// every byte before it. A bit flip anywhere in the record — not just a
-/// torn tail — is then caught by [`verify_line`] on reload.
-fn seal_line(mut line: String) -> String {
-    let digest = Fnv::hash_bytes(line.as_bytes());
-    let _ = write!(line, " i={digest:016x}");
-    line
-}
-
-/// Checks a line's integrity token and returns the record body.
-///
-/// Lines written before the token existed (no ` i=` marker) pass through
-/// unchanged — old sidecars keep warm-starting. A token that is present
-/// but malformed or mismatching yields `None`: the line is corrupt and
-/// must degrade to a recomputation.
-fn verify_line(line: &str) -> Option<&str> {
-    let Some(at) = line.rfind(" i=") else {
-        return Some(line); // legacy line, no token
-    };
-    let (body, token) = (&line[..at], &line[at + 3..]);
-    if token.len() != 16 {
-        return None;
-    }
-    let digest = u64::from_str_radix(token, 16).ok()?;
-    (Fnv::hash_bytes(body.as_bytes()) == digest).then_some(body)
-}
-
 fn f64_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())
 }
@@ -527,8 +461,8 @@ fn parse_f64_hex(tok: &str) -> Option<f64> {
     u64::from_str_radix(tok, 16).ok().map(f64::from_bits)
 }
 
-/// One fitness line:
-/// `fitness <problem hex> <n> <task:pe:choice>* <violation> <5 metric hex> i=<digest>`
+/// One fitness record body (the journal seals it with ` i=<digest>`):
+/// `fitness <problem hex> <n> <task:pe:choice>* <violation> <5 metric hex>`
 fn encode_fitness(problem: u64, genome: &Genome, value: &CachedFitness) -> String {
     let mut line = format!("fitness {problem:016x} {}", genome.len());
     for gene in genome {
@@ -550,7 +484,7 @@ fn encode_fitness(problem: u64, genome: &Genome, value: &CachedFitness) -> Strin
         f64_hex(value.metrics.energy),
         f64_hex(value.metrics.peak_power),
     );
-    seal_line(line)
+    line
 }
 
 fn parse_fitness(line: &str) -> Option<FitnessEntry> {
@@ -611,7 +545,9 @@ fn parse_fitness(line: &str) -> Option<FitnessEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::seal;
     use clre_model::{PeId, TaskId};
+    use std::fs;
 
     fn genome(seed: u32) -> Genome {
         (0..3)
@@ -710,27 +646,24 @@ mod tests {
             body.push_str(&format!(" {}", hex(0.25)));
         }
         body.push_str(" 0 0");
-        let old = [
-            seal_line(format!("analysis{body}")),
-            format!("analysis{body}"),
-            seal_line(format!("analysis2 1 {}{body}", hex(25.0))),
-        ];
-        let good = encode_fitness(7, &genome(1), &fitness_value(1.0));
+        let good = seal(encode_fitness(7, &genome(1), &fitness_value(1.0)));
         fs::write(
             &path,
             format!(
-                "{CACHE_HEADER}\n{}\n{good}\n{}\n{}\n",
-                old[0], old[1], old[2]
+                "{CACHE_HEADER}\n{}{}analysis{body}\n{}",
+                seal(format!("analysis{body}")).as_str(),
+                good.as_str(),
+                seal(format!("analysis2 1 {}{body}", hex(25.0))).as_str(),
             ),
         )
         .unwrap();
 
         let cache = EvalCache::new();
-        cache.bind_sidecar(&path).unwrap();
+        let skipped = cache.bind_sidecar(&path).unwrap();
         assert!(cache.is_bound());
         assert_eq!(cache.fitness(7, &genome(1)), Some(fitness_value(1.0)));
         assert_eq!(cache.fitness_len(), 1);
-        assert_eq!(cache.sidecar_skipped(), 3);
+        assert_eq!(skipped, 3);
         fs::remove_file(&path).unwrap();
     }
 
@@ -751,9 +684,9 @@ mod tests {
         drop(cache);
 
         let warm = EvalCache::new();
-        warm.bind_sidecar(&path).unwrap();
+        let skipped = warm.bind_sidecar(&path).unwrap();
         assert_eq!(warm.fitness_len(), 50);
-        assert_eq!(warm.sidecar_skipped(), 0);
+        assert_eq!(skipped, 0);
         fs::remove_file(&path).unwrap();
     }
 
@@ -761,17 +694,16 @@ mod tests {
     fn torn_tail_degrades_to_partial_load() {
         let path = temp_path("torn.cache");
         let mut text = format!("{CACHE_HEADER}\n");
-        text.push_str(&encode_fitness(7, &genome(2), &fitness_value(2.0)));
-        text.push('\n');
-        let torn = encode_fitness(7, &genome(1), &fitness_value(1.0));
-        text.push_str(&torn[..torn.len() / 2]);
+        text.push_str(seal(encode_fitness(7, &genome(2), &fitness_value(2.0))).as_str());
+        let torn = seal(encode_fitness(7, &genome(1), &fitness_value(1.0)));
+        text.push_str(&torn.as_str()[..torn.as_str().len() / 2]);
         fs::write(&path, text).unwrap();
 
         let cache = EvalCache::new();
-        cache.bind_sidecar(&path).unwrap();
+        let skipped = cache.bind_sidecar(&path).unwrap();
         assert_eq!(cache.fitness(7, &genome(2)), Some(fitness_value(2.0)));
         assert_eq!(cache.fitness(7, &genome(1)), None, "torn tail skipped");
-        assert_eq!(cache.sidecar_skipped(), 1);
+        assert_eq!(skipped, 1);
     }
 
     #[test]
@@ -816,35 +748,110 @@ mod tests {
     }
 
     #[test]
-    fn sidecar_lines_carry_verified_integrity_tokens() {
-        let line = encode_fitness(7, &genome(1), &fitness_value(1.0));
-        assert!(line.contains(" i="), "encoder seals every line");
-        assert!(verify_line(&line).is_some());
-        // A single-bit flip in the body fails the digest.
-        let mut tampered = line.clone().into_bytes();
-        tampered[10] ^= 0x01;
-        let tampered = String::from_utf8(tampered).unwrap();
-        assert_eq!(verify_line(&tampered), None);
-        // A legacy line without a token passes through unchanged.
-        let body = &line[..line.rfind(" i=").unwrap()];
-        assert_eq!(verify_line(body), Some(body));
-        assert!(parse_fitness(body).is_some(), "legacy lines still parse");
+    fn journal_lines_are_sealed_and_unsealed_lines_are_skipped() {
+        let path = temp_path("sealed.cache");
+        let _ = fs::remove_file(&path);
+        let cache = EvalCache::new();
+        cache.bind_sidecar(&path).unwrap();
+        cache.insert_fitness(7, &genome(1), fitness_value(1.0));
+        drop(cache);
+        let text = fs::read_to_string(&path).unwrap();
+        let line = text.lines().nth(1).unwrap();
+        assert_eq!(
+            format!("{line}\n"),
+            seal(encode_fitness(7, &genome(1), &fitness_value(1.0))).as_str(),
+            "the journal writes the sealed encoding"
+        );
+        // A body without its seal is no longer trusted.
+        let body = encode_fitness(7, &genome(2), &fitness_value(2.0));
+        fs::write(&path, format!("{text}{body}\n")).unwrap();
+        let warm = EvalCache::new();
+        let skipped = warm.bind_sidecar(&path).unwrap();
+        assert_eq!(warm.fitness(7, &genome(1)), Some(fitness_value(1.0)));
+        assert_eq!(warm.fitness(7, &genome(2)), None);
+        assert_eq!(skipped, 1);
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn every_cut_of_the_last_line_loads_nothing_or_all_and_the_next_insert_survives() {
+        let path = temp_path("cuts.cache");
+        let first = seal(encode_fitness(7, &genome(1), &fitness_value(1.0)));
+        let last = seal(encode_fitness(7, &genome(2), &fitness_value(2.0)));
+        let prefix = format!("{CACHE_HEADER}\n{}", first.as_str());
+        for cut in 0..=last.as_str().len() {
+            fs::write(&path, format!("{prefix}{}", &last.as_str()[..cut])).unwrap();
+            let cache = EvalCache::new();
+            cache.bind_sidecar(&path).unwrap();
+            assert_eq!(cache.fitness(7, &genome(1)), Some(fitness_value(1.0)));
+            let loaded = cache.fitness(7, &genome(2));
+            let whole = cut == last.as_str().len();
+            assert_eq!(loaded, whole.then_some(fitness_value(2.0)), "cut at {cut}");
+            cache.insert_fitness(7, &genome(3), fitness_value(3.0));
+            drop(cache);
+
+            let warm = EvalCache::new();
+            let skipped = warm.bind_sidecar(&path).unwrap();
+            assert_eq!(
+                warm.fitness(7, &genome(3)),
+                Some(fitness_value(3.0)),
+                "the insert after a cut at {cut} was lost"
+            );
+            assert_eq!(skipped, 0, "cut at {cut}");
+        }
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn sidecar_load_honours_the_entry_ceiling() {
+        let path = temp_path("ceiling.cache");
+        let _ = fs::remove_file(&path);
+        let cache = EvalCache::new();
+        cache.bind_sidecar(&path).unwrap();
+        for i in 0..500u32 {
+            cache.insert_fitness(7, &genome(i), fitness_value(1.0));
+        }
+        drop(cache);
+
+        let warm = EvalCache::new();
+        warm.set_entry_ceiling(32);
+        warm.bind_sidecar(&path).unwrap();
+        let resident = warm.fitness_len();
+        assert!(
+            resident <= 32 && resident > 0,
+            "{resident} entries loaded past a ceiling of 32"
+        );
+        let counts = warm.fitness_counts();
+        assert_eq!(
+            (counts.inserts, counts.evictions),
+            (0, 0),
+            "loads are not activity"
+        );
+        // The newest journal line of a shard survives the load.
+        assert_eq!(warm.fitness(7, &genome(499)), Some(fitness_value(1.0)));
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn corrupt_sidecar_lines_are_skipped_and_counted() {
         let path = temp_path("tampered.cache");
-        let good = encode_fitness(7, &genome(2), &fitness_value(2.0));
-        let tampered = encode_fitness(7, &genome(1), &fitness_value(1.0));
+        let good = seal(encode_fitness(7, &genome(2), &fitness_value(2.0)));
+        let tampered = seal(encode_fitness(7, &genome(1), &fitness_value(1.0)));
         // Flip one byte inside the record's digest-covered body.
-        let tampered = tampered.replacen("0000000000000007", "0000000000000008", 1);
-        fs::write(&path, format!("{CACHE_HEADER}\n{good}\n{tampered}\n")).unwrap();
+        let tampered = tampered
+            .as_str()
+            .replacen("0000000000000007", "0000000000000008", 1);
+        fs::write(
+            &path,
+            format!("{CACHE_HEADER}\n{}{tampered}", good.as_str()),
+        )
+        .unwrap();
 
         let cache = EvalCache::new();
-        cache.bind_sidecar(&path).unwrap();
+        let skipped = cache.bind_sidecar(&path).unwrap();
         assert_eq!(cache.fitness(7, &genome(2)), Some(fitness_value(2.0)));
         assert_eq!(cache.fitness(7, &genome(1)), None, "tampered line dropped");
-        assert_eq!(cache.sidecar_skipped(), 1);
+        assert_eq!(skipped, 1);
         fs::remove_file(&path).unwrap();
     }
 

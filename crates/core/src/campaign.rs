@@ -58,9 +58,9 @@ use crate::library::ImplLibrary;
 use crate::methodology::{ClrEarly, FrontPoint, FrontResult, Layer, StageBudget};
 use crate::problem::SystemProblem;
 use crate::resilience::{
-    quarantine_sidecar_path, read_quarantine_sidecar, remove_checkpoint_files,
-    write_quarantine_sidecar, AlgorithmTag, Checkpoint, CheckpointWriter, CompletedStage,
-    QuarantineRecord, ResilientProblem, RunHealth, RunOutcome, RunSupervisor, StageIdentity,
+    quarantine_sidecar_path, remove_checkpoint_files, AlgorithmTag, Checkpoint, CheckpointWriter,
+    CompletedStage, QuarantineSidecar, ResilientProblem, RunHealth, RunOutcome, RunSupervisor,
+    StageIdentity,
 };
 use crate::tdse::{build_library, DvfsPolicy};
 use crate::DseError;
@@ -502,6 +502,9 @@ impl<'a> ClrEarly<'a> {
     ) -> Result<RunOutcome, DseError> {
         plan.assert_well_formed();
         self.bind_cache_sidecar(supervisor);
+        // A fresh run's sidecar holds only its own records (none if clean).
+        let quarantine = quarantine_sidecar_path(supervisor.checkpoint_path());
+        let _ = std::fs::remove_file(&quarantine);
         self.drive_campaign(
             plan,
             budget,
@@ -510,7 +513,7 @@ impl<'a> ClrEarly<'a> {
             Vec::new(),
             RunHealth::default(),
             None,
-            Vec::new(),
+            QuarantineSidecar::new(quarantine),
         )
     }
 
@@ -533,8 +536,9 @@ impl<'a> ClrEarly<'a> {
     /// generations since that rotation. Every skipped file is counted in
     /// [`RunHealth::checkpoint_fallbacks`]. The quarantine sidecar is
     /// re-read alongside (malformed lines skipped and counted in
-    /// [`RunHealth::sidecar_lines_skipped`]) so previously quarantined
-    /// genomes stay visible in the resumed run's sidecar.
+    /// [`RunHealth::sidecar_lines_skipped`], a foreign file counted as
+    /// one and moved aside by the first append), and the resumed run
+    /// appends its quarantines after the records already there.
     ///
     /// # Errors
     ///
@@ -571,9 +575,8 @@ impl<'a> ClrEarly<'a> {
             health.resumed_from_generation = Some(state.generation);
         }
         health.checkpoint_fallbacks += fallbacks;
-        let (quarantine_seed, malformed) =
-            read_quarantine_sidecar(&quarantine_sidecar_path(supervisor.checkpoint_path()))?;
-        health.sidecar_lines_skipped += malformed;
+        let quarantine = quarantine_sidecar_path(supervisor.checkpoint_path());
+        health.sidecar_lines_skipped += QuarantineSidecar::read(&quarantine)?.1;
         // Completed stages are reconstituted from their checkpointed
         // genomes: metrics (and thus objectives) are a pure function of
         // the genome, so the fronts need no re-evaluation.
@@ -594,7 +597,7 @@ impl<'a> ClrEarly<'a> {
             results,
             health,
             Some(state),
-            quarantine_seed,
+            QuarantineSidecar::new(quarantine),
         )
     }
 
@@ -612,7 +615,7 @@ impl<'a> ClrEarly<'a> {
         mut results: Vec<FrontResult>,
         base_health: RunHealth,
         mut resume: Option<EvoSnapshot<Genome>>,
-        mut quarantine_seed: Vec<QuarantineRecord>,
+        mut quarantine: QuarantineSidecar,
     ) -> Result<RunOutcome, DseError> {
         let mut health = base_health;
         // One writer per drive: its buffer is reused by every stage, and
@@ -649,7 +652,7 @@ impl<'a> ClrEarly<'a> {
                 seeds,
                 health.clone(),
                 resume.take(),
-                std::mem::take(&mut quarantine_seed),
+                &mut quarantine,
             )?;
             match outcome {
                 StageOutcome::Interrupted { generation } => {
@@ -713,9 +716,7 @@ impl<'a> ClrEarly<'a> {
     /// degrade it to in-memory, not fail the campaign.
     fn bind_cache_sidecar(&self, supervisor: &RunSupervisor) {
         if let Some(cache) = &self.cache {
-            if !cache.is_bound() {
-                let _ = cache.bind_sidecar(&cache_sidecar_path(supervisor.checkpoint_path()));
-            }
+            let _ = cache.bind_sidecar(&cache_sidecar_path(supervisor.checkpoint_path()));
         }
     }
 
@@ -817,15 +818,14 @@ impl<'a> ClrEarly<'a> {
         seeds: Vec<Genome>,
         base_health: RunHealth,
         resume: Option<EvoSnapshot<Genome>>,
-        quarantine_seed: Vec<QuarantineRecord>,
+        quarantine: &mut QuarantineSidecar,
     ) -> Result<StageOutcome, DseError> {
         let stage = &plan.stages[index];
         let library = self.resolve_library(stage.library)?;
         let codec = Codec::new(self.graph, self.platform, &library, stage.mode)?;
         let problem = self.stage_problem(codec.clone(), Some(stage));
-        let mut resilient = ResilientProblem::new(problem)
-            .with_max_retries(supervisor.config().max_retries)
-            .with_quarantine_seed(quarantine_seed);
+        let mut resilient =
+            ResilientProblem::new(problem).with_max_retries(supervisor.config().max_retries);
         if let Some(deadline) = supervisor.config().eval_deadline {
             resilient = resilient.with_deadline(deadline);
         }
@@ -859,6 +859,7 @@ impl<'a> ClrEarly<'a> {
                         &base_health,
                         &eval_health,
                         &quarantine_log,
+                        quarantine,
                         self.cache.as_deref(),
                         resume,
                     )?
@@ -878,6 +879,7 @@ impl<'a> ClrEarly<'a> {
                         &base_health,
                         &eval_health,
                         &quarantine_log,
+                        quarantine,
                         self.cache.as_deref(),
                         resume,
                     )?
@@ -1105,8 +1107,9 @@ fn conclude_plain(plan: &CampaignPlan, mut results: Vec<FrontResult>) -> FrontRe
 /// panic-isolating problem, checkpointing stage `stage` through `writer`
 /// (whose prefix holds the stage identity and completed stages) at the
 /// supervisor's cadence, with the crash-injection seam honoured before
-/// every generation. Works identically for NSGA-II and SPEA2 states —
-/// this is the single copy of the supervision plumbing.
+/// every generation; each save moves the records quarantined since the
+/// last one to `quarantine`. Works identically for NSGA-II and SPEA2
+/// states — this is the single copy of the supervision plumbing.
 #[allow(clippy::too_many_arguments)]
 fn supervise<A, S: EvolutionState<A, Genome = Genome>>(
     ga: &A,
@@ -1117,6 +1120,7 @@ fn supervise<A, S: EvolutionState<A, Genome = Genome>>(
     base_health: &RunHealth,
     eval_health: &crate::resilience::HealthHandle,
     quarantine_log: &std::sync::Arc<std::sync::Mutex<Vec<crate::resilience::QuarantineRecord>>>,
+    quarantine: &mut QuarantineSidecar,
     cache: Option<&EvalCache>,
     resume: Option<EvoSnapshot<Genome>>,
 ) -> Result<SupervisedDrive, DseError> {
@@ -1142,6 +1146,11 @@ fn supervise<A, S: EvolutionState<A, Genome = Genome>>(
         }
         h
     };
+    // Moves the records quarantined since the last call to the sidecar.
+    let mut persist_quarantine = || {
+        let fresh = std::mem::take(&mut *quarantine_log.lock().expect("quarantine log poisoned"));
+        quarantine.append(&fresh)
+    };
     // Checkpoints carry nothing thread-dependent: the state's population
     // and RNG words are identical for any worker count, and the health
     // counters are totals, not per-worker data.
@@ -1152,10 +1161,7 @@ fn supervise<A, S: EvolutionState<A, Genome = Genome>>(
             cache.flush_sidecar();
         }
         writer.save(&health, &state.snapshot())?;
-        write_quarantine_sidecar(
-            &quarantine_sidecar_path(supervisor.checkpoint_path()),
-            &quarantine_log.lock().expect("quarantine log poisoned"),
-        )
+        persist_quarantine()
     };
     // Stamp the cumulative quarantine/degraded counters onto the trace
     // record of the batch that just ran (no batch ran on resume).
@@ -1196,12 +1202,9 @@ fn supervise<A, S: EvolutionState<A, Genome = Genome>>(
             save(&state, health)?;
         }
     }
-    // Stage-end sidecar write, so triage data survives even when the run
-    // completes and the checkpoints are cleaned up.
-    write_quarantine_sidecar(
-        &quarantine_sidecar_path(supervisor.checkpoint_path()),
-        &quarantine_log.lock().expect("quarantine log poisoned"),
-    )?;
+    // Stage-end sidecar append, so triage data survives even when the
+    // run completes and the checkpoints are cleaned up.
+    persist_quarantine()?;
 
     let health = health_now(checkpoints);
     let outcome = state.finalize(ga);

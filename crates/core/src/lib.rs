@@ -34,6 +34,8 @@
 //! * [`cache`] — the content-addressed evaluation cache: genome-fitness
 //!   memoization with a persistent sidecar for warm-started resumes;
 //!   hits replay the uncached computation bit-for-bit.
+//! * [`journal`] — the one sealed, append-only record log behind every
+//!   journal, ledger, sidecar and trace spill.
 //! * [`remote`] — the `clre-eval v1` context grammar and [`DseVocab`]:
 //!   what lets the `clre-exec-worker` subprocess backend reconstruct a
 //!   digest-verified stage problem from one line of text and evaluate
@@ -78,6 +80,7 @@ pub mod cache;
 pub mod campaign;
 pub mod encoding;
 mod error;
+pub mod journal;
 pub mod library;
 pub mod methodology;
 pub mod problem;

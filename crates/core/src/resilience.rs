@@ -49,6 +49,7 @@ use rand::RngCore;
 
 use crate::cache::Fnv;
 use crate::encoding::{Gene, Genome};
+use crate::journal::{self, RecordLog};
 use crate::methodology::FrontResult;
 use crate::problem::SystemProblem;
 use crate::DseError;
@@ -211,30 +212,29 @@ impl QuarantineRecord {
             self.genome,
         )
     }
+
+    /// Parses a [`QuarantineRecord::line`]; `None` if it is not one.
+    fn parse(line: &str) -> Option<Self> {
+        let rest = line
+            .strip_prefix("quarantine-v1 ")?
+            .strip_prefix("error=")?;
+        // The error text is free-form (flattened to one line); the genome
+        // rendering never contains `=`, so the *last* ` genome=` marker
+        // splits the two unambiguously.
+        let at = rest.rfind(" genome=")?;
+        let genome = rest[at + " genome=".len()..].to_owned();
+        if genome.is_empty() {
+            return None;
+        }
+        Some(QuarantineRecord {
+            genome,
+            error: rest[..at].to_owned(),
+        })
+    }
 }
 
-/// Writes the quarantine triage sidecar: one [`QuarantineRecord::line`]
-/// per record. An empty record set removes any stale sidecar instead of
-/// writing an empty file.
-///
-/// # Errors
-///
-/// [`DseError::Checkpoint`] wrapping the underlying I/O failure.
-pub fn write_quarantine_sidecar(path: &Path, records: &[QuarantineRecord]) -> Result<(), DseError> {
-    if records.is_empty() {
-        let _ = fs::remove_file(path);
-        return Ok(());
-    }
-    let mut out = String::new();
-    for r in records {
-        let _ = writeln!(out, "{}", r.line());
-    }
-    ensure_parent_dir(path)?;
-    fs::write(path, out).map_err(|e| bad(format!("writing {}: {e}", path.display())))
-}
-
-/// Creates the missing parent directories of `path`, so sidecar and
-/// checkpoint writers work under per-tenant server roots
+/// Creates the missing parent directories of `path`, so checkpoint
+/// writers work under per-tenant server roots
 /// (`<root>/<tenant>/<campaign>/…`) without pre-created directories.
 pub(crate) fn ensure_parent_dir(path: &Path) -> Result<(), DseError> {
     match path.parent() {
@@ -248,59 +248,68 @@ pub(crate) fn ensure_parent_dir(path: &Path) -> Result<(), DseError> {
 /// The conventional sidecar location: `quarantine.txt` next to the
 /// checkpoint file.
 pub fn quarantine_sidecar_path(checkpoint_path: &Path) -> PathBuf {
-    checkpoint_path
-        .parent()
-        .map_or_else(|| PathBuf::from("quarantine.txt"), Path::to_path_buf)
-        .join("quarantine.txt")
+    checkpoint_path.with_file_name("quarantine.txt")
 }
 
-/// Reads the quarantine triage sidecar back: the parsed records plus the
-/// number of malformed lines skipped.
-///
-/// Mirrors the cache sidecar's torn-tail tolerance: a malformed line —
-/// the torn tail of a killed run, or byte-level corruption — is skipped
-/// and counted, never fatal to the rest of the file. A missing file is
-/// simply zero records.
-///
-/// # Errors
-///
-/// Only genuine I/O failures (permissions, disk); not-found is `Ok`.
-pub fn read_quarantine_sidecar(path: &Path) -> Result<(Vec<QuarantineRecord>, usize), DseError> {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-        Err(e) => return Err(bad(format!("reading {}: {e}", path.display()))),
-    };
-    let mut records = Vec::new();
-    let mut skipped = 0usize;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_quarantine_line(line) {
-            Some(record) => records.push(record),
-            None => skipped += 1,
-        }
-    }
-    Ok((records, skipped))
+/// First line of every quarantine sidecar.
+const QUARANTINE_HEADER: &str = "clrearly-quarantine v1";
+
+/// The quarantine triage sidecar: a [`RecordLog`] of
+/// [`QuarantineRecord::line`]s. It opens (and continues) its file on the
+/// first append, so a clean run leaves no sidecar.
+#[derive(Debug)]
+pub struct QuarantineSidecar {
+    path: PathBuf,
+    log: Option<RecordLog>,
 }
 
-fn parse_quarantine_line(line: &str) -> Option<QuarantineRecord> {
-    let rest = line
-        .strip_prefix("quarantine-v1 ")?
-        .strip_prefix("error=")?;
-    // The error text is free-form (flattened to one line); the genome
-    // rendering never contains `=`, so the *last* ` genome=` marker
-    // splits the two unambiguously.
-    let at = rest.rfind(" genome=")?;
-    let genome = rest[at + " genome=".len()..].to_owned();
-    if genome.is_empty() {
-        return None;
+impl QuarantineSidecar {
+    /// The sidecar at `path`; nothing is opened yet.
+    pub fn new(path: PathBuf) -> Self {
+        QuarantineSidecar { path, log: None }
     }
-    Some(QuarantineRecord {
-        genome,
-        error: rest[..at].to_owned(),
-    })
+
+    /// The records of the sidecar at `path` and the number of lines
+    /// skipped (a torn tail or corruption); a missing file has none. A
+    /// foreign file (a headerless sidecar of an older version, say) reads
+    /// as one skipped line, and the next append moves it aside.
+    ///
+    /// # Errors
+    ///
+    /// [`DseError::Checkpoint`] on I/O failure.
+    pub fn read(path: &Path) -> Result<(Vec<QuarantineRecord>, usize), DseError> {
+        let mut out = Vec::new();
+        let skipped = match RecordLog::replay(path, QUARANTINE_HEADER, |line| {
+            QuarantineRecord::parse(line).map(|r| out.push(r)).is_some()
+        }) {
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => Ok(1),
+            replayed => replayed,
+        };
+        let skipped = skipped.map_err(|e| bad(format!("reading {}: {e}", path.display())))?;
+        Ok((out, skipped))
+    }
+
+    /// Appends `records` and writes them through to the file.
+    ///
+    /// # Errors
+    ///
+    /// [`DseError::Checkpoint`] wrapping the underlying I/O failure.
+    pub fn append(&mut self, records: &[QuarantineRecord]) -> Result<(), DseError> {
+        if records.is_empty() {
+            return Ok(());
+        }
+        let io = |e: std::io::Error| bad(format!("writing {}: {e}", self.path.display()));
+        if self.log.is_none() {
+            let (log, _) = RecordLog::open_or_set_aside(&self.path, QUARANTINE_HEADER, |_| true)
+                .map_err(io)?;
+            self.log = Some(log);
+        }
+        let log = self.log.as_mut().expect("opened above");
+        for record in records {
+            log.append(&journal::seal(record.line())).map_err(io)?;
+        }
+        log.flush().map_err(io)
+    }
 }
 
 /// One fault decision from a [`FaultInjector`]: what happens to a single
@@ -483,17 +492,6 @@ impl<P: FallibleProblem> ResilientProblem<P> {
     #[must_use]
     pub fn with_backoff(mut self, backoff: BackoffPolicy) -> Self {
         self.backoff = Some(backoff);
-        self
-    }
-
-    /// Pre-seeds the quarantine triage log (used on resume so records
-    /// recovered from the sidecar survive the next sidecar rewrite).
-    #[must_use]
-    pub fn with_quarantine_seed(self, records: Vec<QuarantineRecord>) -> Self {
-        self.quarantine_log
-            .lock()
-            .expect("quarantine log poisoned")
-            .extend(records);
         self
     }
 
@@ -2058,40 +2056,49 @@ mod tests {
     #[test]
     fn quarantine_sidecar_reader_skips_malformed_lines() {
         let dir = std::env::temp_dir().join(format!("clre-quarantine-read-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
+        let _ = fs::remove_dir_all(&dir);
         let path = dir.join("quarantine.txt");
-        fs::write(
-            &path,
-            "quarantine-v1 error=boom genome=7\n\
-             \n\
-             complete garbage\n\
-             quarantine-v1 error=torn tail with no genom\n\
-             quarantine-v1 error=ok genome=1 0:1:2\n",
-        )
-        .unwrap();
-        let (records, skipped) = read_quarantine_sidecar(&path).unwrap();
-        assert_eq!(skipped, 2, "garbage + torn tail skipped, blank ignored");
+        let records = vec![
+            QuarantineRecord {
+                genome: "7".to_owned(),
+                error: "boom".to_owned(),
+            },
+            QuarantineRecord {
+                genome: "1 0:1:2".to_owned(),
+                error: "ok".to_owned(),
+            },
+        ];
+        QuarantineSidecar::new(path.clone())
+            .append(&records)
+            .unwrap();
+        let mut text = fs::read_to_string(&path).unwrap();
+        text.push_str("\ncomplete garbage\n");
+        text.push_str(journal::seal("quarantine-v1 error=no genome".to_owned()).as_str());
+        text.push_str("quarantine-v1 error=torn tail with no genom");
+        fs::write(&path, text).unwrap();
+        let (read, skipped) = QuarantineSidecar::read(&path).unwrap();
+        assert_eq!(read, records);
         assert_eq!(
-            records,
-            vec![
-                QuarantineRecord {
-                    genome: "7".to_owned(),
-                    error: "boom".to_owned(),
-                },
-                QuarantineRecord {
-                    genome: "1 0:1:2".to_owned(),
-                    error: "ok".to_owned(),
-                },
-            ]
+            skipped, 3,
+            "garbage, sealed non-record and torn tail skipped, blank ignored"
         );
-        // Round-trip: what the writer emits, the reader accepts whole.
-        write_quarantine_sidecar(&path, &records).unwrap();
-        assert_eq!(read_quarantine_sidecar(&path).unwrap(), (records, 0));
         // A missing sidecar is zero records, not an error.
+        let absent = dir.join("absent.txt");
+        assert_eq!(QuarantineSidecar::read(&absent).unwrap(), (Vec::new(), 0));
+        // A headerless sidecar of an older version reads as one skipped
+        // line; the next append moves it aside and starts a new sidecar.
+        let legacy = "quarantine-v1 error=x genome=1\n";
+        fs::write(&absent, legacy).unwrap();
+        assert_eq!(QuarantineSidecar::read(&absent).unwrap(), (Vec::new(), 1));
+        QuarantineSidecar::new(absent.clone())
+            .append(&records[..1])
+            .unwrap();
         assert_eq!(
-            read_quarantine_sidecar(&dir.join("absent.txt")).unwrap(),
-            (Vec::new(), 0)
+            QuarantineSidecar::read(&absent).unwrap(),
+            (records[..1].to_vec(), 0)
         );
+        let aside = dir.join("absent.txt.foreign");
+        assert_eq!(fs::read_to_string(aside).unwrap(), legacy);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2342,24 +2349,36 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_sidecar_roundtrips_and_clears() {
+    fn quarantine_sidecar_opens_on_the_first_append_and_then_appends() {
         let dir = std::env::temp_dir().join(format!("clre-quarantine-test-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
+        let _ = fs::remove_dir_all(&dir);
         let path = quarantine_sidecar_path(&dir.join("run.ckpt"));
         assert_eq!(path, dir.join("quarantine.txt"));
-        let records = vec![QuarantineRecord {
-            genome: "2 0:1:2 1:0:0".to_owned(),
+        let record = |i: usize| QuarantineRecord {
+            genome: format!("2 0:1:{i} 1:0:0"),
             error: "panic: multi\nline".to_owned(),
-        }];
-        write_quarantine_sidecar(&path, &records).unwrap();
+        };
+        let mut sidecar = QuarantineSidecar::new(path.clone());
+        sidecar.append(&[]).unwrap();
+        assert!(!path.exists(), "appending nothing opens nothing");
+        sidecar.append(&[record(0)]).unwrap();
         let text = fs::read_to_string(&path).unwrap();
-        assert_eq!(
-            text,
-            "quarantine-v1 error=panic: multi line genome=2 0:1:2 1:0:0\n"
-        );
-        // Empty record set removes the stale sidecar.
-        write_quarantine_sidecar(&path, &[]).unwrap();
-        assert!(!path.exists());
+        let line = "quarantine-v1 error=panic: multi line genome=2 0:1:0 1:0:0";
+        let sealed = journal::seal(line.to_owned());
+        assert_eq!(text, format!("{QUARANTINE_HEADER}\n{}", sealed.as_str()));
+        sidecar.append(&[record(1)]).unwrap();
+        drop(sidecar);
+        // A later drive on the same path continues the file.
+        QuarantineSidecar::new(path.clone())
+            .append(&[record(2)])
+            .unwrap();
+        let (read, skipped) = QuarantineSidecar::read(&path).unwrap();
+        let flattened = |i| QuarantineRecord {
+            error: "panic: multi line".to_owned(),
+            ..record(i)
+        };
+        assert_eq!(read, (0..3).map(flattened).collect::<Vec<_>>());
+        assert_eq!(skipped, 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 

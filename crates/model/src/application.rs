@@ -4,38 +4,28 @@
 //! An application is a DAG `G_app = (T_app, E_app, P_app)`. Every
 //! [`Task`] references a [`TaskType`] (its functionality); every task type
 //! owns one or more [`BaseImpl`]s — concrete realizations characterized by
-//! the PE type they run on, the system software they assume and the
-//! algorithm/language variant. The *reliability* dimension is deliberately
-//! not part of [`BaseImpl`]: CLR configurations are layered on top by
-//! [`clre::tdse`].
+//! the PE type they run on and the algorithm/language variant, with the
+//! system software represented only by the error masking it implies. The
+//! *reliability* dimension is deliberately not part of [`BaseImpl`]: CLR
+//! configurations are layered on top by [`clre::tdse`].
 //!
 //! [`clre::tdse`]: https://example.invalid/clrearly
 
 use crate::{ImplId, ModelError, PeTypeId, TaskId, TaskTypeId};
 use serde::{Deserialize, Serialize};
 
-/// The system-software environment an implementation assumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SysSw {
-    /// No operating system; the task runs on bare metal.
-    BareMetal,
-    /// A real-time operating system with memory protection; provides some
-    /// implicit error masking at the system-software layer.
-    Rtos,
-}
-
 /// A base implementation of a task type: the `(PE type, system software,
 /// application software)` tuple of Section III-B, plus its raw
 /// characterization (cycle count and switching capacitance) from the
-/// profiling substrate.
+/// profiling substrate. The system software enters the models only
+/// through its implicit masking probability `m_implSSW`.
 ///
 /// # Examples
 ///
 /// ```
-/// use clre_model::{application::SysSw, BaseImpl, PeTypeId};
+/// use clre_model::{BaseImpl, PeTypeId};
 ///
 /// let i = BaseImpl::new("gauss-c", PeTypeId::new(0), 180_000.0, 0.9e-9)
-///     .with_sys_sw(SysSw::Rtos)
 ///     .with_implicit_ssw_masking(0.05);
 /// assert_eq!(i.cycles(), 180_000.0);
 /// assert_eq!(i.implicit_ssw_masking(), 0.05);
@@ -48,7 +38,6 @@ pub struct BaseImpl {
     cycles: f64,
     /// Effective switched capacitance in farads (drives `P = C·V²·f`).
     capacitance: f64,
-    sys_sw: SysSw,
     /// Probability that the system-software layer implicitly masks an
     /// arriving error (`m_implSSW` in the paper's Fig. 3), in `[0, 1]`.
     implicit_ssw_masking: f64,
@@ -70,17 +59,9 @@ impl BaseImpl {
             pe_type,
             cycles,
             capacitance,
-            sys_sw: SysSw::BareMetal,
             implicit_ssw_masking: 0.0,
             memory_bytes: 0.0,
         }
-    }
-
-    /// Sets the system-software environment (builder style).
-    #[must_use]
-    pub fn with_sys_sw(mut self, sys_sw: SysSw) -> Self {
-        self.sys_sw = sys_sw;
-        self
     }
 
     /// Sets the implicit SSW masking probability (builder style).
@@ -113,11 +94,6 @@ impl BaseImpl {
     /// Effective switched capacitance in farads.
     pub fn capacitance(&self) -> f64 {
         self.capacitance
-    }
-
-    /// The assumed system software.
-    pub fn sys_sw(&self) -> SysSw {
-        self.sys_sw
     }
 
     /// Implicit system-software masking probability `m_implSSW`.
@@ -730,10 +706,8 @@ mod tests {
 
     #[test]
     fn base_impl_builders() {
-        let i = BaseImpl::new("x", PeTypeId::new(1), 2e5, 1e-9)
-            .with_sys_sw(SysSw::Rtos)
-            .with_implicit_ssw_masking(0.1);
-        assert_eq!(i.sys_sw(), SysSw::Rtos);
+        let i = BaseImpl::new("x", PeTypeId::new(1), 2e5, 1e-9).with_implicit_ssw_masking(0.1);
+        assert_eq!(i.implicit_ssw_masking(), 0.1);
         assert_eq!(i.pe_type(), PeTypeId::new(1));
         assert_eq!(i.name(), "x");
         assert_eq!(i.capacitance(), 1e-9);

@@ -372,7 +372,6 @@ fn recover_from_root(shared: &Arc<Shared>) {
 
 /// Starts (or resumes) one campaign on its own thread.
 fn spawn_campaign(shared: &Arc<Shared>, entry: Arc<CampaignEntry>, resume: bool) {
-    entry.log.reopen();
     let handle = {
         let shared = Arc::clone(shared);
         std::thread::spawn(move || run_campaign_thread(&shared, &entry, resume))

@@ -11,13 +11,17 @@
 //! resumes from any line index, including across a server restart.
 
 use std::collections::HashMap;
-use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use clre::journal::{seal, RecordLog};
+
 use crate::wire::{DoneSummary, SubmitRequest};
+
+/// First line of every `trace.txt` spill.
+const TRACE_HEADER: &str = "clrearly-trace v1";
 
 /// Terminal state of a campaign.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +42,7 @@ pub enum CampaignOutcome {
 #[derive(Debug, Default)]
 struct LogState {
     /// The in-memory tail. With a ring cap, older lines are dropped from
-    /// memory (they remain in the persist sidecar) and `start` records
+    /// memory (they remain in the spill file) and `start` records
     /// how many were dropped, so global line indices never shift.
     lines: Vec<String>,
     /// Global index of `lines[0]` — lines `0..start` live only on disk.
@@ -48,15 +52,18 @@ struct LogState {
 
 /// Append-only trace history of one campaign plus its terminal outcome,
 /// safe to tail from many threads. Optionally persists each line to a
-/// `trace.txt` sidecar so line indices stay stable across a server
+/// `trace.txt` [`RecordLog`] so line indices stay stable across a server
 /// restart, and optionally bounds the in-memory tail to a ring of the
 /// most recent lines — a long campaign then costs O(ring) memory while
-/// `attach from=n` for older indices replays from the sidecar.
+/// `attach from=n` for older indices replays from the spill.
 #[derive(Debug, Default)]
 pub struct TraceLog {
     state: Mutex<LogState>,
     cv: Condvar,
+    /// The spill file, if it is readable as one.
     persist: Option<PathBuf>,
+    /// The spill, open for appends until the log is sealed.
+    spill: Mutex<Option<RecordLog>>,
     /// In-memory line cap; 0 means unbounded.
     ring: usize,
 }
@@ -70,18 +77,20 @@ impl TraceLog {
     /// A log persisting to `path`, preloaded with any lines already
     /// there — so a resumed campaign appends at the index the parked run
     /// stopped at, and `attach from=n` keeps meaning the same thing
-    /// across restarts.
-    pub fn persisted(path: PathBuf) -> Self {
-        TraceLog::persisted_with_ring(path, 0)
-    }
-
-    /// As [`TraceLog::persisted`], but keeping at most `ring` lines in
-    /// memory (0 = unbounded). Only the newest `ring` preexisting lines
-    /// are loaded; older indices replay from the sidecar on demand.
+    /// across restarts. At most `ring` lines stay in memory (0 =
+    /// unbounded); older indices replay from the spill on demand. A
+    /// foreign file (a headerless spill from an older server) is moved
+    /// aside to `trace.txt.foreign` and the log starts afresh at index 0;
+    /// a spill that cannot be opened (a read-only disk) leaves the log in
+    /// memory only.
     pub fn persisted_with_ring(path: PathBuf, ring: usize) -> Self {
-        let mut lines: Vec<String> = fs::read_to_string(&path)
-            .map(|text| text.lines().map(str::to_owned).collect())
-            .unwrap_or_default();
+        let mut lines = Vec::new();
+        let spill = RecordLog::open_or_set_aside(&path, TRACE_HEADER, |line| {
+            lines.push(line.to_owned());
+            true
+        })
+        .ok()
+        .map(|(log, _)| log);
         let mut start = 0;
         if ring > 0 && lines.len() > ring {
             start = lines.len() - ring;
@@ -94,22 +103,22 @@ impl TraceLog {
                 outcome: None,
             }),
             cv: Condvar::new(),
-            persist: Some(path),
+            persist: spill.is_some().then_some(path),
+            spill: Mutex::new(spill),
             ring,
         }
     }
 
-    /// Appends one line and wakes every tailing handler.
+    /// Appends one line and wakes every tailing handler. The line reaches
+    /// the spill file before it becomes visible, so disk replay and
+    /// restart indices never lag the stream.
     pub fn push(&self, line: &str) {
-        if let Some(path) = &self.persist {
-            let appended = fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .and_then(|mut f| writeln!(f, "{line}"));
+        if let Some(spill) = self.spill.lock().expect("trace spill poisoned").as_mut() {
             // Persistence is best-effort: a full disk degrades restart
             // replay, never live streaming.
-            drop(appended);
+            let _ = spill
+                .append(&seal(line.to_owned()))
+                .and_then(|()| spill.flush());
         }
         let mut s = self.state.lock().expect("trace log poisoned");
         s.lines.push(line.to_owned());
@@ -123,19 +132,14 @@ impl TraceLog {
     }
 
     /// Seals the log with its terminal outcome (idempotent: the first
-    /// outcome wins) and wakes every tailing handler.
+    /// outcome wins), closes the spill file and wakes every tailing
+    /// handler.
     pub fn finish(&self, outcome: CampaignOutcome) {
+        *self.spill.lock().expect("trace spill poisoned") = None;
         let mut s = self.state.lock().expect("trace log poisoned");
         s.outcome.get_or_insert(outcome);
         drop(s);
         self.cv.notify_all();
-    }
-
-    /// Reopens a parked log for the resumed run (clears the outcome so
-    /// tailing handlers block for fresh lines again).
-    pub fn reopen(&self) {
-        let mut s = self.state.lock().expect("trace log poisoned");
-        s.outcome = None;
     }
 
     /// Number of lines emitted so far (including lines evicted from the
@@ -165,8 +169,8 @@ impl TraceLog {
     /// `(empty, None)` return is a patience timeout — poll again.
     ///
     /// A `from` older than the in-memory ring replays the evicted range
-    /// from the persist sidecar (best-effort: lines whose disk append
-    /// failed are skipped, and the reader resumes from the ring).
+    /// from the spill (best-effort: lines whose disk append failed are
+    /// skipped, and the reader resumes from the ring).
     pub fn wait_from(
         &self,
         from: usize,
@@ -184,14 +188,14 @@ impl TraceLog {
         let mut fresh: Vec<String> = Vec::new();
         if from < s.start {
             if let Some(path) = &self.persist {
-                if let Ok(text) = fs::read_to_string(path) {
-                    fresh.extend(
-                        text.lines()
-                            .skip(from)
-                            .take(s.start - from)
-                            .map(str::to_owned),
-                    );
-                }
+                let mut index = 0;
+                let _ = RecordLog::replay(path, TRACE_HEADER, |line| {
+                    if (from..s.start).contains(&index) {
+                        fresh.push(line.to_owned());
+                    }
+                    index += 1;
+                    true
+                });
             }
             fresh.extend(s.lines.iter().cloned());
         } else {
@@ -405,6 +409,7 @@ mod tests {
     use crate::wire::AppSpec;
     use clre::methodology::StageBudget;
     use clre::CampaignPlan;
+    use std::fs;
 
     fn entry(tenant: &str, id: &str) -> Arc<CampaignEntry> {
         Arc::new(CampaignEntry {
@@ -489,15 +494,88 @@ mod tests {
         let path = dir.join("trace.txt");
         let _ = fs::remove_file(&path);
         {
-            let log = TraceLog::persisted(path.clone());
+            let log = TraceLog::persisted_with_ring(path.clone(), 0);
             log.push("gen 0");
             log.push("gen 1");
         }
-        let reloaded = TraceLog::persisted(path.clone());
+        let reloaded = TraceLog::persisted_with_ring(path.clone(), 0);
         assert_eq!(reloaded.len(), 2, "restart keeps line indices stable");
         reloaded.push("gen 2");
         let (lines, _) = reloaded.wait_from(1, Duration::ZERO);
         assert_eq!(lines, vec!["gen 1", "gen 2"]);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn every_cut_of_the_last_spilled_line_replays_nothing_or_all_and_the_next_push_survives() {
+        let dir = std::env::temp_dir().join("clre-serve-session-cuts");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.txt");
+        let _ = fs::remove_file(&path);
+        {
+            let log = TraceLog::persisted_with_ring(path.clone(), 0);
+            log.push("trace-v1 gen 0");
+            log.push("trace-v1 gen 1");
+        }
+        let whole = fs::read(&path).unwrap();
+        let last_start = whole[..whole.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+        for cut in last_start..=whole.len() {
+            fs::write(&path, &whole[..cut]).unwrap();
+            let log = TraceLog::persisted_with_ring(path.clone(), 0);
+            let kept = if cut == whole.len() { 2 } else { 1 };
+            let (lines, _) = log.wait_from(0, Duration::ZERO);
+            let expected: Vec<String> = (0..kept).map(|i| format!("trace-v1 gen {i}")).collect();
+            assert_eq!(lines, expected, "cut at {cut}");
+            log.push("trace-v1 next");
+            drop(log);
+
+            let reloaded = TraceLog::persisted_with_ring(path.clone(), 0);
+            assert_eq!(reloaded.len(), kept + 1, "cut at {cut}");
+            let (lines, _) = reloaded.wait_from(kept, Duration::ZERO);
+            assert_eq!(lines, vec!["trace-v1 next"], "cut at {cut}");
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_headerless_spill_is_set_aside_and_a_new_one_started() {
+        let dir = std::env::temp_dir().join("clre-serve-session-legacy");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.txt");
+        let aside = dir.join("trace.txt.foreign");
+        fs::write(&path, "gen 0\ngen 1\n").unwrap();
+        let log = TraceLog::persisted_with_ring(path.clone(), 0);
+        assert_eq!(log.len(), 0, "an older server's lines are not replayed");
+        log.push("trace-v1 gen 0");
+        drop(log);
+        assert_eq!(fs::read_to_string(&aside).unwrap(), "gen 0\ngen 1\n");
+        let reloaded = TraceLog::persisted_with_ring(path.clone(), 0);
+        assert_eq!(
+            reloaded.wait_from(0, Duration::ZERO).0,
+            vec!["trace-v1 gen 0"]
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn finished_logs_close_their_spill() {
+        let dir = std::env::temp_dir().join("clre-serve-session-finish");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.txt");
+        let _ = fs::remove_file(&path);
+        let log = TraceLog::persisted_with_ring(path.clone(), 0);
+        log.push("trace-v1 a");
+        log.finish(CampaignOutcome::Parked { generation: 1 });
+        assert!(
+            log.spill.lock().unwrap().is_none(),
+            "no file handle outlives the run"
+        );
+        // The closed spill still serves disk replay.
+        assert_eq!(TraceLog::persisted_with_ring(path.clone(), 0).len(), 1);
         let _ = fs::remove_file(&path);
     }
 

@@ -130,9 +130,10 @@ fn stopped_server_leaves_every_cache_entry_in_its_sidecar() {
         .unwrap();
 
     let warm = clre::EvalCache::new();
-    warm.bind_sidecar(&root.join("cache-paper.cache"))
+    let skipped = warm
+        .bind_sidecar(&root.join("cache-paper.cache"))
         .expect("sidecar binds");
-    assert_eq!(warm.sidecar_skipped(), 0);
+    assert_eq!(skipped, 0);
     assert_eq!(
         warm.fitness_len(),
         local.fitness_len(),

@@ -10,7 +10,6 @@
 use clrearly::core::methodology::{ClrEarly, StageBudget};
 use clrearly::core::tdse::TdseConfig;
 use clrearly::core::CampaignPlan;
-use clrearly::model::application::SysSw;
 use clrearly::model::qos::QosSpec;
 use clrearly::model::{BaseImpl, DvfsMode, PeType, PeTypeId, Platform, TaskGraph, TaskType};
 
@@ -33,10 +32,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let core_ty = PeTypeId::new(0);
     let accel_ty = PeTypeId::new(1);
     let filter = TaskType::new("filter")
-        .with_impl(BaseImpl::new("filter-c", core_ty, 2.2e5, 0.9e-9).with_sys_sw(SysSw::Rtos))
+        .with_impl(BaseImpl::new("filter-c", core_ty, 2.2e5, 0.9e-9))
         .with_impl(BaseImpl::new("filter-hls", accel_ty, 0.8e5, 1.6e-9));
-    let fuse = TaskType::new("fuse")
-        .with_impl(BaseImpl::new("fuse-c", core_ty, 4.0e5, 1.1e-9).with_sys_sw(SysSw::Rtos));
+    let fuse = TaskType::new("fuse").with_impl(BaseImpl::new("fuse-c", core_ty, 4.0e5, 1.1e-9));
     let plan = TaskType::new("plan").with_impl(BaseImpl::new("plan-c", core_ty, 3.1e5, 1.0e-9));
     let log = TaskType::new("log").with_impl(BaseImpl::new("log-c", core_ty, 0.6e5, 0.7e-9));
     let graph = TaskGraph::builder("sensor-fusion", 5.0e-3)

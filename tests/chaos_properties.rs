@@ -13,8 +13,8 @@ use clrearly::core::apps;
 use clrearly::core::encoding::Gene;
 use clrearly::core::methodology::{ClrEarly, StageBudget};
 use clrearly::core::resilience::{
-    read_quarantine_sidecar, rotated_checkpoint_path, write_quarantine_sidecar, Checkpoint,
-    QuarantineRecord, RunOutcome, RunSupervisor, SupervisorConfig,
+    rotated_checkpoint_path, Checkpoint, QuarantineRecord, QuarantineSidecar, RunOutcome,
+    RunSupervisor, SupervisorConfig,
 };
 use clrearly::core::{CachedFitness, CampaignPlan, DseError, EvalCache};
 use clrearly::model::qos::SystemMetrics;
@@ -243,20 +243,22 @@ proptest! {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Entirely arbitrary bytes as a quarantine sidecar: reading never
-    /// panics; every line is either parsed or counted as skipped.
+    /// Entirely arbitrary bytes after a sidecar's first record: reading
+    /// never panics, and every line after the header is parsed or
+    /// counted as skipped.
     #[test]
     fn arbitrary_quarantine_bytes_never_panic(bytes in prop::collection::vec(0u8..255, 0..512)) {
         let dir = scratch("quarantine-bytes");
         let path = dir.join("quarantine.txt");
-        fs::write(&path, &bytes).expect("write bytes");
-        if let Ok((records, skipped)) = read_quarantine_sidecar(&path) {
-            let lines = String::from_utf8_lossy(&bytes)
-                .lines()
-                .filter(|l| !l.trim().is_empty())
-                .count();
-            prop_assert!(records.len() + skipped <= lines);
-        }
+        let _ = fs::remove_file(&path);
+        let record = QuarantineRecord { error: "boom".to_owned(), genome: "2 0:1:0 1:0:0".to_owned() };
+        QuarantineSidecar::new(path.clone()).append(&[record]).expect("write sidecar");
+        let mut text = fs::read(&path).expect("read back");
+        text.extend_from_slice(&bytes);
+        fs::write(&path, &text).expect("write bytes");
+        let (records, skipped) = QuarantineSidecar::read(&path).expect("a sidecar with a header reads");
+        let lines = text.split(|&b| b == b'\n').skip(1).filter(|l| !l.is_empty()).count();
+        prop_assert!(records.len() + skipped <= lines);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -273,22 +275,22 @@ proptest! {
             .into_iter()
             .map(|(error, genome)| QuarantineRecord { error, genome })
             .collect();
-        write_quarantine_sidecar(&path, &records).expect("write sidecar");
+        QuarantineSidecar::new(path.clone()).append(&records).expect("write sidecar");
         let mut text = fs::read_to_string(&path).expect("read back");
         for line in &torn {
             text.push_str(line);
             text.push('\n');
         }
         fs::write(&path, text).expect("write torn");
-        let (parsed, skipped) = read_quarantine_sidecar(&path).expect("read survives");
+        let (parsed, skipped) = QuarantineSidecar::read(&path).expect("read survives");
         prop_assert_eq!(parsed, records);
         prop_assert_eq!(skipped, torn.len());
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A truncated quarantine sidecar yields a prefix of the original
-    /// records: at most the cut line is lost (or mangled), and a
-    /// malformed cut is counted as skipped.
+    /// A truncated quarantine sidecar yields an exact prefix of the
+    /// original records: the cut record is lost whole, never mangled, and
+    /// counted as skipped.
     #[test]
     fn truncated_quarantine_keeps_the_prefix(frac in 0.0..1.0f64) {
         let dir = scratch("quarantine-truncate");
@@ -299,17 +301,56 @@ proptest! {
                 genome: format!("2 0:1:{i} 1:0:0"),
             })
             .collect();
-        write_quarantine_sidecar(&path, &records).expect("write sidecar");
+        QuarantineSidecar::new(path.clone()).append(&records).expect("write sidecar");
         let bytes = fs::read(&path).expect("read back");
         #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let keep = ((bytes.len() as f64) * frac) as usize;
         fs::write(&path, &bytes[..keep.min(bytes.len())]).expect("truncate");
-        let (parsed, skipped) = read_quarantine_sidecar(&path).expect("read survives");
+        let (parsed, skipped) = QuarantineSidecar::read(&path).expect("read survives");
         prop_assert!(parsed.len() <= records.len());
         prop_assert!(skipped <= 1, "only the cut line may be malformed");
-        // Every record but the cut one survives bit-exactly, in order.
-        let intact = parsed.len().saturating_sub(1);
-        prop_assert_eq!(&parsed[..intact], &records[..intact]);
+        // Every surviving record is the original, bit-exactly and in order.
+        prop_assert_eq!(&parsed[..], &records[..parsed.len()]);
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// Every cut of a quarantine sidecar's last record replays as nothing or
+/// as the whole record, and the record a resumed drive appends after the
+/// cut reads back.
+#[test]
+fn every_cut_of_the_last_quarantine_record_is_all_or_nothing_and_the_next_append_survives() {
+    let dir = scratch("quarantine-cuts");
+    let path = dir.join("quarantine.txt");
+    let record = |i: usize| QuarantineRecord {
+        error: format!("boom {i}"),
+        genome: format!("2 0:1:{i} 1:0:0"),
+    };
+    let _ = fs::remove_file(&path);
+    QuarantineSidecar::new(path.clone())
+        .append(&[record(0), record(1)])
+        .expect("write sidecar");
+    let whole = fs::read(&path).expect("read back");
+    let last_start = whole[..whole.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .expect("two lines")
+        + 1;
+    for cut in last_start..=whole.len() {
+        fs::write(&path, &whole[..cut]).expect("cut");
+        let (parsed, _) = QuarantineSidecar::read(&path).expect("read");
+        let kept = if cut == whole.len() { 2 } else { 1 };
+        assert_eq!(
+            parsed,
+            (0..kept).map(record).collect::<Vec<_>>(),
+            "cut at {cut}"
+        );
+        QuarantineSidecar::new(path.clone())
+            .append(&[record(7)])
+            .expect("append");
+        let (parsed, skipped) = QuarantineSidecar::read(&path).expect("reread");
+        assert_eq!(parsed.last(), Some(&record(7)), "cut at {cut}");
+        assert_eq!((parsed.len(), skipped), (kept + 1, 0), "cut at {cut}");
+    }
+    let _ = fs::remove_dir_all(&dir);
 }

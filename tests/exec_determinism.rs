@@ -5,11 +5,13 @@
 //! the checkpoint-rotation and quarantine-sidecar plumbing end to end.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
+use clrearly::chaos::FaultPlan;
 use clrearly::core::apps;
 use clrearly::core::methodology::{ClrEarly, FrontResult, StageBudget};
 use clrearly::core::resilience::{
-    quarantine_sidecar_path, rotated_checkpoint_path, write_quarantine_sidecar, FallibleProblem,
+    quarantine_sidecar_path, rotated_checkpoint_path, FallibleProblem, QuarantineSidecar,
     ResilientProblem,
 };
 use clrearly::core::CampaignPlan;
@@ -320,6 +322,111 @@ impl clrearly::moea::Variation<u32> for Step {
     }
 }
 
+/// Every stage's quarantined records reach the sidecar: a later stage's
+/// saves append to it and never replace an earlier stage's records.
+#[test]
+fn every_stage_s_quarantined_records_reach_the_sidecar() {
+    let platform = apps::paper_platform();
+    let graph = apps::sobel(&platform, 42).unwrap();
+    let dir = scratch_dir("stage-quarantine");
+    let ckpt = dir.join("run.ckpt");
+    let dse = ClrEarly::new(&graph, &platform).unwrap();
+    let faults = Arc::new(FaultPlan::new(7).with_error_ppm(60_000));
+    let sup = RunSupervisor::new(SupervisorConfig::new(&ckpt).with_max_retries(0))
+        .with_fault_injector(faults);
+    let front = dse
+        .run_supervised(&CampaignPlan::proposed(), &StageBudget::smoke_test(), &sup)
+        .unwrap()
+        .expect_complete();
+    let (records, skipped) = QuarantineSidecar::read(&quarantine_sidecar_path(&ckpt)).unwrap();
+    assert!(
+        front.health.quarantined > 0,
+        "the fault plan quarantined nothing"
+    );
+    assert_eq!(records.len(), front.health.quarantined);
+    assert_eq!(skipped, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A fresh run replaces an earlier run's sidecar: a second faulty run on
+/// the same checkpoint path holds only its own records, and a clean run
+/// after it leaves no sidecar at all.
+#[test]
+fn a_fresh_run_replaces_an_earlier_run_s_sidecar() {
+    let platform = apps::paper_platform();
+    let graph = apps::sobel(&platform, 42).unwrap();
+    let dir = scratch_dir("fresh-sidecar");
+    let ckpt = dir.join("run.ckpt");
+    let sidecar = quarantine_sidecar_path(&ckpt);
+    let dse = ClrEarly::new(&graph, &platform).unwrap();
+    let plan = CampaignPlan::proposed();
+    let budget = StageBudget::smoke_test();
+    let config = SupervisorConfig::new(&ckpt).with_max_retries(0);
+    let faulty = || {
+        RunSupervisor::new(config.clone())
+            .with_fault_injector(Arc::new(FaultPlan::new(7).with_error_ppm(60_000)))
+    };
+    for run in 0..2 {
+        let front = dse
+            .run_supervised(&plan, &budget, &faulty())
+            .unwrap()
+            .expect_complete();
+        let (records, _) = QuarantineSidecar::read(&sidecar).unwrap();
+        assert!(
+            front.health.quarantined > 0,
+            "run {run} quarantined nothing"
+        );
+        assert_eq!(records.len(), front.health.quarantined, "run {run}");
+    }
+    let clean = dse
+        .run_supervised(&plan, &budget, &RunSupervisor::new(config))
+        .unwrap()
+        .expect_complete();
+    assert_eq!(clean.health.quarantined, 0);
+    assert!(
+        !sidecar.exists(),
+        "a clean run leaves no quarantine sidecar"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A resume that finds a headerless sidecar (the format of an older
+/// version) moves it aside, counts it as one skipped line and starts a
+/// new sidecar, instead of failing the campaign.
+#[test]
+fn a_resume_sets_a_headerless_sidecar_aside() {
+    let platform = apps::paper_platform();
+    let graph = apps::sobel(&platform, 42).unwrap();
+    let dir = scratch_dir("legacy-sidecar");
+    let ckpt = dir.join("run.ckpt");
+    let sidecar = quarantine_sidecar_path(&ckpt);
+    let dse = ClrEarly::new(&graph, &platform).unwrap();
+    let plan = CampaignPlan::proposed();
+    let budget = StageBudget::smoke_test();
+    let supervisor = || {
+        RunSupervisor::new(SupervisorConfig::new(&ckpt).with_max_retries(0))
+            .with_fault_injector(Arc::new(FaultPlan::new(7).with_error_ppm(60_000)))
+    };
+    let outcome = dse
+        .run_supervised(&plan, &budget, &supervisor().with_interrupt_at(0, 1))
+        .unwrap();
+    assert!(matches!(outcome, RunOutcome::Interrupted { .. }));
+    let legacy = "quarantine-v1 error=boom genome=2 0:1:0 1:0:0\n";
+    std::fs::write(&sidecar, legacy).unwrap();
+
+    let front = dse
+        .resume(&plan, &budget, &supervisor())
+        .unwrap()
+        .expect_complete();
+    assert_eq!(front.health.sidecar_lines_skipped, 1);
+    let aside = dir.join("quarantine.txt.foreign");
+    assert_eq!(std::fs::read_to_string(&aside).unwrap(), legacy);
+    let (records, skipped) = QuarantineSidecar::read(&sidecar).unwrap();
+    assert!(!records.is_empty(), "the resumed stage quarantined nothing");
+    assert_eq!(skipped, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn parallel_quarantine_feeds_sidecar_and_telemetry() {
     let dir = scratch_dir("sidecar");
@@ -341,16 +448,21 @@ fn parallel_quarantine_feeds_sidecar_and_telemetry() {
     assert!(h.quarantined > 0, "no quarantines under parallel engine");
     exec.annotate_health(h.quarantined, h.degraded_analyses);
 
-    // Sidecar: one `quarantine-v1` line per quarantined candidate.
+    // Sidecar: one `quarantine-v1` record per quarantined candidate.
     let records = quarantine.lock().unwrap().clone();
     assert_eq!(records.len(), h.quarantined);
     let sidecar = quarantine_sidecar_path(&ckpt);
-    write_quarantine_sidecar(&sidecar, &records).unwrap();
+    QuarantineSidecar::new(sidecar.clone())
+        .append(&records)
+        .unwrap();
     let text = std::fs::read_to_string(&sidecar).unwrap();
-    assert_eq!(text.lines().count(), records.len());
+    assert_eq!(text.lines().count(), records.len() + 1, "header + records");
     assert!(text
         .lines()
+        .skip(1)
         .all(|l| l.starts_with("quarantine-v1 error=") && l.contains(" genome=")));
+    let (read, skipped) = QuarantineSidecar::read(&sidecar).unwrap();
+    assert_eq!((read, skipped), (records, 0));
 
     // Telemetry: one record per batch (init + 6 generations), totals add
     // up, and the annotated quarantine count landed on the last record.
