@@ -45,7 +45,7 @@
 use std::borrow::Cow;
 use std::sync::Arc;
 
-use clre_exec::Executor;
+use clre_exec::{ExecPool, Executor};
 use clre_model::reliability::ClrConfig;
 use clre_moea::{
     EvoOutcome, EvoSnapshot, EvolutionState, Nsga2, Nsga2State, ObjectiveMatrix, Spea2,
@@ -62,7 +62,7 @@ use crate::resilience::{
     CompletedStage, QuarantineSidecar, ResilientProblem, RunHealth, RunOutcome, RunSupervisor,
     StageIdentity,
 };
-use crate::tdse::{build_library, DvfsPolicy};
+use crate::tdse::{build_library_on, DvfsPolicy};
 use crate::DseError;
 
 /// The MOEA backend driving one campaign stage.
@@ -720,11 +720,13 @@ impl<'a> ClrEarly<'a> {
         }
     }
 
-    /// Resolves a stage's implementation library (also used by the
-    /// remote-evaluation vocabulary to mirror stage construction).
+    /// Resolves a stage's implementation library, building a single-layer
+    /// one on `pool` (also used by the remote-evaluation vocabulary to
+    /// mirror stage construction, on one thread per worker process).
     pub(crate) fn resolve_library(
         &self,
         source: LibrarySource,
+        pool: &ExecPool,
     ) -> Result<Cow<'_, ImplLibrary>, DseError> {
         match source {
             LibrarySource::Main => Ok(Cow::Borrowed(self.library.as_ref())),
@@ -740,7 +742,8 @@ impl<'a> ClrEarly<'a> {
                     .clone()
                     .with_clr_catalog(catalog)?
                     .with_dvfs_policy(policy);
-                Ok(Cow::Owned(build_library(self.graph, self.platform, &tdse)?))
+                let (library, _) = build_library_on(self.graph, self.platform, &tdse, pool)?;
+                Ok(Cow::Owned(library))
             }
             LibrarySource::RandomSubset(seed) => {
                 Ok(Cow::Owned(self.library.with_random_subsets(seed)))
@@ -756,7 +759,7 @@ impl<'a> ClrEarly<'a> {
         budget: &StageBudget,
         seeds: Vec<Genome>,
     ) -> Result<(FrontResult, Vec<Genome>), DseError> {
-        let library = self.resolve_library(stage.library)?;
+        let library = self.resolve_library(stage.library, &ExecPool::auto())?;
         let codec = Codec::new(self.graph, self.platform, &library, stage.mode)?;
         let problem = self.stage_problem(codec.clone(), Some(stage));
         let exec = self.stage_exec(&stage.label);
@@ -821,7 +824,7 @@ impl<'a> ClrEarly<'a> {
         quarantine: &mut QuarantineSidecar,
     ) -> Result<StageOutcome, DseError> {
         let stage = &plan.stages[index];
-        let library = self.resolve_library(stage.library)?;
+        let library = self.resolve_library(stage.library, &ExecPool::auto())?;
         let codec = Codec::new(self.graph, self.platform, &library, stage.mode)?;
         let problem = self.stage_problem(codec.clone(), Some(stage));
         let mut resilient =
@@ -934,7 +937,7 @@ impl<'a> ClrEarly<'a> {
         genomes: &[Genome],
         evaluations: usize,
     ) -> Result<FrontResult, DseError> {
-        let library = self.resolve_library(stage.library)?;
+        let library = self.resolve_library(stage.library, &ExecPool::auto())?;
         let codec = Codec::new(self.graph, self.platform, &library, stage.mode)?;
         let problem = self.stage_problem(codec, None);
         let mut points = Vec::with_capacity(genomes.len());

@@ -18,6 +18,7 @@
 
 use std::sync::OnceLock;
 
+use clre_exec::ExecPool;
 use clre_model::qos::{ObjectiveSet, TaskMetrics};
 use clre_model::reliability::ClrConfig;
 use clre_model::{DvfsModeId, ImplId, PeTypeId, TaskGraph, TaskTypeId};
@@ -84,47 +85,29 @@ impl ImplLibrary {
         pe_type_count: usize,
         objectives: &ObjectiveSet,
     ) -> Result<Self, DseError> {
-        let mut full = Vec::with_capacity(candidates.len());
-        let mut pareto = Vec::with_capacity(candidates.len());
-        // One flat matrix refilled per (task type, PE type) group instead
-        // of a fresh Vec<Vec<f64>> per group.
-        let mut points = ObjectiveMatrix::default();
-        for (ty, cands) in candidates.iter().enumerate() {
-            if cands.is_empty() {
-                return Err(DseError::EmptyChoiceGroup {
-                    ty: TaskTypeId::new(ty as u32),
-                });
-            }
-            let mut groups: Vec<Vec<usize>> = vec![Vec::new(); pe_type_count];
-            for (i, c) in cands.iter().enumerate() {
-                if c.pe_type.index() >= pe_type_count {
-                    return Err(DseError::InvalidConfig {
-                        what: "candidate references a PE type outside the platform",
-                    });
-                }
-                groups[c.pe_type.index()].push(i);
-            }
-            let mut filtered: Vec<Vec<usize>> = Vec::with_capacity(groups.len());
-            for group in &groups {
-                points.reset(objectives.objectives().len());
-                for &i in group {
-                    let metrics = &cands[i].metrics;
-                    points.push_row_from(
-                        objectives
-                            .objectives()
-                            .iter()
-                            .map(|&o| metrics.objective(o)),
-                    );
-                }
-                filtered.push(
-                    non_dominated_matrix(&points)
-                        .into_iter()
-                        .map(|k| group[k])
-                        .collect(),
-                );
-            }
-            full.push(groups);
-            pareto.push(filtered);
+        Self::from_candidates_on(candidates, pe_type_count, objectives, &ExecPool::serial())
+    }
+
+    /// [`ImplLibrary::from_candidates`] with one pass on `pool`: each
+    /// task type is one item, grouped and filtered into its own slot,
+    /// and the slots are then read in type order. The library and the
+    /// first error in type order do not depend on `pool`.
+    pub(crate) fn from_candidates_on(
+        candidates: Vec<Vec<CandidateImpl>>,
+        pe_type_count: usize,
+        objectives: &ObjectiveSet,
+        pool: &ExecPool,
+    ) -> Result<Self, DseError> {
+        let mut grouped: Vec<Option<Result<TypeGroups, DseError>>> =
+            (0..candidates.len()).map(|_| None).collect();
+        pool.evaluate_in_place([grouped.as_mut_slice()], |ty, slot| {
+            *slot = Some(group_type(ty, &candidates[ty], pe_type_count, objectives));
+        });
+        let (mut full, mut pareto) = (Vec::new(), Vec::new());
+        for groups in grouped {
+            let (f, p) = groups.expect("every task type grouped")?;
+            full.push(f);
+            pareto.push(p);
         }
         Ok(ImplLibrary {
             candidates,
@@ -296,6 +279,57 @@ impl ImplLibrary {
         }
         Ok(())
     }
+}
+
+/// The `full` and `pareto` index lists of one task type, per PE type.
+type TypeGroups = (Vec<Vec<usize>>, Vec<Vec<usize>>);
+
+/// Groups the candidates of task type `ty` by PE type and Pareto-filters
+/// each group under `objectives`: the per-item step of
+/// [`ImplLibrary::from_candidates_on`].
+fn group_type(
+    ty: usize,
+    cands: &[CandidateImpl],
+    pe_type_count: usize,
+    objectives: &ObjectiveSet,
+) -> Result<TypeGroups, DseError> {
+    if cands.is_empty() {
+        return Err(DseError::EmptyChoiceGroup {
+            ty: TaskTypeId::new(ty as u32),
+        });
+    }
+    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); pe_type_count];
+    for (i, c) in cands.iter().enumerate() {
+        if c.pe_type.index() >= pe_type_count {
+            return Err(DseError::InvalidConfig {
+                what: "candidate references a PE type outside the platform",
+            });
+        }
+        groups[c.pe_type.index()].push(i);
+    }
+    // One flat matrix refilled per PE-type group instead of a fresh
+    // Vec<Vec<f64>> per group.
+    let mut points = ObjectiveMatrix::default();
+    let filtered = groups
+        .iter()
+        .map(|group| {
+            points.reset(objectives.objectives().len());
+            for &i in group {
+                let metrics = &cands[i].metrics;
+                points.push_row_from(
+                    objectives
+                        .objectives()
+                        .iter()
+                        .map(|&o| metrics.objective(o)),
+                );
+            }
+            non_dominated_matrix(&points)
+                .into_iter()
+                .map(|k| group[k])
+                .collect()
+        })
+        .collect();
+    Ok((groups, filtered))
 }
 
 #[cfg(test)]

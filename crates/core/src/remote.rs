@@ -38,7 +38,7 @@
 
 use std::sync::Arc;
 
-use clre_exec::{EvalVocab, ItemEval};
+use clre_exec::{EvalVocab, ExecPool, ItemEval};
 use clre_model::{Platform, TaskGraph};
 
 use crate::apps::AppSpec;
@@ -49,6 +49,7 @@ use crate::methodology::{ClrEarly, Layer};
 use crate::problem::SystemProblem;
 use crate::resilience::{encode_genome, parse_genome};
 use crate::scenario::Scenario;
+use crate::tdse::build_library_on;
 use crate::DseError;
 
 /// Version tag opening every evaluation context line.
@@ -221,10 +222,18 @@ impl EvalVocab for DseVocab {
         let (platform, graph) = ctx.app.build().map_err(|e| e.to_string())?;
         let platform: &'static Platform = Box::leak(Box::new(platform));
         let graph: &'static TaskGraph = Box::leak(Box::new(graph));
-        let dse =
-            ClrEarly::with_scenario(graph, platform, &ctx.scenario).map_err(|e| e.to_string())?;
+        // A worker process runs beside its sibling workers, so it builds
+        // `with_scenario`'s libraries on its own thread instead of on an
+        // `ExecPool::auto` pool of its own.
+        let serial = ExecPool::serial();
+        let tdse = ctx.scenario.tdse_config().map_err(|e| e.to_string())?;
+        let (main, health) =
+            build_library_on(graph, platform, &tdse, &serial).map_err(|e| e.to_string())?;
+        let dse = ClrEarly::from_library(graph, platform, tdse, Arc::new(main), health)
+            .map_err(|e| e.to_string())?
+            .with_objectives(ctx.scenario.system_objectives());
         let library: &'static ImplLibrary = Box::leak(Box::new(
-            dse.resolve_library(ctx.library)
+            dse.resolve_library(ctx.library, &serial)
                 .map_err(|e| e.to_string())?
                 .into_owned(),
         ));

@@ -641,9 +641,10 @@ pub fn build_library(
 /// and how many used the degraded closed-form fallback.
 ///
 /// Every task type's candidates are analyzed in one pass on an
-/// [`ExecPool::auto`] pool (see [`build_library_on`]), then folded per
-/// type in key order, so the library, the counters and the first error
-/// are bit-identical to a serial loop over the types.
+/// [`ExecPool::auto`] pool (see [`build_library_on`]) and folded per type
+/// in key order; a second pass groups and Pareto-filters each type. The
+/// library, the counters and the first error are bit-identical to a
+/// serial loop over the types.
 ///
 /// # Errors
 ///
@@ -656,9 +657,10 @@ pub fn build_library_with_health(
     build_library_on(graph, platform, config, &ExecPool::auto())
 }
 
-/// [`build_library_with_health`] with its one sweep pass on `pool`
-/// instead of [`ExecPool::auto`] — e.g. a server holding its sweeps to
-/// its configured worker budget. The result does not depend on `pool`.
+/// [`build_library_with_health`] with its sweep pass and its Pareto pass
+/// on `pool` instead of [`ExecPool::auto`] — e.g. a server holding its
+/// builds to its configured worker budget. The result does not depend on
+/// `pool`.
 ///
 /// # Errors
 ///
@@ -672,7 +674,8 @@ pub fn build_library_on(
     let mut health = TdseHealth::default();
     let types = 0..graph.task_types().len();
     let all = sweep(graph, platform, types, config, &mut health, pool)?;
-    let lib = ImplLibrary::from_candidates(all, platform.pe_types().len(), &config.objectives)?;
+    let lib =
+        ImplLibrary::from_candidates_on(all, platform.pe_types().len(), &config.objectives, pool)?;
     lib.validate_for(graph)?;
     Ok((lib, health))
 }
@@ -684,7 +687,7 @@ mod tests {
     use clre_markov::clr::{analyze_robust_chaos_spec, analyze_robust_spec};
     use clre_model::platform::paper_platform;
     use clre_model::reliability::{AswMethod, HwMethod, SswMethod};
-    use clre_model::TaskType;
+    use clre_model::{PeTypeId, TaskType};
     use clre_profile::SyntheticCharacterizer;
 
     fn test_graph(platform: &Platform) -> TaskGraph {
@@ -946,6 +949,105 @@ mod tests {
                 .map_err(|e| format!("{e:?}"));
             assert_eq!(built, Err(err.clone()), "{workers}: the build's error");
         }
+    }
+
+    /// Characterized task types `t0`, `t1`, …, one task each, except that
+    /// the types `empty` names get one implementation on a PE type the
+    /// platform lacks, so their sweeps yield no candidate.
+    fn multi_type_graph(platform: &Platform, types: u32, empty: &[u32]) -> TaskGraph {
+        let ch = SyntheticCharacterizer::new(5);
+        let mut b = TaskGraph::builder("g", 1.0);
+        for t in 0..types {
+            let name = format!("t{t}");
+            b = b.task_type(if empty.contains(&t) {
+                let stray = BaseImpl::new("stray", PeTypeId::new(99), 3.0e5, 1e-9);
+                TaskType::new(&name).with_impl(stray)
+            } else {
+                (ch.impls_for_type(t, platform).into_iter())
+                    .fold(TaskType::new(&name), TaskType::with_impl)
+            });
+        }
+        for t in 0..types {
+            b = b.task(&format!("task{t}"), &format!("t{t}")).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// `build_library_on` at 1, 2, 3 and 8 workers against
+    /// `ImplLibrary::from_candidates` over the serial oracle's candidates:
+    /// every index list, the digest and the health, or the same error.
+    fn assert_library_matches_oracle(
+        graph: &TaskGraph,
+        platform: &Platform,
+        config: &TdseConfig,
+        what: &str,
+    ) {
+        let (candidates, health) = oracle_sweep(graph, platform, config);
+        let pe_types = platform.pe_types().len();
+        let oracle = candidates.and_then(|c| {
+            ImplLibrary::from_candidates(c, pe_types, &config.objectives)
+                .map_err(|e| format!("{e:?}"))
+        });
+        for workers in [1, 2, 3, 8] {
+            let at = format!("{what}/{workers} workers");
+            let built = build_library_on(graph, platform, config, &ExecPool::new(workers));
+            let (lib, want) = match (built, &oracle) {
+                (Ok(built), Ok(want)) => (built, want),
+                (Err(e), Err(want)) => {
+                    assert_eq!(&format!("{e:?}"), want, "{at}: first error");
+                    continue;
+                }
+                (built, want) => panic!("{at}: {:?} vs {want:?}", built.map(|_| ())),
+            };
+            assert_eq!(lib.1, health, "{at}: health");
+            let lib = lib.0;
+            assert_eq!(lib.type_count(), want.type_count(), "{at}");
+            for ty in (0..want.type_count()).map(|t| TaskTypeId::new(t as u32)) {
+                for pe in (0..pe_types).map(|p| PeTypeId::new(p as u32)) {
+                    assert_eq!(lib.full_choices(ty, pe), want.full_choices(ty, pe), "{at}");
+                    assert_eq!(
+                        lib.pareto_choices(ty, pe),
+                        want.pareto_choices(ty, pe),
+                        "{at}"
+                    );
+                }
+            }
+            assert_eq!(lib.content_digest(), want.content_digest(), "{at}: digest");
+            assert_eq!(&lib, want, "{at}: library");
+        }
+    }
+
+    #[test]
+    fn pooled_library_matches_the_serial_oracle() {
+        let p = paper_platform();
+        let g = multi_type_graph(&p, 5, &[]);
+        for scenario in [
+            Scenario::Transient,
+            Scenario::PermanentAging {
+                mission_time_hours: 5_000.0,
+            },
+            Scenario::CheckpointModes,
+            Scenario::FpgaMitigation,
+        ] {
+            let config = scenario.tdse_config().expect("preset config");
+            assert_library_matches_oracle(&g, &p, &config, &scenario.name());
+        }
+        let storm =
+            TdseConfig::default().with_solver_faults(SolverFaultPlan::new(3, 400_000, 500_000));
+        assert_library_matches_oracle(&g, &p, &storm, "storm");
+    }
+
+    #[test]
+    fn pooled_library_returns_the_first_empty_type() {
+        let p = paper_platform();
+        let g = multi_type_graph(&p, 5, &[2, 4]);
+        let config = TdseConfig::default();
+        let built = build_library_on(&g, &p, &config, &ExecPool::new(3)).map(|_| ());
+        assert!(
+            matches!(built, Err(DseError::EmptyChoiceGroup { ty }) if ty == TaskTypeId::new(2)),
+            "{built:?}"
+        );
+        assert_library_matches_oracle(&g, &p, &config, "empty types");
     }
 
     #[test]

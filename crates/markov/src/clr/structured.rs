@@ -2,10 +2,11 @@
 //!
 //! The topology of both chains is fixed by the interval count and the
 //! fault mechanism alone, so this module writes `I − Q`, the residence
-//! vector and the `Error` column of `R` straight from the spec, in the
-//! state order of [`super::build_chain_spec`], into buffers reused across
-//! analyses on a thread, and it solves the functional chain only for the
-//! unit columns that feed `Error` instead of forming the full inverse.
+//! vector and the `Error` column of `R` straight from the spec's values,
+//! in the state order of [`super::build_chain_spec`], into buffers reused
+//! across analyses on a thread, and it solves the functional chain only
+//! for the unit columns that feed `Error` instead of forming the full
+//! inverse.
 //!
 //! # Record and replay
 //!
@@ -13,24 +14,37 @@
 //! rate is present, timing or functional, plain or scaled pivoting — has
 //! the same non-zero pattern in `I − Q`, so specs of one topology run the
 //! same elimination up to values and the odd pivot change. The first time
-//! a thread meets a topology, [`clre_num::Lu`]'s elimination (same pivot
-//! rule, same update expressions) runs on that spec, skipping every
-//! update whose multiplier or pivot-row entry is exactly `0.0`, to find
-//! its pivot rows. They become a [`Program`] (the refactorization idea of
-//! KLU, Davis & Palamadai Natarajan, ACM TOMS 36(3), 2010): value slots
-//! for the pattern and its fill, per column the pivot candidates, the
-//! multipliers and the `dst −= f·u` updates, and the `L` and `U` lists of
-//! the solves, in `Lu`'s accumulation order. Every analysis of that
-//! topology, the recording one included, replays the program, on one
-//! spec or on up to [`LANES`] side by side (one `[f64; N]` per slot). A
-//! lane is replayed only while its guards hold: the first strictly
-//! largest (scaled) candidate is the recorded pivot, no pivot falls below
-//! [`PIVOT_EPS`], and every slot and solution value ends finite. A lane
-//! that breaks a guard gets a program recorded from its own pivots, for
-//! that analysis only. A spec that fails a builder check, has a `−0.0`
-//! residence, a singular pivot or a non-finite value is left to the dense
-//! [`crate::MarkovChain`] path: [`analyze`] returns `None`, so every
-//! error comes from that path.
+//! a thread meets a topology, the chain is assembled as an edge list and
+//! [`clre_num::Lu`]'s elimination (same pivot rule, same update
+//! expressions) runs on that spec, skipping every update whose multiplier
+//! or pivot-row entry is exactly `0.0`, to find its pivot rows. They
+//! become a [`Program`] (the refactorization idea of KLU, Davis &
+//! Palamadai Natarajan, ACM TOMS 36(3), 2010): value slots for the
+//! pattern and its fill, per column the pivot candidates, the multipliers
+//! and the `dst −= f·u` updates, and the `L` and `U` lists of the solves,
+//! in `Lu`'s accumulation order. Every analysis of that topology, the
+//! recording one included, replays the program, on one spec or on up to
+//! [`LANES`] side by side (one `[f64; N]` per slot). A lane is replayed
+//! only while its guards hold: the first strictly largest (scaled)
+//! candidate is the recorded pivot, no pivot falls below [`PIVOT_EPS`],
+//! and every slot and solution value ends finite. A lane that breaks a
+//! guard gets a program recorded from its own pivots, for that analysis
+//! only.
+//!
+//! Replay needs only numbers. Each spec is turned once, for both chains,
+//! into a *value table* ([`value_table`]): its probabilities and their
+//! complements, `t_tol` and `t_chk`, and per interval the `Exec`
+//! residence and the `p_ne` (or `p_none` and its transient/permanent
+//! split) the interval's one `exp` gives. A program carries a *fill
+//! list*, recorded with it, that maps every slot of an edge to the table
+//! entry it subtracts, every row of the timing chain's right-hand side to
+//! its residence entry and every `→ Error` coefficient to its entry. So a
+//! replayed spec runs one `validate`, computes its interval weights and
+//! `exp`s once, and writes `init − (0.0 + p)` straight into its lanes; no
+//! edge list is built and no builder check runs. A spec the guard turns
+//! away (below), and one with a singular pivot or a non-finite value, is
+//! left to the dense [`crate::MarkovChain`] path: [`analyze`] returns
+//! `None`, so every error comes from that path.
 //!
 //! # Exactness
 //!
@@ -53,6 +67,23 @@
 //! value, finally, never turns finite again (`inf − x`, `NaN − x` and
 //! their quotients by a finite pivot stay non-finite), so checking the
 //! final slots and solutions sees every non-finite intermediate.
+//!
+//! The guard replaces the builder's checks, and it admits no spec the
+//! builder rejects. It turns a spec away when `validate` or the interval
+//! weights fail, when a table entry is not finite (an `Exec` residence
+//! `exec_time · w + t_det` that overflows, or a `p_ne` that is NaN
+//! because `seu_rate · exec_time` overflowed on an interval whose share
+//! underflowed to zero), or when a residence of the timing chain is
+//! `−0.0`. What passes meets every check of `MarkovChainBuilder::build`.
+//! `validate` holds every probability in `[0, 1]`, the times finite and
+//! non-negative and the rates finite and non-negative, so `p_ne` and
+//! `p_none` are `exp` of a non-positive number and the transient share
+//! `seu_rate / (seu_rate + perm_rate)` lies in `[0, 1]`. Every edge is
+//! then a finite value in `[0, 1]`, and every transient row is
+//! `p + (1 − p)` or the permanent split `(1 − p)·f + (1 − p)·(1 − f) + p`,
+//! within a few ulps of 1 and so well within `ROW_SUM_EPS`. The recording
+//! path still assembles the edges and asserts the builder's checks on
+//! them in debug builds.
 
 use super::{interval_weights, ClrChainSpec, TaskReliability};
 use crate::chain::ROW_SUM_EPS;
@@ -71,15 +102,19 @@ const NO_SLOT: u32 = u32::MAX;
 /// candidate of a diagonal position outside the pattern.
 const ZERO_SLOT: u32 = 0;
 
-/// Per-thread buffers; every analysis clears and refills them.
+/// Per-thread buffers of the recording path; a program's recording
+/// clears and refills them.
 #[derive(Default)]
 struct Workspace {
     /// Normalized interval weights.
     weights: Vec<f64>,
-    /// Residence time of every state, absorbing ones included.
-    residence: Vec<f64>,
-    /// Outgoing edges `(to, 0.0 + p)` of every state, ascending `to`.
-    edges: Vec<(usize, f64)>,
+    /// The value table of the spec being filled in or recorded from.
+    values: Vec<f64>,
+    /// The value index of every state's residence, absorbing ones
+    /// included.
+    residence: Vec<u32>,
+    /// Outgoing edges `(to, value index)` of every state, ascending `to`.
+    edges: Vec<(usize, u32)>,
     /// `edges[row_start[s]..row_start[s + 1]]` belong to state `s`.
     row_start: Vec<usize>,
     /// Dense row-major `I − Q`, factored in place to find the pivots.
@@ -92,6 +127,98 @@ struct Workspace {
     col_rows: Vec<usize>,
     /// Non-zero entries `(col, a[pivot, col])` right of the pivot.
     pivot_entries: Vec<(usize, f64)>,
+}
+
+// The value table of a spec ([`value_table`]): the spec-wide entries below,
+// then `PER_INTERVAL` entries per interval from [`interval`] on. Every
+// probability is stored as the builder stores an edge, accumulated onto
+// `0.0`; residences are stored as they are.
+const ZERO: u32 = 0;
+const ONE: u32 = 1;
+const M_HW: u32 = 2;
+const NOT_M_HW: u32 = 3;
+const M_IMPL: u32 = 4;
+const NOT_M_IMPL: u32 = 5;
+const COV_DET: u32 = 6;
+const NOT_COV_DET: u32 = 7;
+const M_TOL: u32 = 8;
+const NOT_M_TOL: u32 = 9;
+const M_ASW: u32 = 10;
+const NOT_M_ASW: u32 = 11;
+const P_CHK: u32 = 12;
+const NOT_P_CHK: u32 = 13;
+const T_TOL: u32 = 14;
+const T_CHK: u32 = 15;
+const SPEC_WIDE: u32 = 16;
+/// Per interval: the `Exec` residence, then the probabilities of `Exec`'s
+/// edges to `cont`, to `HWRel` and (permanent chains) to `PermRel`.
+const PER_INTERVAL: u32 = 4;
+
+/// The first value index of interval `i`.
+fn interval(i: usize) -> u32 {
+    SPEC_WIDE + PER_INTERVAL * i as u32
+}
+
+/// Writes the value table of `spec` into `out`, computing the interval
+/// weights and each interval's `exp` once for both chains. `false` when
+/// the dense path must answer instead: `validate` or the weights fail, a
+/// value is not finite, or a residence of the timing chain is `−0.0`
+/// (see the module docs' guard).
+fn value_table(
+    spec: &ClrChainSpec,
+    weights: Option<&[f64]>,
+    scratch: &mut Vec<f64>,
+    out: &mut Vec<f64>,
+) -> bool {
+    if spec.validate().is_err() || interval_weights(&spec.params, weights, scratch).is_err() {
+        return false;
+    }
+    let params = &spec.params;
+    // The builder accumulates every edge onto 0.0.
+    let edge = |p: f64| 0.0 + p;
+    out.clear();
+    out.extend([
+        0.0,
+        edge(1.0),
+        edge(params.m_hw),
+        edge(1.0 - params.m_hw),
+        edge(params.m_impl_ssw),
+        edge(1.0 - params.m_impl_ssw),
+        edge(params.cov_det),
+        edge(1.0 - params.cov_det),
+        edge(params.m_tol),
+        edge(1.0 - params.m_tol),
+        edge(params.m_asw),
+        edge(1.0 - params.m_asw),
+        edge(params.p_chk_err),
+        edge(1.0 - params.p_chk_err),
+        params.t_tol,
+        params.t_chk,
+    ]);
+    let perm_rate = spec.mechanism.perm_rate();
+    for &w in scratch.iter() {
+        let residence = params.exec_time * w + params.t_det;
+        if perm_rate > 0.0 {
+            let lambda = params.seu_rate + perm_rate;
+            let p_none = (-lambda * params.exec_time * w).exp();
+            let transient_frac = params.seu_rate / lambda;
+            out.extend([
+                residence,
+                edge(p_none),
+                edge((1.0 - p_none) * transient_frac),
+                edge((1.0 - p_none) * (1.0 - transient_frac)),
+            ]);
+        } else {
+            let p_ne = (-params.seu_rate * params.exec_time * w).exp();
+            out.extend([residence, edge(p_ne), edge(1.0 - p_ne), 0.0]);
+        }
+    }
+    // `validate` leaves `t_tol` and `t_chk` in `[0, ∞)` or `−0.0`, and
+    // `exec_time · w + t_det` is never `−0.0`; checkpoint states exist
+    // only with more than one interval.
+    let negative_zero =
+        params.t_tol.is_sign_negative() || (scratch.len() > 1 && params.t_chk.is_sign_negative());
+    out.iter().all(|v| v.is_finite()) && !negative_zero
 }
 
 /// What fixes the pattern of one chain's `I − Q` and the elimination a
@@ -142,8 +269,12 @@ struct Program {
     /// Value of every slot before the edges are written: the identity's
     /// entry (`1.0` on the diagonal) or `0.0`.
     init: Vec<f64>,
-    /// Slot of every assembled edge, [`NO_SLOT`] for absorbing targets.
-    edge_slot: Vec<u32>,
+    /// The fill list: `(slot, value index)` of every edge between
+    /// transient states; the slot starts at `init − value`.
+    fill: Vec<(u32, u32)>,
+    /// The value index of the residence of every final row position:
+    /// the timing chain's right-hand side.
+    rhs: Vec<u32>,
     /// Slots of each source row of `I − Q` (scaled programs' row scales).
     row_slots: Vec<u32>,
     row_start: Vec<u32>,
@@ -155,13 +286,11 @@ struct Program {
     /// `(slot, final row position)` multipliers of `L`.
     lower: Vec<(u32, u32)>,
     targets: Vec<u32>,
-    /// Source row of every final row position.
-    perm: Vec<u32>,
     /// Source rows with an `→ Error` edge (functional programs), whose
-    /// unit vectors are the right-hand sides, and the assembled index of
-    /// each such edge.
+    /// unit vectors are the right-hand sides, and the value index of each
+    /// such edge.
     error_rows: Vec<u32>,
-    error_edges: Vec<u32>,
+    error_values: Vec<u32>,
     /// The solution column of each error row: columns are ordered by the
     /// position of their unit entry, `error_start`.
     error_column: Vec<u32>,
@@ -191,21 +320,17 @@ impl Program {
             }
             slot_of[r * t + c]
         };
-        let (mut edge_slot, mut row_slots, mut row_start) = (Vec::new(), Vec::new(), Vec::new());
-        for from in 0..ws.residence.len() {
-            if from < t {
-                row_start.push(row_slots.len() as u32);
-                row_slots.push(slot(&mut slot_of, &mut init, from, from));
-            }
-            for &(to, _) in &ws.edges[ws.row_start[from]..ws.row_start[from + 1]] {
-                if from < t && to < t {
+        let (mut fill, mut row_slots, mut row_start) = (Vec::new(), Vec::new(), Vec::new());
+        for from in 0..t {
+            row_start.push(row_slots.len() as u32);
+            row_slots.push(slot(&mut slot_of, &mut init, from, from));
+            for &(to, value) in &ws.edges[ws.row_start[from]..ws.row_start[from + 1]] {
+                if to < t {
                     let s = slot(&mut slot_of, &mut init, from, to);
-                    edge_slot.push(s);
+                    fill.push((s, value));
                     if from != to {
                         row_slots.push(s);
                     }
-                } else {
-                    edge_slot.push(NO_SLOT);
                 }
             }
         }
@@ -265,12 +390,12 @@ impl Program {
             *r = position[*r as usize];
         }
         // The functional chain's `Error` state is absorbing state `t + 1`.
-        let (mut error_rows, mut error_edges) = (Vec::new(), Vec::new());
+        let (mut error_rows, mut error_values) = (Vec::new(), Vec::new());
         for s in 0..t {
-            for e in ws.row_start[s]..ws.row_start[s + 1] {
-                if topology.functional && ws.edges[e].0 == t + 1 {
+            for &(to, value) in &ws.edges[ws.row_start[s]..ws.row_start[s + 1]] {
+                if topology.functional && to == t + 1 {
                     error_rows.push(s as u32);
-                    error_edges.push(e as u32);
+                    error_values.push(value);
                 }
             }
         }
@@ -291,7 +416,8 @@ impl Program {
             topology,
             t,
             init,
-            edge_slot,
+            fill,
+            rhs: row_at.iter().map(|&r| ws.residence[r]).collect(),
             row_slots,
             row_start,
             columns,
@@ -299,9 +425,8 @@ impl Program {
             upper,
             lower,
             targets,
-            perm: row_at.iter().map(|&r| r as u32).collect(),
             error_rows,
-            error_edges,
+            error_values,
             error_column,
             error_start,
             forward_columns,
@@ -359,10 +484,10 @@ impl Program {
     }
 
     /// `Lu::solve` for the `m` right-hand sides in `xy` (`t × m`,
-    /// row-major, already permuted) over the factored `vals`, in place;
-    /// the same operations, in the same order per column, as
-    /// [`Workspace::solve`], but for the exact no-ops of the error rows'
-    /// unit vectors (`unit`) above their unit entries.
+    /// row-major, already permuted) over the factored `vals`, in place:
+    /// the same operations, in the same order per column, but for the
+    /// exact no-ops of the error rows' unit vectors (`unit`) above their
+    /// unit entries.
     fn solve<const N: usize>(&self, vals: &[[f64; N]], xy: &mut [[f64; N]], m: usize, unit: bool) {
         for (col, c) in self.columns.iter().enumerate() {
             let live = if unit {
@@ -405,10 +530,10 @@ impl Program {
 /// Replay buffers for `N` lanes.
 #[derive(Default)]
 struct Lanes<const N: usize> {
+    /// The value table of every lane's spec, one `[f64; N]` per index.
+    values: Vec<[f64; N]>,
     vals: Vec<[f64; N]>,
     scales: Vec<[f64; N]>,
-    residence: Vec<[f64; N]>,
-    to_error: Vec<[f64; N]>,
     xy: Vec<[f64; N]>,
 }
 
@@ -518,25 +643,49 @@ fn replay<const N: usize>(
     weights: Option<&[f64]>,
     scaled: bool,
 ) -> [Option<TaskReliability>; N] {
-    let mut live: [bool; N] = std::array::from_fn(|l| l < specs.len());
     let mut out = [None; N];
-    if replay_chain(
-        ws, programs, lanes, specs, weights, scaled, false, &mut live,
-    )
-    .is_none()
-    {
+    let topology = Topology::of(specs[0], false, scaled);
+    lanes.values.clear();
+    lanes
+        .values
+        .resize(interval(topology.intervals) as usize, [0.0; N]);
+    let mut live = [false; N];
+    for (l, spec) in specs.iter().enumerate() {
+        live[l] = value_table(spec, weights, &mut ws.weights, &mut ws.values);
+        if live[l] {
+            for (dst, &v) in lanes.values.iter_mut().zip(&ws.values) {
+                dst[l] = v;
+            }
+        }
+    }
+    // A lane without a live spec replays a copy of a live lane's values
+    // and its results are never read, so no lane computes on stale or
+    // non-finite values.
+    let Some(first) = live.iter().position(|&l| l) else {
+        return out;
+    };
+    for (l, _) in live.iter().enumerate().filter(|(_, &l)| !l) {
+        for v in &mut lanes.values {
+            v[l] = v[first];
+        }
+    }
+    if replay_chain(ws, programs, lanes, topology, &mut live).is_none() {
         return out;
     }
     let avg_exec_time = lanes.xy[0];
-    let Some(p) = replay_chain(ws, programs, lanes, specs, weights, scaled, true, &mut live) else {
+    let functional = Topology {
+        functional: true,
+        ..topology
+    };
+    let Some(p) = replay_chain(ws, programs, lanes, functional, &mut live) else {
         return out;
     };
-    let columns = &programs[p].error_column;
+    let prog = &programs[p];
     for (l, spec) in specs.iter().enumerate() {
         if live[l] {
             let mut error = 0.0;
-            for (&c, p) in columns.iter().zip(&lanes.to_error) {
-                error += lanes.xy[c as usize][l] * p[l];
+            for (&c, &v) in prog.error_column.iter().zip(&prog.error_values) {
+                error += lanes.xy[c as usize][l] * lanes.values[v as usize][l];
             }
             out[l] = Some(TaskReliability {
                 min_exec_time: spec.params.min_exec_time(),
@@ -548,73 +697,46 @@ fn replay<const N: usize>(
     out
 }
 
-/// Replays the timing or functional chain of the live lanes, leaving
-/// the solution in `lanes.xy`; returns the program replayed, or `None`
-/// when no lane is left.
-#[allow(clippy::too_many_arguments)]
+/// Replays the `topology` chain of the live lanes from their value
+/// tables, leaving the solution in `lanes.xy`; returns the program
+/// replayed, or `None` when no lane is left.
 fn replay_chain<const N: usize>(
     ws: &mut Workspace,
     programs: &mut Vec<Program>,
     lanes: &mut Lanes<N>,
-    specs: &[&ClrChainSpec],
-    weights: Option<&[f64]>,
-    scaled: bool,
-    functional: bool,
+    topology: Topology,
     live: &mut [bool; N],
 ) -> Option<usize> {
-    let mut program = None;
-    for (l, spec) in specs.iter().enumerate() {
-        if !live[l] {
-            continue;
-        }
-        let Some(t) = ws.prepare(spec, weights, functional) else {
-            live[l] = false;
-            continue;
-        };
-        let p = match program {
-            Some(p) => p,
-            None => {
-                let topology = Topology::of(spec, functional, scaled);
-                let found = programs.iter().position(|p| p.topology == topology);
-                let Some(p) = found.or_else(|| {
-                    ws.fill_i_minus_q(t);
-                    ws.factor(t, scaled).then_some(())?;
-                    programs.push(Program::record(topology, ws, t));
-                    Some(programs.len() - 1)
-                }) else {
-                    live[l] = false;
+    let p = match programs.iter().position(|p| p.topology == topology) {
+        Some(p) => p,
+        None => {
+            // Record from the first lane whose elimination succeeds.
+            let mut recorded = None;
+            for l in 0..N {
+                if !live[l] {
                     continue;
-                };
-                let prog = &programs[p];
-                lanes.vals.clear();
-                lanes.vals.extend(prog.init.iter().map(|&v| [v; N]));
-                lanes.residence.clear();
-                lanes.residence.resize(t, [0.0; N]);
-                lanes.to_error.clear();
-                lanes.to_error.resize(prog.error_rows.len(), [0.0; N]);
-                program = Some(p);
-                p
+                }
+                ws.values.clear();
+                ws.values.extend(lanes.values.iter().map(|v| v[l]));
+                if let Some(t) = ws.eliminate(topology) {
+                    programs.push(Program::record(topology, ws, t));
+                    recorded = Some(programs.len() - 1);
+                    break;
+                }
+                live[l] = false;
             }
-        };
-        let prog = &programs[p];
-        debug_assert_eq!(prog.edge_slot.len(), ws.edges.len());
-        for (&s, &(_, p)) in prog.edge_slot.iter().zip(&ws.edges) {
-            if s != NO_SLOT {
-                let v = &mut lanes.vals[s as usize][l];
-                *v -= p;
-            }
+            recorded?
         }
-        for (r, &v) in lanes.residence.iter_mut().zip(&ws.residence) {
-            r[l] = v;
-        }
-        for (e, &edge) in lanes.to_error.iter_mut().zip(&prog.error_edges) {
-            e[l] = ws.edges[edge as usize].1;
-        }
-    }
-    let p = program?;
+    };
     let prog = &programs[p];
     let t = prog.t;
-    if scaled {
+    lanes.vals.clear();
+    lanes.vals.extend(prog.init.iter().map(|&v| [v; N]));
+    for &(slot, value) in &prog.fill {
+        let (init, p) = (prog.init[slot as usize], lanes.values[value as usize]);
+        lanes.vals[slot as usize] = std::array::from_fn(|l| init - p[l]);
+    }
+    if topology.scaled {
         lanes.scales.clear();
         for r in 0..t {
             let slots = &prog.row_slots[range((prog.row_start[r], prog.row_start[r + 1]))];
@@ -631,20 +753,26 @@ fn replay_chain<const N: usize>(
     }
     prog.factor(&mut lanes.vals, &lanes.scales, live);
 
-    let m = if functional { prog.error_rows.len() } else { 1 };
+    let m = if topology.functional {
+        prog.error_rows.len()
+    } else {
+        1
+    };
     lanes.xy.clear();
-    for (i, &src) in prog.perm.iter().enumerate() {
-        if functional {
+    if topology.functional {
+        for i in 0..t {
             lanes.xy.extend(
                 prog.error_start
                     .iter()
                     .map(|&start| [if start as usize == i { 1.0 } else { 0.0 }; N]),
             );
-        } else {
-            lanes.xy.push(lanes.residence[src as usize]);
         }
+    } else {
+        lanes
+            .xy
+            .extend(prog.rhs.iter().map(|&v| lanes.values[v as usize]));
     }
-    prog.solve(&lanes.vals, &mut lanes.xy, m, functional);
+    prog.solve(&lanes.vals, &mut lanes.xy, m, topology.functional);
 
     for (l, live) in live.iter_mut().enumerate() {
         *live &= lanes.vals.iter().all(|v| v[l].is_finite())
@@ -654,47 +782,41 @@ fn replay_chain<const N: usize>(
 }
 
 impl Workspace {
-    /// Assembles one chain of `spec` and returns its transient-state
-    /// count; `None` when a check of the builder fails or a residence is
-    /// `−0.0`, which the dense path answers.
-    fn prepare(
-        &mut self,
-        spec: &ClrChainSpec,
-        weights: Option<&[f64]>,
-        functional: bool,
-    ) -> Option<usize> {
-        spec.validate().ok()?;
-        interval_weights(&spec.params, weights, &mut self.weights).ok()?;
-        let t = self.assemble(spec, functional);
-        if !self.valid(t)
-            || (!functional && self.residence[..t].iter().any(|r| r.is_sign_negative()))
-        {
-            return None;
-        }
-        Some(t)
+    /// Assembles the `topology` chain of the spec whose value table
+    /// `values` holds and factors it to find its pivots; returns its
+    /// transient-state count, or `None` when a pivot is singular or an
+    /// entry ends non-finite.
+    fn eliminate(&mut self, topology: Topology) -> Option<usize> {
+        let t = self.assemble(topology);
+        debug_assert!(
+            self.valid(t),
+            "the guard admitted a chain the builder rejects"
+        );
+        self.fill_i_minus_q(t);
+        self.factor(t, topology.scaled).then_some(t)
     }
 
-    /// Appends one state: its residence and its edges, which must come in
-    /// ascending `to` order (the builder's `BTreeMap` order).
-    fn state(&mut self, residence: f64, edges: &[(usize, f64)]) {
+    /// Appends one state: the value index of its residence and its edges,
+    /// which must come in ascending `to` order (the builder's `BTreeMap`
+    /// order).
+    fn state(&mut self, residence: u32, edges: &[(usize, u32)]) {
         self.residence.push(residence);
         self.row_start.push(self.edges.len());
-        for &(to, p) in edges {
-            // The builder accumulates every edge onto 0.0.
-            self.edges.push((to, 0.0 + p));
-        }
+        self.edges.extend_from_slice(edges);
     }
 
-    /// Writes the timing (`functional == false`) or functional chain of
-    /// `spec` and returns its transient-state count. States come in
+    /// Writes the timing or functional chain of `topology` over value
+    /// indices and returns its transient-state count. States come in
     /// `build_chain_spec`'s order: per-interval blocks, checkpoints, then
     /// the absorbers (`End`, or `NoError` and `Error`).
-    fn assemble(&mut self, spec: &ClrChainSpec, functional: bool) -> usize {
-        let params = &spec.params;
-        let perm_rate = spec.mechanism.perm_rate();
-        let with_perm = perm_rate > 0.0;
-        let k = self.weights.len();
-        let block = if with_perm { 7 } else { 6 };
+    fn assemble(&mut self, topology: Topology) -> usize {
+        let Topology {
+            intervals: k,
+            permanent,
+            functional,
+            ..
+        } = topology;
+        let block = if permanent { 7 } else { 6 };
         let t = block * k + (k - 1);
         let (end, err) = (t, t + 1);
         self.residence.clear();
@@ -706,70 +828,41 @@ impl Workspace {
             let (exec, hw, ssw_impl, ssw_det, ssw_tol, asw, perm) =
                 (o, o + 1, o + 2, o + 3, o + 4, o + 5, o + 6);
             let cont = if i + 1 < k { block * k + i } else { end };
-            let w = self.weights[i];
-            let residence = params.exec_time * w + params.t_det;
-            if with_perm {
-                let lambda = params.seu_rate + perm_rate;
-                let p_none = (-lambda * params.exec_time * w).exp();
-                let transient_frac = params.seu_rate / lambda;
-                self.state(
-                    residence,
-                    &[
-                        (hw, (1.0 - p_none) * transient_frac),
-                        (perm, (1.0 - p_none) * (1.0 - transient_frac)),
-                        (cont, p_none),
-                    ],
-                );
+            let v = interval(i);
+            let (residence, to_cont, to_hw, to_perm) = (v, v + 1, v + 2, v + 3);
+            if permanent {
+                self.state(residence, &[(hw, to_hw), (perm, to_perm), (cont, to_cont)]);
             } else {
-                let p_ne = (-params.seu_rate * params.exec_time * w).exp();
-                self.state(residence, &[(hw, 1.0 - p_ne), (cont, p_ne)]);
+                self.state(residence, &[(hw, to_hw), (cont, to_cont)]);
             }
-            self.state(0.0, &[(ssw_impl, 1.0 - params.m_hw), (cont, params.m_hw)]);
-            self.state(
-                0.0,
-                &[
-                    (ssw_det, 1.0 - params.m_impl_ssw),
-                    (cont, params.m_impl_ssw),
-                ],
-            );
-            self.state(
-                0.0,
-                &[(ssw_tol, params.cov_det), (asw, 1.0 - params.cov_det)],
-            );
+            self.state(ZERO, &[(ssw_impl, NOT_M_HW), (cont, M_HW)]);
+            self.state(ZERO, &[(ssw_det, NOT_M_IMPL), (cont, M_IMPL)]);
+            self.state(ZERO, &[(ssw_tol, COV_DET), (asw, NOT_COV_DET)]);
             if functional {
-                self.state(
-                    params.t_tol,
-                    &[(exec, params.m_tol), (err, 1.0 - params.m_tol)],
-                );
-                self.state(0.0, &[(cont, params.m_asw), (err, 1.0 - params.m_asw)]);
+                self.state(T_TOL, &[(exec, M_TOL), (err, NOT_M_TOL)]);
+                self.state(ZERO, &[(cont, M_ASW), (err, NOT_M_ASW)]);
             } else {
-                self.state(
-                    params.t_tol,
-                    &[(exec, params.m_tol), (cont, 1.0 - params.m_tol)],
-                );
-                self.state(0.0, &[(cont, 1.0)]);
+                self.state(T_TOL, &[(exec, M_TOL), (cont, NOT_M_TOL)]);
+                self.state(ZERO, &[(cont, ONE)]);
             }
-            if with_perm {
+            if permanent {
                 if functional {
-                    self.state(0.0, &[(cont, params.m_hw), (err, 1.0 - params.m_hw)]);
+                    self.state(ZERO, &[(cont, M_HW), (err, NOT_M_HW)]);
                 } else {
-                    self.state(0.0, &[(cont, 1.0)]);
+                    self.state(ZERO, &[(cont, ONE)]);
                 }
             }
         }
         for i in 0..k - 1 {
             let next = block * (i + 1);
             if functional {
-                self.state(
-                    params.t_chk,
-                    &[(next, 1.0 - params.p_chk_err), (err, params.p_chk_err)],
-                );
+                self.state(T_CHK, &[(next, NOT_P_CHK), (err, P_CHK)]);
             } else {
-                self.state(params.t_chk, &[(next, 1.0)]);
+                self.state(T_CHK, &[(next, ONE)]);
             }
         }
         for _ in 0..(if functional { 2 } else { 1 }) {
-            self.state(0.0, &[]);
+            self.state(ZERO, &[]);
         }
         self.row_start.push(self.edges.len());
         t
@@ -778,17 +871,15 @@ impl Workspace {
     /// Whether the chain passes `MarkovChainBuilder::build`'s checks;
     /// states from `t` on are absorbing.
     fn valid(&self, t: usize) -> bool {
-        let residences =
-            (self.residence.iter()).fold(true, |ok, &r| ok & r.is_finite() & (r >= 0.0));
-        let edges = (self.edges.iter()).fold(true, |ok, &(_, p)| {
-            ok & p.is_finite() & (0.0..=1.0 + ROW_SUM_EPS).contains(&p)
+        let v = |i: u32| self.values[i as usize];
+        let residences = (self.residence.iter()).all(|&r| v(r).is_finite() && v(r) >= 0.0);
+        let edges = (self.edges.iter())
+            .all(|&(_, p)| v(p).is_finite() && (0.0..=1.0 + ROW_SUM_EPS).contains(&v(p)));
+        let sums = self.row_start[..=t].windows(2).all(|row| {
+            let sum: f64 = self.edges[row[0]..row[1]].iter().map(|&(_, p)| v(p)).sum();
+            (sum - 1.0).abs() <= ROW_SUM_EPS
         });
-        let sums = self.row_start[..=t].windows(2).fold(true, |ok, row| {
-            let sum: f64 = self.edges[row[0]..row[1]].iter().map(|&(_, p)| p).sum();
-            // A NaN sum needs a non-finite edge, which fails above.
-            ok & ((sum - 1.0).abs() <= ROW_SUM_EPS)
-        });
-        residences & edges & sums
+        residences && edges && sums
     }
 
     /// Writes the dense `I − Q` block as `Matrix::identity(t).sub(&q)`
@@ -801,7 +892,7 @@ impl Workspace {
             for &(j, p) in &self.edges[self.row_start[i]..self.row_start[i + 1]] {
                 if j < t {
                     let id = if i == j { 1.0 } else { 0.0 };
-                    self.a[i * t + j] = id - p;
+                    self.a[i * t + j] = id - self.values[p as usize];
                 }
             }
         }
@@ -891,14 +982,14 @@ impl Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clr::{analyze_dense, ClrChainParams};
+    use crate::clr::{analyze_dense, build_chain_spec, ClrChainParams};
 
     /// Pivot rows of one chain of `spec` under the elimination.
     fn pivots(spec: &ClrChainSpec, functional: bool) -> Vec<usize> {
         let mut ws = Workspace::default();
-        let t = ws.prepare(spec, None, functional).expect("valid spec");
-        ws.fill_i_minus_q(t);
-        assert!(ws.factor(t, false));
+        assert!(value_table(spec, None, &mut ws.weights, &mut ws.values));
+        ws.eliminate(Topology::of(spec, functional, false))
+            .expect("valid spec");
         ws.pivots.clone()
     }
 
@@ -908,6 +999,102 @@ mod tests {
             r.avg_exec_time.to_bits(),
             r.error_prob.to_bits(),
         ]
+    }
+
+    /// The guard's claim (module docs, "Exactness"): [`value_table`] admits a
+    /// spec exactly when the builder accepts both of its chains and no
+    /// timing residence is `−0.0`, here for every field at the edges of
+    /// `f64`, overflowing residences and rates, and weights whose share
+    /// underflows to zero.
+    #[test]
+    fn guard_admits_exactly_what_the_builder_accepts() {
+        let wild = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.0e-3,
+            -0.0,
+            0.0,
+            1.0 + 1.0e-12,
+            5.0e-324,
+            1.0e300,
+            f64::MAX,
+        ];
+        let base = ClrChainParams {
+            m_hw: 0.7,
+            m_impl_ssw: 0.05,
+            cov_det: 0.9,
+            m_tol: 0.97,
+            m_asw: 0.55,
+            t_det: 10.0e-6,
+            t_tol: 5.0e-6,
+            t_chk: 12.0e-6,
+            p_chk_err: 1.0e-4,
+            ..ClrChainParams::unprotected(300.0e-6, 100.0)
+        };
+        let (mut scratch, mut values) = (Vec::new(), Vec::new());
+        let (mut admitted, mut rejected) = (0, 0);
+        for intervals in [1, 3] {
+            let p = ClrChainParams { intervals, ..base };
+            let mut variants = vec![
+                ClrChainParams {
+                    exec_time: f64::MAX,
+                    t_det: f64::MAX,
+                    ..p
+                },
+                ClrChainParams {
+                    seu_rate: 1.0e300,
+                    exec_time: 1.0e10,
+                    ..p
+                },
+            ];
+            for field in 0..11 {
+                for &v in &wild {
+                    let mut q = p;
+                    *[
+                        &mut q.exec_time,
+                        &mut q.seu_rate,
+                        &mut q.m_hw,
+                        &mut q.m_impl_ssw,
+                        &mut q.cov_det,
+                        &mut q.m_tol,
+                        &mut q.m_asw,
+                        &mut q.t_det,
+                        &mut q.t_tol,
+                        &mut q.t_chk,
+                        &mut q.p_chk_err,
+                    ][field] = v;
+                    variants.push(q);
+                }
+            }
+            let specs = variants.iter().flat_map(|&q| {
+                let permanent = [40.0].iter().chain(&wild);
+                std::iter::once(ClrChainSpec::transient(q))
+                    .chain(permanent.map(move |&rate| ClrChainSpec::permanent_aging(q, rate)))
+            });
+            let k = intervals as usize;
+            let mut underflow = vec![1.0; k];
+            (underflow[0], underflow[k - 1]) = (5.0e-324, 4.0);
+            for spec in specs {
+                for weights in [None, Some(&underflow[..])] {
+                    let guard = value_table(&spec, weights, &mut scratch, &mut values);
+                    let builds = [false, true]
+                        .iter()
+                        .all(|&functional| build_chain_spec(&spec, functional, weights).is_ok());
+                    // Checkpoint states exist only with more than one
+                    // interval.
+                    let negative_zero = spec.params.t_tol.is_sign_negative()
+                        || (k > 1 && spec.params.t_chk.is_sign_negative());
+                    assert_eq!(guard, builds && !negative_zero, "{spec:?} {weights:?}");
+                    if guard {
+                        admitted += 1;
+                    } else if builds {
+                        rejected += 1;
+                    }
+                }
+            }
+        }
+        assert!(admitted > 0 && rejected > 0, "{admitted} {rejected}");
     }
 
     #[test]

@@ -7,7 +7,8 @@
 use clrearly::markov::closed_form;
 use clrearly::markov::clr::{
     analyze_robust_batch, analyze_robust_chaos_spec, analyze_spec, analyze_with_intervals_spec,
-    ClrChainParams, ClrChainSpec, RobustAnalysis, SolverFaultPlan, TaskReliability, LANES,
+    ClrChainParams, ClrChainSpec, FaultMechanism, RobustAnalysis, SolverFaultPlan, TaskReliability,
+    LANES,
 };
 use clrearly::markov::{MarkovChain, MarkovError, StateId};
 use clrearly::num::util::clamp_prob;
@@ -373,7 +374,16 @@ fn dense_analysis(
     let normalized: Vec<f64> = match weights {
         None => vec![1.0 / k as f64; k],
         Some(w) => {
+            assert_eq!(w.len(), k, "one weight per interval");
+            // The documented rejection of a non-positive or non-finite
+            // weight.
             let total: f64 = w.iter().sum();
+            if !total.is_finite() || total <= 0.0 || w.iter().any(|&x| !x.is_finite() || x <= 0.0) {
+                return Err(MarkovError::InvalidResidence {
+                    state: 0,
+                    value: total,
+                });
+            }
             w.iter().map(|&x| x / total).collect()
         }
     };
@@ -462,9 +472,15 @@ fn assert_same(
 ) {
     match (fast, dense) {
         (Ok(f), Ok(d)) => assert_eq!(bits(f), bits(d), "{spec:?}: {f:?} vs {d:?}"),
-        (Err(f), Err(d)) => assert_eq!(f, d, "{spec:?}"),
+        (Err(f), Err(d)) => assert_same_error(spec, f, d),
         _ => panic!("{spec:?}: {fast:?} vs {dense:?}"),
     }
+}
+
+/// Asserts two errors of `spec` are the same variant with the same
+/// fields, a NaN field matching a NaN (their `Debug` forms agree).
+fn assert_same_error(spec: &ClrChainSpec, fast: &MarkovError, dense: &MarkovError) {
+    assert_eq!(format!("{fast:?}"), format!("{dense:?}"), "{spec:?}");
 }
 
 /// Probabilities with the exactness argument's edge cases, exact `0.0`,
@@ -473,9 +489,69 @@ fn arb_prob() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.0), Just(-0.0), Just(1.0), 0.0..1.0f64]
 }
 
-/// Random specs over k = 1..6, transient or permanent/aging (rate zero or
-/// positive), with uneven interval weights for the weighted entry point.
+/// Values outside the chain's domain or at the edge of `f64`.
+const WILD: [f64; 9] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    -1.0e-3,
+    -0.0,
+    1.0 + 1.0e-12,
+    f64::MAX,
+    1.0e300,
+    0.0,
+];
+
+/// [`arb_domain_case`]'s cases, half of them as drawn and half pushed out
+/// of the domain or to the edge of `f64`: one field or the permanent rate
+/// set to a [`WILD`] value; an `Exec` residence that overflows
+/// (`exec_time` and `t_det` at `f64::MAX`); a `seu_rate · exec_time` that
+/// overflows, so `p_ne` is zero, and NaN on a weighted interval whose
+/// share underflows to zero; or a zero, NaN or negative weight.
 fn arb_oracle_case() -> impl Strategy<Value = (ClrChainSpec, Vec<f64>)> {
+    (arb_domain_case(), 0u32..8, 0usize..14, 0usize..WILD.len()).prop_map(
+        |((mut spec, mut w), pick, field, wild)| {
+            let (p, v) = (&mut spec.params, WILD[wild]);
+            match pick {
+                0..=3 => {}
+                4 => match field {
+                    0 => p.exec_time = v,
+                    1 => p.seu_rate = v,
+                    2 => p.m_hw = v,
+                    3 => p.m_impl_ssw = v,
+                    4 => p.cov_det = v,
+                    5 => p.m_tol = v,
+                    6 => p.m_asw = v,
+                    7 => p.t_det = v,
+                    8 => p.t_tol = v,
+                    9 => p.t_chk = v,
+                    10 => p.p_chk_err = v,
+                    11 => spec.mechanism = FaultMechanism::PermanentAging { perm_rate: v },
+                    _ => w[0] = v,
+                },
+                5 => (p.exec_time, p.t_det) = (f64::MAX, f64::MAX),
+                6 => {
+                    (p.seu_rate, p.exec_time) = (1.0e300, 1.0e10);
+                    // 5e-324 / 4.0 rounds to zero.
+                    w[0] = 5.0e-324;
+                    if w.len() > 1 {
+                        *w.last_mut().unwrap() = 4.0;
+                    }
+                }
+                _ => {
+                    let n = w.len();
+                    w[field % n] = [0.0, f64::NAN, -1.0][wild % 3];
+                }
+            }
+            (spec, w)
+        },
+    )
+}
+
+/// Random in-domain specs over k = 1..6, transient or permanent/aging
+/// (rate zero or positive), with uneven interval weights for the weighted
+/// entry point.
+fn arb_domain_case() -> impl Strategy<Value = (ClrChainSpec, Vec<f64>)> {
     (
         (1.0e-5..2.0e-3f64, prop_oneof![Just(0.0), 0.0..5000.0f64]),
         (
@@ -543,9 +619,9 @@ proptest! {
                 prop_assert_eq!(bits(&r.reliability), bits(&d));
             }
             Err(e) if !matches!(e, MarkovError::Numeric(_) | MarkovError::NotAbsorbing) => {
-                prop_assert_eq!(scaled.unwrap_err(), e);
+                assert_same_error(&spec, &scaled.unwrap_err(), &e);
             }
-            _ => prop_assert!(scaled.expect("closed form").degraded),
+            _ => assert_closed_form(&spec, &scaled),
         }
     }
 
@@ -562,14 +638,8 @@ proptest! {
                 prop_assert_eq!((f.degraded, f.retried), (d.degraded, d.retried));
                 prop_assert_eq!(bits(&f.reliability), bits(&d.reliability));
             }
-            Ok(None) => {
-                let f = fast.expect("degraded analysis");
-                prop_assert!(f.degraded && f.retried);
-                let forced = SolverFaultPlan::new(seed, 1_000_000, 1_000_000);
-                let closed = analyze_robust_chaos_spec(&spec, &forced).expect("closed form");
-                prop_assert_eq!(bits(&f.reliability), bits(&closed.reliability));
-            }
-            Err(e) => prop_assert_eq!(fast.unwrap_err(), e),
+            Ok(None) => assert_closed_form(&spec, &fast),
+            Err(e) => assert_same_error(&spec, &fast.unwrap_err(), &e),
         }
     }
 
@@ -594,22 +664,25 @@ proptest! {
                     prop_assert_eq!((f.degraded, f.retried), (d.degraded, d.retried));
                     prop_assert_eq!(bits(&f.reliability), bits(&d.reliability));
                 }
-                // The closed form decides, domain errors included: the
-                // oracle stops short of it.
-                Ok(None) => {
-                    let forced = SolverFaultPlan::new(seed, 1_000_000, 1_000_000);
-                    match analyze_robust_chaos_spec(spec, &forced) {
-                        Ok(closed) => {
-                            let f = fast.expect("degraded analysis");
-                            prop_assert!(f.degraded && f.retried);
-                            prop_assert_eq!(bits(&f.reliability), bits(&closed.reliability));
-                        }
-                        Err(e) => prop_assert_eq!(fast.unwrap_err(), e),
-                    }
-                }
-                Err(e) => prop_assert_eq!(fast.unwrap_err(), e),
+                Ok(None) => assert_closed_form(spec, &fast),
+                Err(e) => assert_same_error(spec, &fast.unwrap_err(), &e),
             }
         }
+    }
+}
+
+/// Asserts `outcome` is the degraded closed-form answer for `spec` that a
+/// ladder forced past both solvers gives, domain errors included: the
+/// closed form decides where the dense oracle stops short of it.
+fn assert_closed_form(spec: &ClrChainSpec, outcome: &Result<RobustAnalysis, MarkovError>) {
+    let forced = SolverFaultPlan::new(0, 1_000_000, 1_000_000);
+    match (analyze_robust_chaos_spec(spec, &forced), outcome) {
+        (Ok(closed), Ok(f)) => {
+            assert!(f.degraded && f.retried, "{spec:?}: {f:?}");
+            assert_eq!(bits(&f.reliability), bits(&closed.reliability), "{spec:?}");
+        }
+        (Err(e), Err(f)) => assert_same_error(spec, f, &e),
+        (closed, f) => panic!("{spec:?}: {f:?} vs the closed form's {closed:?}"),
     }
 }
 
