@@ -15,8 +15,13 @@
 //! library always retains mappable candidates for every PE type that can
 //! host the task — this is why Table IV row I reports one point per PE
 //! type rather than a single global optimum.
-
-use std::sync::OnceLock;
+//!
+//! A library is assembled by one pass over its task types
+//! ([`ImplLibrary::finish_on`]): each type is one item that folds the
+//! type's sweep results, groups and Pareto-filters its candidates, and
+//! computes the type's digest. The library's
+//! [`ImplLibrary::content_digest`] is therefore fixed at construction,
+//! and the calling thread touches no candidate after the pass.
 
 use clre_exec::ExecPool;
 use clre_model::qos::{ObjectiveSet, TaskMetrics};
@@ -26,6 +31,8 @@ use clre_moea::kernels::non_dominated_matrix;
 use clre_moea::ObjectiveMatrix;
 use serde::{Deserialize, Serialize};
 
+use crate::cache::Fnv;
+use crate::tdse::TdseHealth;
 use crate::DseError;
 
 /// One fully configured task-level design point.
@@ -47,7 +54,7 @@ pub struct CandidateImpl {
 }
 
 /// The per-application candidate library produced by task-level DSE.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ImplLibrary {
     /// `candidates[ty]` — all candidates of task type `ty`.
     candidates: Vec<Vec<CandidateImpl>>,
@@ -56,20 +63,28 @@ pub struct ImplLibrary {
     full: Vec<Vec<Vec<usize>>>,
     /// `pareto[ty][pe_ty]` — Pareto-filtered candidate indices.
     pareto: Vec<Vec<Vec<usize>>>,
-    /// [`ImplLibrary::content_digest`], folded on first request: callers
-    /// without a cache never ask for it and never pay for the fold.
-    #[serde(skip)]
-    digest: OnceLock<u64>,
+    /// [`ImplLibrary::content_digest`], computed at construction from the
+    /// type digests the library pass produced.
+    digest: u64,
 }
 
-/// Equality over the candidates and index lists; the memoized digest is
-/// derived from them and may or may not be computed yet.
-impl PartialEq for ImplLibrary {
-    fn eq(&self, other: &Self) -> bool {
-        self.candidates == other.candidates
-            && self.full == other.full
-            && self.pareto == other.pareto
-    }
+/// One task type's slot in [`ImplLibrary::finish_on`]: its input and its
+/// candidates, then the counters its fold added and the type's outcome.
+struct TypeSlot<I> {
+    input: I,
+    candidates: Vec<CandidateImpl>,
+    health: TdseHealth,
+    /// The type's index lists and digest, or why it did not finish.
+    outcome: Option<Result<(TypeGroups, u64), TypeError>>,
+}
+
+/// The `full` and `pareto` index lists of one task type, per PE type.
+type TypeGroups = (Vec<Vec<usize>>, Vec<Vec<usize>>);
+
+/// Why a task type did not finish: its fold failed, or its grouping did.
+enum TypeError {
+    Fold(DseError),
+    Group(DseError),
 }
 
 impl ImplLibrary {
@@ -85,36 +100,86 @@ impl ImplLibrary {
         pe_type_count: usize,
         objectives: &ObjectiveSet,
     ) -> Result<Self, DseError> {
-        Self::from_candidates_on(candidates, pe_type_count, objectives, &ExecPool::serial())
+        // Ready candidates need no fold: the serial case of the pass.
+        Self::finish_on(
+            candidates.into_iter().map(|ready| ((), ready)),
+            pe_type_count,
+            objectives,
+            &ExecPool::serial(),
+            &mut TdseHealth::default(),
+            |(), _, _| Ok(()),
+        )
     }
 
-    /// [`ImplLibrary::from_candidates`] with one pass on `pool`: each
-    /// task type is one item, grouped and filtered into its own slot,
-    /// and the slots are then read in type order. The library and the
-    /// first error in type order do not depend on `pool`.
-    pub(crate) fn from_candidates_on(
-        candidates: Vec<Vec<CandidateImpl>>,
+    /// The library pass on `pool`: one item per task type, which
+    /// 1. folds the type's input with `fold` (the tDSE sweep's analysis
+    ///    statuses, counted into the type's counters up to its first
+    ///    error),
+    /// 2. groups the type's candidates by PE type and Pareto-filters each
+    ///    group,
+    /// 3. computes the type's digest (see [`ImplLibrary::content_digest`]).
+    ///
+    /// `inputs` pairs each type's input with its candidates. The calling
+    /// thread then reads the slots in type order: it adds each type's
+    /// counters to `health` up to and including the first type whose
+    /// fold failed, and returns that error; failing that, the first
+    /// grouping error in type order. It touches no candidate. Neither the
+    /// library nor the error depends on `pool`.
+    pub(crate) fn finish_on<I: Send>(
+        inputs: impl IntoIterator<Item = (I, Vec<CandidateImpl>)>,
         pe_type_count: usize,
         objectives: &ObjectiveSet,
         pool: &ExecPool,
+        health: &mut TdseHealth,
+        fold: impl Fn(&mut I, &[CandidateImpl], &mut TdseHealth) -> Result<(), DseError> + Sync,
     ) -> Result<Self, DseError> {
-        let mut grouped: Vec<Option<Result<TypeGroups, DseError>>> =
-            (0..candidates.len()).map(|_| None).collect();
-        pool.evaluate_in_place([grouped.as_mut_slice()], |ty, slot| {
-            *slot = Some(group_type(ty, &candidates[ty], pe_type_count, objectives));
+        let mut slots: Vec<TypeSlot<I>> = inputs
+            .into_iter()
+            .map(|(input, candidates)| TypeSlot {
+                input,
+                candidates,
+                health: TdseHealth::default(),
+                outcome: None,
+            })
+            .collect();
+        pool.evaluate_in_place([slots.as_mut_slice()], |ty, slot| {
+            let folded = fold(&mut slot.input, &slot.candidates, &mut slot.health);
+            slot.outcome = Some(match folded {
+                Err(e) => Err(TypeError::Fold(e)),
+                Ok(()) => group_type(ty, &slot.candidates, pe_type_count, objectives)
+                    .map(|groups| (groups, type_digest(&slot.candidates)))
+                    .map_err(TypeError::Group),
+            });
         });
-        let (mut full, mut pareto) = (Vec::new(), Vec::new());
-        for groups in grouped {
-            let (f, p) = groups.expect("every task type grouped")?;
-            full.push(f);
-            pareto.push(p);
+        let types = slots.len();
+        let mut library = ImplLibrary {
+            candidates: Vec::with_capacity(types),
+            full: Vec::with_capacity(types),
+            pareto: Vec::with_capacity(types),
+            digest: 0,
+        };
+        let mut type_digests = Vec::with_capacity(types);
+        let mut group_error = None;
+        for slot in slots {
+            health.merge(&slot.health);
+            match slot.outcome.expect("every task type finished") {
+                Ok(((full, pareto), digest)) => {
+                    library.candidates.push(slot.candidates);
+                    library.full.push(full);
+                    library.pareto.push(pareto);
+                    type_digests.push(digest);
+                }
+                Err(TypeError::Fold(e)) => return Err(e),
+                Err(TypeError::Group(e)) => {
+                    group_error.get_or_insert(e);
+                }
+            }
         }
-        Ok(ImplLibrary {
-            candidates,
-            full,
-            pareto,
-            digest: OnceLock::new(),
-        })
+        if let Some(e) = group_error {
+            return Err(e);
+        }
+        library.digest = library_digest(&type_digests);
+        Ok(library)
     }
 
     /// Number of task types covered.
@@ -220,13 +285,23 @@ impl ImplLibrary {
             full: self.full.clone(),
             pareto,
             // Same candidates, same digest (see `content_digest`).
-            digest: self.digest.clone(),
+            digest: self.digest,
         }
     }
 
     /// FNV-1a content digest over everything evaluation reads from this
     /// library: every candidate's identity, Table II metric bit patterns
-    /// and memory footprint, in candidate order.
+    /// and memory footprint, in candidate order. It is a tree of FNV-1a
+    /// digests, each over little-endian 64-bit words:
+    ///
+    /// * a candidate's digest folds its 11 words: implementation, PE
+    ///   type and DVFS mode indices, then the bit patterns of
+    ///   `min_exec_time`, `avg_exec_time`, `error_prob`, `eta`, `power`,
+    ///   `energy`, `peak_temp` and `memory_bytes`;
+    /// * a task type's digest folds its candidate count, then its
+    ///   candidates' digests in order;
+    /// * the library's digest folds the type count, then the type
+    ///   digests in order.
     ///
     /// The Pareto/full index lists are deliberately *not* folded in: they
     /// steer sampling and repair, never evaluation, so a library and its
@@ -234,31 +309,9 @@ impl ImplLibrary {
     /// therefore share fitness-cache entries, which is exactly right
     /// because equal genomes evaluate identically under both.
     ///
-    /// Folded once per library, on the first call.
+    /// Computed at construction, by the library pass.
     pub fn content_digest(&self) -> u64 {
-        *self.digest.get_or_init(|| self.fold_digest())
-    }
-
-    fn fold_digest(&self) -> u64 {
-        let mut fnv = crate::cache::Fnv::new();
-        fnv.write_u64(self.candidates.len() as u64);
-        for cands in &self.candidates {
-            fnv.write_u64(cands.len() as u64);
-            for c in cands {
-                fnv.write_u64(c.impl_id.index() as u64);
-                fnv.write_u64(c.pe_type.index() as u64);
-                fnv.write_u64(c.dvfs.index() as u64);
-                fnv.write_f64(c.metrics.min_exec_time);
-                fnv.write_f64(c.metrics.avg_exec_time);
-                fnv.write_f64(c.metrics.error_prob);
-                fnv.write_f64(c.metrics.eta);
-                fnv.write_f64(c.metrics.power);
-                fnv.write_f64(c.metrics.energy);
-                fnv.write_f64(c.metrics.peak_temp);
-                fnv.write_f64(c.memory_bytes);
-            }
-        }
-        fnv.finish()
+        self.digest
     }
 
     /// Checks that every task of `graph` has at least one mappable
@@ -281,12 +334,9 @@ impl ImplLibrary {
     }
 }
 
-/// The `full` and `pareto` index lists of one task type, per PE type.
-type TypeGroups = (Vec<Vec<usize>>, Vec<Vec<usize>>);
-
 /// Groups the candidates of task type `ty` by PE type and Pareto-filters
-/// each group under `objectives`: the per-item step of
-/// [`ImplLibrary::from_candidates_on`].
+/// each group under `objectives`: the `full` and `pareto` index lists,
+/// per PE type.
 fn group_type(
     ty: usize,
     cands: &[CandidateImpl],
@@ -330,6 +380,68 @@ fn group_type(
         })
         .collect();
     Ok((groups, filtered))
+}
+
+/// Words a candidate's digest folds (see [`ImplLibrary::content_digest`]).
+const CANDIDATE_WORDS: usize = 11;
+
+/// A candidate's digest words: its identity, then its Table II metric
+/// and memory-footprint bit patterns.
+fn candidate_words(c: &CandidateImpl) -> [u64; CANDIDATE_WORDS] {
+    let m = &c.metrics;
+    [
+        c.impl_id.index() as u64,
+        c.pe_type.index() as u64,
+        c.dvfs.index() as u64,
+        m.min_exec_time.to_bits(),
+        m.avg_exec_time.to_bits(),
+        m.error_prob.to_bits(),
+        m.eta.to_bits(),
+        m.power.to_bits(),
+        m.energy.to_bits(),
+        m.peak_temp.to_bits(),
+        c.memory_bytes.to_bits(),
+    ]
+}
+
+/// A task type's digest: its candidate count, then its candidates'
+/// digests. The candidates are digested four at a time, word by word
+/// across four independent hasher states, so the four multiply chains
+/// overlap; each lane's value is the one-at-a-time digest.
+fn type_digest(cands: &[CandidateImpl]) -> u64 {
+    let mut fnv = Fnv::new();
+    fnv.write_u64(cands.len() as u64);
+    let mut quads = cands.chunks_exact(4);
+    for quad in &mut quads {
+        let words: [[u64; CANDIDATE_WORDS]; 4] = std::array::from_fn(|l| candidate_words(&quad[l]));
+        let mut lanes: [Fnv; 4] = std::array::from_fn(|_| Fnv::new());
+        for w in 0..CANDIDATE_WORDS {
+            for (lane, words) in lanes.iter_mut().zip(&words) {
+                lane.write_u64(words[w]);
+            }
+        }
+        for lane in &lanes {
+            fnv.write_u64(lane.finish());
+        }
+    }
+    for c in quads.remainder() {
+        let mut lane = Fnv::new();
+        for word in candidate_words(c) {
+            lane.write_u64(word);
+        }
+        fnv.write_u64(lane.finish());
+    }
+    fnv.finish()
+}
+
+/// A library's digest: its type count, then its type digests.
+fn library_digest(type_digests: &[u64]) -> u64 {
+    let mut fnv = Fnv::new();
+    fnv.write_u64(type_digests.len() as u64);
+    for &digest in type_digests {
+        fnv.write_u64(digest);
+    }
+    fnv.finish()
 }
 
 #[cfg(test)]
@@ -465,57 +577,132 @@ mod tests {
         assert_ne!(lib.content_digest(), other.content_digest());
     }
 
-    #[test]
-    fn memoized_digest_equals_an_independent_fold() {
-        // FNV-1a written out byte by byte over the documented word
-        // stream, independent of the library's hasher.
-        fn reference(cands: &[Vec<CandidateImpl>]) -> u64 {
-            let mut words = vec![cands.len() as u64];
-            for group in cands {
-                words.push(group.len() as u64);
-                for c in group {
-                    words.extend([
-                        c.impl_id.index() as u64,
-                        c.pe_type.index() as u64,
-                        c.dvfs.index() as u64,
-                    ]);
-                    let m = &c.metrics;
-                    words.extend(
-                        [
-                            m.min_exec_time,
-                            m.avg_exec_time,
-                            m.error_prob,
-                            m.eta,
-                            m.power,
-                            m.energy,
-                            m.peak_temp,
-                            c.memory_bytes,
-                        ]
-                        .map(f64::to_bits),
-                    );
-                }
-            }
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
-                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h
+    /// Candidate `i` of a test type: every word distinct across
+    /// candidates, so swapping two of them changes the stream.
+    fn numbered(i: u32) -> CandidateImpl {
+        let x = f64::from(i);
+        let mut c = cand(i % 3, 1.0 + x, 0.01 * (x + 1.0));
+        c.impl_id = ImplId::new(i);
+        c.dvfs = DvfsModeId::new(i % 2);
+        c.metrics.eta = 1e8 + x;
+        c.metrics.power = 0.5 + x;
+        c.memory_bytes = 64.0 * x;
+        c
+    }
+
+    /// FNV-1a written out byte by byte over little-endian words,
+    /// independent of the library's hasher.
+    fn fnv1a(words: &[u64]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
-        let cands = vec![
-            vec![cand(0, 1.0, 0.3), cand(1, 9.0, 0.9)],
-            vec![cand(0, 2.0, 0.1), cand(0, 2.5, 0.35), cand(1, 3.0, 0.05)],
-        ];
-        let lib = ImplLibrary::from_candidates(cands.clone(), 2, &ObjectiveSet::set_ii()).unwrap();
-        assert_eq!(lib.digest.get(), None, "not folded at construction");
-        let want = reference(&cands);
+        h
+    }
+
+    /// The documented digest tree of one task type.
+    fn reference_type(cands: &[CandidateImpl]) -> u64 {
+        let mut words = vec![cands.len() as u64];
+        for c in cands {
+            let m = &c.metrics;
+            words.push(fnv1a(&[
+                c.impl_id.index() as u64,
+                c.pe_type.index() as u64,
+                c.dvfs.index() as u64,
+                m.min_exec_time.to_bits(),
+                m.avg_exec_time.to_bits(),
+                m.error_prob.to_bits(),
+                m.eta.to_bits(),
+                m.power.to_bits(),
+                m.energy.to_bits(),
+                m.peak_temp.to_bits(),
+                c.memory_bytes.to_bits(),
+            ]));
+        }
+        fnv1a(&words)
+    }
+
+    /// The documented digest tree of a library.
+    fn reference(types: &[Vec<CandidateImpl>]) -> u64 {
+        let mut words = vec![types.len() as u64];
+        words.extend(types.iter().map(|t| reference_type(t)));
+        fnv1a(&words)
+    }
+
+    #[test]
+    fn digest_equals_a_byte_by_byte_reference_of_the_tree() {
+        // 0..=9 covers every remainder of the four-lane loop.
+        let all: Vec<CandidateImpl> = (0..9).map(numbered).collect();
+        for n in [0, 1, 3, 4, 5, 9] {
+            assert_eq!(type_digest(&all[..n]), reference_type(&all[..n]), "{n}");
+        }
+        // A library of types with 1, 3, 4, 5 and 9 candidates (a type
+        // with none is an `EmptyChoiceGroup`).
+        let types: Vec<Vec<CandidateImpl>> = [1, 3, 4, 5, 9].map(|n| all[..n].to_vec()).to_vec();
+        let lib = ImplLibrary::from_candidates(types.clone(), 3, &ObjectiveSet::set_ii()).unwrap();
+        let want = reference(&types);
         assert_eq!(lib.content_digest(), want);
-        assert_eq!(lib.digest.get(), Some(&want), "memoized by the first call");
-        assert_eq!(lib.content_digest(), want);
-        // Copies made after the fold carry the value; equality ignores it.
-        let twin = lib.with_random_subsets(3);
-        assert_eq!(twin.digest.get(), Some(&want));
-        let fresh = ImplLibrary::from_candidates(cands, 2, &ObjectiveSet::set_ii()).unwrap();
-        assert_eq!(fresh, lib);
+        // Copies carry the value; equality sees equal digests.
+        assert_eq!(lib.with_random_subsets(3).content_digest(), want);
+        let pooled = ImplLibrary::finish_on(
+            types.into_iter().map(|ready| ((), ready)),
+            3,
+            &ObjectiveSet::set_ii(),
+            &ExecPool::new(3),
+            &mut TdseHealth::default(),
+            |(), _, _| Ok(()),
+        )
+        .unwrap();
+        assert_eq!(pooled, lib, "the pooled pass builds the same library");
+    }
+
+    /// Changes word `w` of `c`'s digest stream (see `candidate_words`).
+    fn perturb(c: &mut CandidateImpl, w: usize) {
+        let flip = |x: &mut f64| *x = f64::from_bits(x.to_bits() ^ 1);
+        let m = &mut c.metrics;
+        match w {
+            0 => c.impl_id = ImplId::new(c.impl_id.index() as u32 + 1),
+            1 => c.pe_type = PeTypeId::new(c.pe_type.index() as u32 + 1),
+            2 => c.dvfs = DvfsModeId::new(c.dvfs.index() as u32 + 1),
+            3 => flip(&mut m.min_exec_time),
+            4 => flip(&mut m.avg_exec_time),
+            5 => flip(&mut m.error_prob),
+            6 => flip(&mut m.eta),
+            7 => flip(&mut m.power),
+            8 => flip(&mut m.energy),
+            9 => flip(&mut m.peak_temp),
+            10 => flip(&mut c.memory_bytes),
+            _ => unreachable!("a candidate streams {CANDIDATE_WORDS} words"),
+        }
+    }
+
+    #[test]
+    fn every_word_at_every_lane_moves_the_digest() {
+        // Nine candidates: positions 0..8 hit each of the four lanes
+        // twice and the serial remainder once.
+        let base: Vec<CandidateImpl> = (0..9).map(numbered).collect();
+        let digest = |types: Vec<Vec<CandidateImpl>>| {
+            ImplLibrary::from_candidates(types, 4, &ObjectiveSet::set_ii())
+                .unwrap()
+                .content_digest()
+        };
+        let want = digest(vec![base.clone(), base[..2].to_vec()]);
+        for i in 0..base.len() {
+            for w in 0..CANDIDATE_WORDS {
+                let mut changed = base.clone();
+                perturb(&mut changed[i], w);
+                let got = digest(vec![changed, base[..2].to_vec()]);
+                assert_ne!(got, want, "candidate {i}, word {w}");
+            }
+        }
+        for (i, j) in [(0, 1), (0, 4), (3, 8), (6, 7)] {
+            let mut swapped = base.clone();
+            swapped.swap(i, j);
+            let got = digest(vec![swapped, base[..2].to_vec()]);
+            assert_ne!(got, want, "swap {i} and {j}");
+        }
+        let types_swapped = digest(vec![base[..2].to_vec(), base.clone()]);
+        assert_ne!(types_swapped, want, "swap the two types");
     }
 
     #[test]

@@ -90,6 +90,12 @@ impl<'a> SystemProblem<'a> {
     /// platform (PE placement, memory, interconnect), the library's
     /// candidate content, the objective set and the QoS spec.
     ///
+    /// The library's part is [`ImplLibrary::content_digest`], computed
+    /// when the library was built, so this walks the graph and the
+    /// platform but no candidate.
+    ///
+    /// [`ImplLibrary::content_digest`]: crate::library::ImplLibrary::content_digest
+    ///
     /// The codec's [`ChoiceMode`](crate::encoding::ChoiceMode) is
     /// deliberately *not* folded in: a gene's `choice` indexes the
     /// candidate list directly, so equal genomes evaluate identically

@@ -22,7 +22,9 @@ use clre_markov::MarkovError;
 use clre_model::platform::PeKind;
 use clre_model::qos::{ObjectiveSet, TaskMetrics};
 use clre_model::reliability::ClrConfig;
-use clre_model::{BaseImpl, DvfsMode, DvfsModeId, ImplId, PeType, Platform, TaskGraph, TaskTypeId};
+use clre_model::{
+    BaseImpl, DvfsMode, DvfsModeId, ImplId, PeType, Platform, TaskGraph, TaskType, TaskTypeId,
+};
 use clre_profile::{OperatingPoint, ProfileModel};
 
 use crate::cache::EvalCache;
@@ -297,7 +299,9 @@ pub fn chain_spec(
 /// protection: the raw characterization at the DVFS mode, plus the
 /// protected power and the steady-state temperature and Weibull `η` that
 /// power implies. Computed once per candidate; the chain spec and the
-/// metrics both read it.
+/// metrics both read it. The raw characterization depends only on the
+/// implementation and the mode, so the sweep computes it once for keys
+/// that share both ([`ProtectedPoint::at`]).
 struct ProtectedPoint<'a> {
     imp: &'a BaseImpl,
     pe_type: &'a PeType,
@@ -317,6 +321,19 @@ impl<'a> ProtectedPoint<'a> {
         profile: &ProfileModel,
     ) -> Self {
         let op = profile.operating_point(imp.cycles(), imp.capacitance(), mode);
+        Self::at(op, imp, pe_type, clr, profile)
+    }
+
+    /// The point of `imp` under `clr`, given `op`, the raw
+    /// characterization of `imp` at its mode — the per-CLR part of
+    /// [`ProtectedPoint::new`].
+    fn at(
+        op: OperatingPoint,
+        imp: &'a BaseImpl,
+        pe_type: &'a PeType,
+        clr: &'a ClrConfig,
+        profile: &ProfileModel,
+    ) -> Self {
         let power = op.power * clr.hw.params().power_factor * clr.asw.params().power_factor;
         let temp = profile.steady_temp(power);
         ProtectedPoint {
@@ -461,164 +478,228 @@ pub fn candidates_for_type_with_health(
         });
     }
     let types = ty.index()..ty.index() + 1;
-    let mut swept = sweep(graph, platform, types, config, health, &ExecPool::auto())?;
-    Ok(swept.pop().expect("one task type swept"))
+    let (mut statuses, candidates) = sweep(graph, platform, types, config, &ExecPool::auto())
+        .pop()
+        .expect("one task type swept");
+    fold_type(&mut statuses, &candidates, health)?;
+    Ok(candidates)
 }
 
-/// One candidate of the library sweep: indices of its task type, of the
-/// type's implementation, of the PE type's DVFS mode and of the CLR
-/// catalog entry.
-#[derive(Clone, Copy)]
-struct SweepKey {
-    ty: u32,
-    imp: u32,
-    mode: u32,
-    clr: u32,
+/// The metrics of a candidate the sweep has not analyzed (yet). A type
+/// with such a candidate fails its fold, so none reaches a library.
+const UNANALYZED: TaskMetrics = TaskMetrics {
+    min_exec_time: f64::NAN,
+    avg_exec_time: f64::NAN,
+    error_prob: f64::NAN,
+    eta: f64::NAN,
+    power: f64::NAN,
+    energy: f64::NAN,
+    peak_temp: f64::NAN,
+};
+
+/// What the sweep leaves of one group of up to [`LANES`] consecutive keys
+/// of one type, beside the keys' candidates: which analyses degraded or
+/// were retried (bit `l` for lane `l`), and the group's first error with
+/// its lane. Lanes after an error are left unanalyzed.
+#[derive(Default)]
+struct GroupStatus {
+    degraded: u8,
+    retried: u8,
+    error: Option<(usize, MarkovError)>,
 }
 
-/// A swept candidate plus its analysis' recovery flags.
-struct Swept {
-    candidate: CandidateImpl,
-    degraded: bool,
-    retried: bool,
+/// One item of the sweep pass: a group's candidates, enumerated with
+/// their identity and filled with their metrics by the item, and the
+/// group's status.
+struct SweepItem<'a> {
+    ty: usize,
+    candidates: &'a mut [CandidateImpl],
+    status: &'a mut GroupStatus,
 }
 
-/// The outcomes of up to [`LANES`] consecutive keys of one type, analyzed
-/// together; slots past the group's keys stay `None`.
-type SweptGroup = [Option<Result<Swept, MarkovError>>; LANES];
+/// One swept task type: the status of each group of [`LANES`] of its
+/// candidates, and its candidates in key order.
+type SweptType = (Vec<GroupStatus>, Vec<CandidateImpl>);
+
+/// The implementations of `task_type` on a PE type of `platform`, with
+/// their index, that PE type and how many of its DVFS modes `policy`
+/// explores. An implementation on a PE type absent from the platform is
+/// simply not mappable here.
+fn mapped_impls<'g>(
+    task_type: &'g TaskType,
+    platform: &'g Platform,
+    policy: DvfsPolicy,
+) -> impl Iterator<Item = (usize, &'g BaseImpl, &'g PeType, usize)> + 'g {
+    task_type
+        .impls()
+        .iter()
+        .enumerate()
+        .filter_map(move |(imp_idx, imp)| {
+            let pe_type = platform.pe_type(imp.pe_type())?;
+            let modes = match policy {
+                DvfsPolicy::All => pe_type.dvfs_modes().len(),
+                // A PE type without modes contributes nothing, as under `All`.
+                DvfsPolicy::NominalOnly => pe_type.dvfs_modes().len().min(1),
+            };
+            Some((imp_idx, imp, pe_type, modes))
+        })
+}
 
 /// The sweep of the task types `types` (indices into
-/// `graph.task_types()`) on `pool`: every type's (implementation, mode,
-/// CLR) keys are enumerated up front and cut into groups of up to
-/// [`LANES`] consecutive keys of one type, which one pool pass analyzes
-/// with [`analyze_robust_batch`], each type's groups landing in that
-/// type's own buffer. The fold then walks every type's keys in order, so
-/// the candidates, the counters and the first error are the serial
-/// loop's, for any worker count.
+/// `graph.task_types()`) on `pool`. The calling thread enumerates every
+/// type's (implementation, mode, CLR) keys in loop order as the type's
+/// candidates, identity only, into a vector allocated once at its exact
+/// length. One pool pass then analyzes groups of up to [`LANES`]
+/// consecutive candidates of one type with [`analyze_robust_batch`] and
+/// fills their metrics in place. Returns each type's group statuses and
+/// candidates, in type order, for [`fold_type`].
 fn sweep(
     graph: &TaskGraph,
     platform: &Platform,
     types: std::ops::Range<usize>,
     config: &TdseConfig,
-    health: &mut TdseHealth,
     pool: &ExecPool,
-) -> Result<Vec<Vec<CandidateImpl>>, DseError> {
-    let mut keys = Vec::new();
-    // `(first key, key count)` of every group, all types in order.
-    let mut groups = Vec::new();
-    let mut group_counts = Vec::with_capacity(types.len());
-    for (ty, task_type) in types.clone().zip(&graph.task_types()[types]) {
-        let first = keys.len();
-        for (imp_idx, imp) in task_type.impls().iter().enumerate() {
-            let Some(pe_type) = platform.pe_type(imp.pe_type()) else {
-                // Implementation targets a PE type absent from this platform:
-                // simply not mappable here.
-                continue;
-            };
-            let modes = match config.dvfs_policy {
-                DvfsPolicy::All => pe_type.dvfs_modes().len(),
-                // A PE type without modes contributes nothing, as under `All`.
-                DvfsPolicy::NominalOnly => pe_type.dvfs_modes().len().min(1),
-            };
-            for mode_idx in 0..modes {
-                for (clr_idx, clr) in config.clr_catalog.iter().enumerate() {
-                    // Configuration-memory mitigation styles (scrubbing,
-                    // TMR+scrubbing) only exist on reconfigurable fabric; a
-                    // processor has no bitstream to scrub.
-                    if clr.hw.requires_reconfigurable()
-                        && pe_type.kind() != PeKind::ReconfigurableRegion
-                    {
-                        continue;
+) -> Vec<SweptType> {
+    // Configuration-memory mitigation styles (scrubbing, TMR+scrubbing)
+    // only exist on reconfigurable fabric; a processor has no bitstream
+    // to scrub.
+    let explored = |clr: &ClrConfig, pe_type: &PeType| {
+        !clr.hw.requires_reconfigurable() || pe_type.kind() == PeKind::ReconfigurableRegion
+    };
+    let candidates: Vec<Vec<CandidateImpl>> = graph.task_types()[types.clone()]
+        .iter()
+        .map(|task_type| {
+            let impls = || mapped_impls(task_type, platform, config.dvfs_policy);
+            let keys = impls()
+                .map(|(_, _, pe_type, modes)| {
+                    let clrs = config.clr_catalog.iter();
+                    modes * clrs.filter(|clr| explored(clr, pe_type)).count()
+                })
+                .sum();
+            let mut candidates = Vec::with_capacity(keys);
+            for (imp_idx, imp, pe_type, modes) in impls() {
+                for mode_idx in 0..modes {
+                    for clr in &config.clr_catalog {
+                        if explored(clr, pe_type) {
+                            candidates.push(CandidateImpl {
+                                impl_id: ImplId::new(imp_idx as u32),
+                                pe_type: imp.pe_type(),
+                                dvfs: DvfsModeId::new(mode_idx as u32),
+                                clr: *clr,
+                                metrics: UNANALYZED,
+                                memory_bytes: f64::NAN,
+                            });
+                        }
                     }
-                    keys.push(SweepKey {
-                        ty: ty as u32,
-                        imp: imp_idx as u32,
-                        mode: mode_idx as u32,
-                        clr: clr_idx as u32,
-                    });
                 }
             }
-        }
-        let before = groups.len();
-        groups.extend(
-            (first..keys.len())
-                .step_by(LANES)
-                .map(|start| (start, LANES.min(keys.len() - start))),
-        );
-        group_counts.push(groups.len() - before);
-    }
+            candidates
+        })
+        .collect();
+    // The statuses, which the build frees, are allocated after every
+    // candidate vector, which the library keeps, so that they free as
+    // one block.
+    let mut swept: Vec<SweptType> = candidates
+        .into_iter()
+        .map(|candidates| {
+            let groups = candidates.len().div_ceil(LANES);
+            let statuses = std::iter::repeat_with(GroupStatus::default)
+                .take(groups)
+                .collect();
+            (statuses, candidates)
+        })
+        .collect();
 
-    let mut outputs: Vec<Vec<SweptGroup>> = group_counts
-        .iter()
-        .map(|&n| {
-            std::iter::repeat_with(|| std::array::from_fn(|_| None))
-                .take(n)
+    let mut items: Vec<Vec<SweepItem>> = types
+        .zip(&mut swept)
+        .map(|(ty, (statuses, candidates))| {
+            (candidates.chunks_mut(LANES).zip(statuses))
+                .map(|(candidates, status)| SweepItem {
+                    ty,
+                    candidates,
+                    status,
+                })
                 .collect()
         })
         .collect();
-    pool.evaluate_in_place(outputs.iter_mut().map(Vec::as_mut_slice), |g, slots| {
-        let (start, len) = groups[g];
-        sweep_group(graph, platform, &keys[start..start + len], config, slots);
+    pool.evaluate_in_place(items.iter_mut().map(Vec::as_mut_slice), |_, item| {
+        sweep_group(graph, platform, config, item);
     });
-    drop(keys);
-    // Fold in key order: the first error is the serial loop's error.
-    outputs
-        .into_iter()
-        .map(|groups| {
-            let mut candidates = Vec::with_capacity(groups.len() * LANES);
-            for swept in groups.into_iter().flatten().flatten() {
-                let swept = swept?;
-                health.candidates_evaluated += 1;
-                health.degraded_analyses += usize::from(swept.degraded);
-                health.solver_retries += usize::from(swept.retried);
-                candidates.push(swept.candidate);
-            }
-            Ok(candidates)
-        })
-        .collect()
+    drop(items);
+    swept
 }
 
-/// Analyzes the candidates `keys` name (up to [`LANES`] of one type) in
-/// one batch into `slots` — the per-item step of [`sweep`].
-fn sweep_group(
-    graph: &TaskGraph,
-    platform: &Platform,
-    keys: &[SweepKey],
-    config: &TdseConfig,
-    slots: &mut SweptGroup,
-) {
-    let imps = graph.task_types()[keys[0].ty as usize].impls();
-    let point = |key: &SweepKey| {
-        let imp = &imps[key.imp as usize];
+/// Folds one type's group statuses in key order into `health`, counting
+/// every analysis up to the type's first error, and returns that error:
+/// the counters and the error are the serial loop's, whichever worker
+/// analyzed which group. `candidates` are the type's, as swept.
+fn fold_type(
+    statuses: &mut [GroupStatus],
+    candidates: &[CandidateImpl],
+    health: &mut TdseHealth,
+) -> Result<(), DseError> {
+    for (status, group) in statuses.iter_mut().zip(candidates.chunks(LANES)) {
+        let error = status.error.take();
+        let analyzed = error.as_ref().map_or(group.len(), |&(lane, _)| lane);
+        let mask = (1u8 << analyzed) - 1;
+        health.candidates_evaluated += analyzed;
+        health.degraded_analyses += (status.degraded & mask).count_ones() as usize;
+        health.solver_retries += (status.retried & mask).count_ones() as usize;
+        if let Some((_, e)) = error {
+            return Err(e.into());
+        }
+    }
+    Ok(())
+}
+
+/// Analyzes one group's candidates (up to [`LANES`] of one type) in one
+/// batch, filling their metrics and footprints in place and their
+/// flags and first error into the group's status — the per-item step of
+/// [`sweep`].
+fn sweep_group(graph: &TaskGraph, platform: &Platform, config: &TdseConfig, item: &mut SweepItem) {
+    let imps = graph.task_types()[item.ty].impls();
+    let profile = &config.profile;
+    // The group's keys; a short group pads its lanes with its last key,
+    // and only its own lanes are analyzed.
+    let len = item.candidates.len();
+    let keys: [CandidateImpl; LANES] = std::array::from_fn(|l| item.candidates[l.min(len - 1)]);
+    // The raw characterization of the last (implementation, mode) seen:
+    // consecutive keys usually differ in their CLR configuration alone.
+    let mut last: Option<(ImplId, DvfsModeId, OperatingPoint)> = None;
+    let points = keys.each_ref().map(|key| {
+        let imp = &imps[key.impl_id.index()];
         let pe_type = platform
-            .pe_type(imp.pe_type())
+            .pe_type(key.pe_type)
             .expect("keys only name implementations on platform PE types");
-        let mode = &pe_type.dvfs_modes()[key.mode as usize];
-        let clr = &config.clr_catalog[key.clr as usize];
-        ProtectedPoint::new(imp, pe_type, mode, clr, &config.profile)
-    };
-    // A short group pads its lanes with its last key; only its own lanes
-    // are analyzed.
-    let points: [ProtectedPoint; LANES] =
-        std::array::from_fn(|l| point(&keys[l.min(keys.len() - 1)]));
+        let op = match last {
+            Some((i, m, op)) if (i, m) == (key.impl_id, key.dvfs) => op,
+            _ => {
+                let mode = &pe_type.dvfs_modes()[key.dvfs.index()];
+                let op = profile.operating_point(imp.cycles(), imp.capacitance(), mode);
+                last = Some((key.impl_id, key.dvfs, op));
+                op
+            }
+        };
+        ProtectedPoint::at(op, imp, pe_type, &key.clr, profile)
+    });
     let specs = points.each_ref().map(|p| p.spec(config));
-    let outcomes = analyze_robust_batch(&specs[..keys.len()], config.solver_faults.as_ref());
-    for (((slot, key), point), outcome) in slots.iter_mut().zip(keys).zip(&points).zip(outcomes) {
-        *slot = outcome.map(|outcome| {
-            let robust = outcome?;
-            Ok(Swept {
-                candidate: CandidateImpl {
-                    impl_id: ImplId::new(key.imp),
-                    pe_type: point.imp.pe_type(),
-                    dvfs: DvfsModeId::new(key.mode),
-                    clr: *point.clr,
-                    metrics: point.metrics(&robust),
-                    memory_bytes: candidate_memory(point.imp, point.clr),
-                },
-                degraded: robust.degraded,
-                retried: robust.retried,
-            })
-        });
+    let outcomes = analyze_robust_batch(&specs[..len], config.solver_faults.as_ref());
+    let status = &mut *item.status;
+    for (lane, ((candidate, point), outcome)) in
+        (item.candidates.iter_mut().zip(&points).zip(outcomes)).enumerate()
+    {
+        match outcome.expect("one outcome per analyzed lane") {
+            Ok(robust) => {
+                candidate.metrics = point.metrics(&robust);
+                candidate.memory_bytes = candidate_memory(point.imp, point.clr);
+                status.degraded |= u8::from(robust.degraded) << lane;
+                status.retried |= u8::from(robust.retried) << lane;
+            }
+            Err(e) => {
+                status.error = Some((lane, e));
+                break;
+            }
+        }
     }
 }
 
@@ -641,8 +722,9 @@ pub fn build_library(
 /// and how many used the degraded closed-form fallback.
 ///
 /// Every task type's candidates are analyzed in one pass on an
-/// [`ExecPool::auto`] pool (see [`build_library_on`]) and folded per type
-/// in key order; a second pass groups and Pareto-filters each type. The
+/// [`ExecPool::auto`] pool (see [`build_library_on`]); a second pass
+/// finishes each type as one item: it folds the type's analyses in key
+/// order, then groups, Pareto-filters and digests the candidates. The
 /// library, the counters and the first error are bit-identical to a
 /// serial loop over the types.
 ///
@@ -657,10 +739,14 @@ pub fn build_library_with_health(
     build_library_on(graph, platform, config, &ExecPool::auto())
 }
 
-/// [`build_library_with_health`] with its sweep pass and its Pareto pass
-/// on `pool` instead of [`ExecPool::auto`] — e.g. a server holding its
-/// builds to its configured worker budget. The result does not depend on
-/// `pool`.
+/// [`build_library_with_health`] with its sweep pass and its per-type
+/// pass on `pool` instead of [`ExecPool::auto`] — e.g. a server holding
+/// its builds to its configured worker budget. The result does not
+/// depend on `pool`.
+///
+/// The returned error is the first analysis error in key order across
+/// all types, with the counters up to it; failing that, the first
+/// grouping error in type order (a [`DseError::EmptyChoiceGroup`]).
 ///
 /// # Errors
 ///
@@ -673,9 +759,16 @@ pub fn build_library_on(
 ) -> Result<(ImplLibrary, TdseHealth), DseError> {
     let mut health = TdseHealth::default();
     let types = 0..graph.task_types().len();
-    let all = sweep(graph, platform, types, config, &mut health, pool)?;
-    let lib =
-        ImplLibrary::from_candidates_on(all, platform.pe_types().len(), &config.objectives, pool)?;
+    let lib = ImplLibrary::finish_on(
+        sweep(graph, platform, types, config, pool),
+        platform.pe_types().len(),
+        &config.objectives,
+        pool,
+        &mut health,
+        |statuses: &mut Vec<GroupStatus>, candidates, health| {
+            fold_type(statuses, candidates, health)
+        },
+    )?;
     lib.validate_for(graph)?;
     Ok((lib, health))
 }
@@ -805,8 +898,14 @@ mod tests {
         let mut health = TdseHealth::default();
         let types = 0..graph.task_types().len();
         let pool = ExecPool::new(workers);
-        let candidates =
-            sweep(graph, platform, types, config, &mut health, &pool).map_err(|e| format!("{e:?}"));
+        let candidates = sweep(graph, platform, types, config, &pool)
+            .into_iter()
+            .map(|(mut statuses, candidates)| {
+                fold_type(&mut statuses, &candidates, &mut health)?;
+                Ok(candidates)
+            })
+            .collect::<Result<Vec<_>, DseError>>()
+            .map_err(|e| format!("{e:?}"));
         (candidates, health)
     }
 
@@ -953,8 +1052,14 @@ mod tests {
 
     /// Characterized task types `t0`, `t1`, …, one task each, except that
     /// the types `empty` names get one implementation on a PE type the
-    /// platform lacks, so their sweeps yield no candidate.
-    fn multi_type_graph(platform: &Platform, types: u32, empty: &[u32]) -> TaskGraph {
+    /// platform lacks, so their sweeps yield no candidate, and the types
+    /// `failing` names get a last implementation whose analyses fail.
+    fn multi_type_graph(
+        platform: &Platform,
+        types: u32,
+        empty: &[u32],
+        failing: &[u32],
+    ) -> TaskGraph {
         let ch = SyntheticCharacterizer::new(5);
         let mut b = TaskGraph::builder("g", 1.0);
         for t in 0..types {
@@ -963,8 +1068,13 @@ mod tests {
                 let stray = BaseImpl::new("stray", PeTypeId::new(99), 3.0e5, 1e-9);
                 TaskType::new(&name).with_impl(stray)
             } else {
-                (ch.impls_for_type(t, platform).into_iter())
-                    .fold(TaskType::new(&name), TaskType::with_impl)
+                let ty = (ch.impls_for_type(t, platform).into_iter())
+                    .fold(TaskType::new(&name), TaskType::with_impl);
+                if failing.contains(&t) {
+                    ty.with_impl(BaseImpl::new("bad", PeTypeId::new(0), f64::INFINITY, 1e-9))
+                } else {
+                    ty
+                }
             });
         }
         for t in 0..types {
@@ -1020,7 +1130,7 @@ mod tests {
     #[test]
     fn pooled_library_matches_the_serial_oracle() {
         let p = paper_platform();
-        let g = multi_type_graph(&p, 5, &[]);
+        let g = multi_type_graph(&p, 5, &[], &[]);
         for scenario in [
             Scenario::Transient,
             Scenario::PermanentAging {
@@ -1040,7 +1150,7 @@ mod tests {
     #[test]
     fn pooled_library_returns_the_first_empty_type() {
         let p = paper_platform();
-        let g = multi_type_graph(&p, 5, &[2, 4]);
+        let g = multi_type_graph(&p, 5, &[2, 4], &[]);
         let config = TdseConfig::default();
         let built = build_library_on(&g, &p, &config, &ExecPool::new(3)).map(|_| ());
         assert!(
@@ -1048,6 +1158,28 @@ mod tests {
             "{built:?}"
         );
         assert_library_matches_oracle(&g, &p, &config, "empty types");
+    }
+
+    #[test]
+    fn pooled_library_returns_an_analysis_error_after_an_empty_type() {
+        // Type 1 is empty, so grouping it fails; type 2's analyses fail
+        // part-way. The analysis error comes first, as in the serial
+        // loop, which sweeps every type before it groups any.
+        let p = paper_platform();
+        let g = multi_type_graph(&p, 4, &[1], &[2]);
+        let mixed =
+            TdseConfig::default().with_solver_faults(SolverFaultPlan::new(3, 400_000, 500_000));
+        for (config, what) in [(TdseConfig::default(), "clean"), (mixed, "storm")] {
+            let err = oracle_sweep(&g, &p, &config).0.expect_err("type 2 fails");
+            assert!(err.contains("InvalidResidence"), "{what}: {err}");
+            for workers in [1, 2, 3, 8] {
+                let built = build_library_on(&g, &p, &config, &ExecPool::new(workers))
+                    .map(|_| ())
+                    .map_err(|e| format!("{e:?}"));
+                assert_eq!(built, Err(err.clone()), "{what}/{workers} workers");
+            }
+            assert_library_matches_oracle(&g, &p, &config, what);
+        }
     }
 
     #[test]

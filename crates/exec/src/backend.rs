@@ -248,14 +248,8 @@ pub(crate) fn batch_stats(
     per_worker: Vec<usize>,
     worker_deaths: usize,
 ) -> ExecStats {
-    let total: usize = per_worker.iter().sum();
     let mut histogram = LatencyHistogram::new();
-    if total > 0 {
-        let avg = wall_nanos / total as u64;
-        for _ in 0..total {
-            histogram.record(avg);
-        }
-    }
+    histogram.record_mean(wall_nanos, per_worker.iter().sum());
     ExecStats {
         wall_nanos,
         per_worker,

@@ -52,6 +52,15 @@ impl LatencyHistogram {
         self.counts[Self::bucket(nanos)] += 1;
     }
 
+    /// Records `count` durations of `total_nanos / count` each: the mean
+    /// of a run of evaluations timed together. Records nothing for
+    /// `count == 0`.
+    pub(crate) fn record_mean(&mut self, total_nanos: u64, count: usize) {
+        if let Some(mean) = total_nanos.checked_div(count as u64) {
+            self.counts[Self::bucket(mean)] += count as u64;
+        }
+    }
+
     /// Folds another histogram into this one (bucket-wise sum).
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {

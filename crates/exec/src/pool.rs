@@ -7,9 +7,9 @@ use std::time::Instant;
 use crate::histogram::LatencyHistogram;
 
 /// Observability record of one [`ExecPool::evaluate_batch`] call: wall
-/// time, how the batch was split across workers, and the per-evaluation
-/// latency distribution. Pure telemetry — nothing in here feeds back into
-/// the evaluation results.
+/// time, how the batch was split across workers, and the latency
+/// distribution of its evaluations. Pure telemetry — nothing in here
+/// feeds back into the evaluation results.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecStats {
     /// Wall-clock duration of the whole batch, in nanoseconds.
@@ -18,7 +18,12 @@ pub struct ExecStats {
     /// is the calling thread. Length is the number of workers that ran
     /// the batch: `min(workers, items)`, and 1 for the serial path.
     pub per_worker: Vec<usize>,
-    /// Log-spaced per-evaluation latency histogram over the batch.
+    /// Log-spaced latency histogram over the batch, one entry per item
+    /// (so its total is the item count). Items are timed by the piece:
+    /// each piece a worker claims is timed once, and each of its items
+    /// records the piece's mean, which keeps two clock reads per item
+    /// off the hot path. The serial path times runs of as many items as
+    /// a one-worker batch's pieces hold.
     pub histogram: LatencyHistogram,
     /// Workers that died mid-batch (simulated by an attached
     /// [`DeathPlan`]) and whose unfinished items were re-evaluated by the
@@ -195,9 +200,11 @@ impl ExecPool {
         let workers = self.workers.min(total).max(1);
         if workers <= 1 {
             let mut histogram = LatencyHistogram::new();
-            let slots = outputs.into_iter().flat_map(|out| out.iter_mut());
-            for (i, slot) in slots.enumerate() {
-                timed(&f, i, slot, &mut histogram);
+            let chunk = chunk_len(total, 1);
+            let mut base = 0;
+            for piece in outputs.into_iter().flat_map(|out| out.chunks_mut(chunk)) {
+                run_piece(&f, base, piece, &mut histogram);
+                base += piece.len();
             }
             return ExecStats {
                 wall_nanos: duration_nanos(start),
@@ -244,9 +251,7 @@ impl ExecPool {
         // results are bit-identical to what the lost workers would have
         // produced. Without a death plan nothing is ever left over.
         for (base, piece) in unfinished {
-            for (offset, slot) in piece.iter_mut().enumerate() {
-                timed(&f, base + offset, slot, &mut histogram);
-            }
+            run_piece(&f, base, piece, &mut histogram);
         }
         ExecStats {
             wall_nanos: duration_nanos(start),
@@ -334,9 +339,7 @@ impl<'s, S> WorkQueue<'s, S> {
                     lost: Some((base, piece)),
                 };
             }
-            for (offset, slot) in piece.iter_mut().enumerate() {
-                timed(f, base + offset, slot, &mut histogram);
-            }
+            run_piece(f, base, piece, &mut histogram);
             evaluated += piece.len();
         }
         WorkerReport {
@@ -356,16 +359,19 @@ fn chunk_len(total: usize, workers: usize) -> usize {
         .clamp(1, MAX_CHUNK)
 }
 
-/// Runs `f(index, slot)` and records its latency.
-fn timed<S, F: Fn(usize, &mut S)>(
+/// Runs `f(index, slot)` over the slots of one piece, whose first slot
+/// has index `base`, and records the piece's mean latency once per slot.
+fn run_piece<S, F: Fn(usize, &mut S)>(
     f: &F,
-    index: usize,
-    slot: &mut S,
+    base: usize,
+    piece: &mut [S],
     histogram: &mut LatencyHistogram,
 ) {
     let t0 = Instant::now();
-    f(index, slot);
-    histogram.record(duration_nanos(t0));
+    for (offset, slot) in piece.iter_mut().enumerate() {
+        f(base + offset, slot);
+    }
+    histogram.record_mean(duration_nanos(t0), piece.len());
 }
 
 fn duration_nanos(since: Instant) -> u64 {
